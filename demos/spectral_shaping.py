@@ -44,18 +44,19 @@ print(f"predicted nulls near DC: {nulls.tolist()} Hz "
 
 # --- estimation tier: SRRC stream + Welch averaging
 pulse = modem.PulseSpec(rolloff=0.25, span_symbols=16, sps=8)
+SAMPLE_RATE = SYMBOL_RATE * pulse.sps
 frames = []
 for _ in range(200):
     u = np.zeros(N, dtype=np.uint8)
     u[rng.choice(lam, K, replace=False)] = rng.integers(0, 2, K)
     frames.append(modem.bpsk_map(polar.encode(u)))
-sig = modem.modulate_symbols(np.concatenate(frames), pulse, SYMBOL_RATE)
-est = spectral.welch_psd(sig.samples, sig.sample_rate, segment=16384)
+samples = modem.modulate_symbols(np.concatenate(frames), pulse)
+est = spectral.welch_psd(samples, SAMPLE_RATE, segment=16384)
 
 targets = spectral.null_set(N, r, SYMBOL_RATE, (1 + pulse.rolloff) * SYMBOL_RATE / 2)
 flat = (1 - pulse.rolloff) * SYMBOL_RATE / 2
 depths = spectral.null_depth(est, targets, (-flat, flat))
-print(f"\nWelch PSD over 200 frames at {sig.sample_rate:.0f} Hz sampling:")
+print(f"\nWelch PSD over 200 frames at {SAMPLE_RATE:.0f} Hz sampling:")
 for f, d in zip(targets, depths):
     if f > 0:
         print(f"  notch at +/-{f:5.0f} Hz: depth {d:5.1f} dB")
@@ -66,8 +67,8 @@ for _ in range(200):
     u = np.zeros(N, dtype=np.uint8)
     u[rng.choice(N, K, replace=False)] = rng.integers(0, 2, K)
     frames.append(modem.bpsk_map(polar.encode(u)))
-sig = modem.modulate_symbols(np.concatenate(frames), pulse, SYMBOL_RATE)
-est = spectral.welch_psd(sig.samples, sig.sample_rate, segment=16384)
+samples = modem.modulate_symbols(np.concatenate(frames), pulse)
+est = spectral.welch_psd(samples, SAMPLE_RATE, segment=16384)
 d0 = spectral.null_depth(est, targets, (-flat, flat))
 sel = np.abs(targets) <= flat
 print(f"\nconventional control, same frequencies: depth range "

@@ -7,14 +7,7 @@ with the constrained construction/decoding that restores the lost
 sub-channel reliability, and a baseband link simulator.
 """
 
-from .channel import (
-    ChannelProfile,
-    CombFilterSpec,
-    add_awgn,
-    add_periodic_interference,
-    comb_filter,
-    tone_centers,
-)
+from .channel import LinkChannel, calibrate_channel, impair, tone_centers
 from .construction import (
     ReliabilityProfile,
     estimate_symmetric_reliability,
@@ -26,15 +19,7 @@ from .construction import (
     validate_params,
 )
 from .decoder import DecodeResult, ccd_decode, channel_llr, sc_decode, scl_decode
-from .modem import (
-    BasebandSignal,
-    PulseSpec,
-    bpsk_map,
-    demodulate,
-    modulate,
-    signal_to_csv,
-    srrc_taps,
-)
+from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols, srrc_taps
 from .polar import assemble_source, bit_reversal, encode, generator_entry, generator_matrix
 from .shaping import (
     CisSpec,

@@ -1,59 +1,22 @@
-"""Channel impairments: in-band-calibrated AWGN, band-limited periodic
-interference, and the receiver comb filter.
+"""The link's channel: band-limited periodic interference, in-band-calibrated
+AWGN and the receiver comb filter, applied to a batch of frames.
 
-All transforms operate on a whole frame of complex baseband samples in the
-frequency domain of that frame, so they are linear, zero-phase and
-deterministic given the generator passed in.  Power ratios (SNR, SIR) are
-measured within a caller-supplied band via periodogram integration.
+`calibrate_channel` turns a configuration and an SNR into a `LinkChannel`;
+`impair` applies it to a (B, samples) block of transmitted frames, drawing
+each frame's randomness from that frame's own generator.  Interference and
+comb are built in the frequency domain of the whole frame, so they are
+linear, zero-phase and deterministic given the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ChannelProfile:
-    """Noise/interference levels and the interference tone grid.
-
-    sir_db = None disables interference.  Tone k is centered at
-    tone_offset_hz + k * fundamental_hz for every k that lands inside the
-    sampled band.  tone_model "noise" fills each tone with band-limited
-    noise of width tone_bandwidth_hz; "sinusoid" puts a random-phase
-    complex exponential at each center instead.
-    """
-
-    snr_db: float
-    sir_db: float | None = None
-    fundamental_hz: float = 50.0
-    tone_bandwidth_hz: float = 20.0
-    tone_offset_hz: float = 25.0
-    tone_model: str = "noise"
-
-    def __post_init__(self):
-        if self.tone_model not in ("noise", "sinusoid"):
-            raise ValueError(f"unknown tone model {self.tone_model!r}")
-        if self.sir_db is not None and self.tone_bandwidth_hz >= self.fundamental_hz:
-            raise ValueError(
-                f"tone bandwidth {self.tone_bandwidth_hz} Hz must be smaller "
-                f"than the fundamental {self.fundamental_hz} Hz"
-            )
-
-
-@dataclass(frozen=True)
-class CombFilterSpec:
-    """Zero-phase notch mask: bins within notch_bw/2 of any center are zeroed."""
-
-    notch_centers_hz: tuple
-    notch_bw_hz: float
-
-    def __post_init__(self):
-        if len(self.notch_centers_hz) == 0:
-            raise ValueError("notch center list must be non-empty")
-        if self.notch_bw_hz <= 0:
-            raise ValueError("notch bandwidth must be positive")
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 def tone_centers(fundamental_hz: float, offset_hz: float, f_max: float) -> np.ndarray:
@@ -65,39 +28,8 @@ def tone_centers(fundamental_hz: float, offset_hz: float, f_max: float) -> np.nd
 
 def _band_mask(n: int, sample_rate: float, band) -> np.ndarray:
     lo, hi = band
-    if hi <= lo:
-        raise ValueError(f"empty band ({lo}, {hi})")
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
     return (freqs >= lo) & (freqs <= hi)
-
-
-def band_power(samples: np.ndarray, sample_rate: float, band) -> float:
-    """Mean per-sample power of the component inside `band` (periodogram sum)."""
-    samples = np.asarray(samples)
-    n = len(samples)
-    spec = np.fft.fft(samples)
-    mask = _band_mask(n, sample_rate, band)
-    return float(np.sum(np.abs(spec[mask]) ** 2) / n**2)
-
-
-def add_awgn(samples: np.ndarray, sample_rate: float, snr_db: float, band, rng):
-    """Add circular complex white noise at the requested in-band SNR.
-
-    The noise level is calibrated against the measured in-band power of
-    `samples`, so that E[in-band noise power] makes the ratio equal snr_db.
-    Returns (noisy samples, per-sample complex noise variance used).
-    """
-    samples = np.asarray(samples)
-    n = len(samples)
-    mask = _band_mask(n, sample_rate, band)
-    if np.isinf(snr_db):
-        return samples.astype(np.complex128), 0.0
-    p_sig = band_power(samples, sample_rate, band)
-    band_fraction = np.count_nonzero(mask) / n
-    sigma2 = p_sig / (10 ** (snr_db / 10) * band_fraction)
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    noise *= np.sqrt(sigma2 / 2)
-    return samples + noise, sigma2
 
 
 def _tone_mask(n: int, sample_rate: float, centers, halfwidth: float) -> np.ndarray:
@@ -108,41 +40,91 @@ def _tone_mask(n: int, sample_rate: float, centers, halfwidth: float) -> np.ndar
     return mask
 
 
-def add_periodic_interference(
-    samples: np.ndarray, sample_rate: float, profile: ChannelProfile, band, rng
-):
-    """Add band-limited noise tones on the periodic grid at the requested SIR.
+@dataclass
+class LinkChannel:
+    """Calibrated impairments for frames of one link at one SNR."""
 
-    Interference is white complex noise masked to the tone bands in the
-    frequency domain, scaled so the in-band signal/interference power ratio
-    equals profile.sir_db.  Returns (impaired samples, interference alone).
+    noise_sigma2: float              # complex per-sample noise variance, 0 disables
+    intf_scale: float                # 0 disables interference
+    tone_mask: np.ndarray | None     # noise tone model: kept FFT bins
+    tone_basis: np.ndarray | None    # sinusoid tone model: per-tone phasors
+    comb_keep: np.ndarray | None     # FFT bins the comb passes; None without comb
+
+
+def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
+    """Noise and interference levels for cfg's frames at snr_db.
+
+    Both ratios are set against the expected per-sample power N/L of a
+    frame of N unit-energy pulses in L samples, and counted inside
+    cfg.band: the SNR against the noise there, the SIR against the
+    interference there.  snr_db = inf disables noise; sir_db None or inf
+    disables interference.
     """
-    samples = np.asarray(samples)
-    n = len(samples)
-    if profile.sir_db is None or np.isinf(profile.sir_db):
-        return samples.astype(np.complex128), np.zeros(n, dtype=np.complex128)
-    centers = tone_centers(
-        profile.fundamental_hz, profile.tone_offset_hz, sample_rate / 2
-    )
-    if profile.tone_model == "sinusoid":
-        t = np.arange(n) / sample_rate
-        phases = rng.uniform(0.0, 2 * np.pi, len(centers))
-        shaped = np.exp(1j * (2 * np.pi * np.outer(centers, t) + phases[:, None])).sum(axis=0)
+    L = cfg.N * cfg.pulse.sps + cfg.pulse.span_symbols * cfg.pulse.sps
+    fs = cfg.sample_rate
+    band_bins = int(np.count_nonzero(_band_mask(L, fs, cfg.band)))
+    p_sig = cfg.N / L
+    if np.isinf(snr_db):
+        sigma2 = 0.0
     else:
-        mask = _tone_mask(n, sample_rate, centers, profile.tone_bandwidth_hz / 2)
-        white = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        shaped = np.fft.ifft(np.fft.fft(white) * mask)
-    p_sig = band_power(samples, sample_rate, band)
-    p_intf = band_power(shaped, sample_rate, band)
-    if p_intf == 0.0:
-        raise ValueError("no interference tone falls inside the sampled band")
-    shaped *= np.sqrt(p_sig / (10 ** (profile.sir_db / 10) * p_intf))
-    return samples + shaped, shaped
+        sigma2 = p_sig / (10 ** (snr_db / 10) * band_bins / L)
+    tone_mask = None
+    tone_basis = None
+    intf_scale = 0.0
+    if cfg.sir_db is not None and not np.isinf(cfg.sir_db):
+        centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
+        sir_lin = 10 ** (cfg.sir_db / 10)
+        if cfg.tone_model == "sinusoid":
+            t = np.arange(L) / fs
+            tone_basis = np.exp(2j * np.pi * np.outer(centers, t))
+            n_in = int(np.count_nonzero((centers >= cfg.band[0]) & (centers <= cfg.band[1])))
+            intf_scale = float(np.sqrt(p_sig / (sir_lin * n_in)))
+        else:
+            tone_mask = _tone_mask(L, fs, centers, cfg.tone_bandwidth_hz / 2)
+            in_band = int(np.count_nonzero(tone_mask & _band_mask(L, fs, cfg.band)))
+            # unit draw has per-sample variance 2 before masking
+            intf_scale = float(np.sqrt(p_sig * L / (sir_lin * 2.0 * in_band)))
+    comb_keep = None
+    if cfg.comb_enabled:
+        centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
+        comb_keep = ~_tone_mask(L, fs, centers, cfg.notch_bandwidth_hz / 2)
+    return LinkChannel(sigma2, intf_scale, tone_mask, tone_basis, comb_keep)
 
 
-def comb_filter(samples: np.ndarray, sample_rate: float, spec: CombFilterSpec) -> np.ndarray:
-    """Zero-phase frequency-domain comb: notch bins zeroed, all else unit gain."""
-    samples = np.asarray(samples)
-    n = len(samples)
-    mask = _tone_mask(n, sample_rate, spec.notch_centers_hz, spec.notch_bw_hz / 2)
-    return np.fft.ifft(np.fft.fft(samples) * ~mask)
+def impair(ch: LinkChannel, s: np.ndarray, gens) -> np.ndarray:
+    """Add interference and noise to the (B, L) transmitted frames s, then
+    apply the comb; returns the complex received samples.
+
+    Frame k draws from gens[k]: first its interference (random tone phases,
+    or white noise to be masked to the tone bands), when interference is
+    on, then its noise.
+    """
+    b, L = s.shape
+    if len(gens) != b:
+        raise ValueError(f"{len(gens)} generators for {b} frames")
+    noise = np.empty((b, L), dtype=np.complex128)
+    sinusoid = ch.tone_basis is not None
+    if ch.intf_scale > 0:
+        intf = np.empty((b, len(ch.tone_basis) if sinusoid else L), dtype=np.complex128)
+    else:
+        intf = None
+    for k, g in enumerate(gens):
+        if intf is not None:
+            if sinusoid:
+                intf[k] = np.exp(1j * g.uniform(0.0, 2 * np.pi, intf.shape[1]))
+            else:
+                intf[k] = g.standard_normal(L) + 1j * g.standard_normal(L)
+        noise[k] = g.standard_normal(L) + 1j * g.standard_normal(L)
+
+    rx = s.astype(np.complex128)
+    if intf is not None:
+        if sinusoid:
+            shaped = intf @ ch.tone_basis
+        else:
+            shaped = np.fft.ifft(np.fft.fft(intf, axis=1) * ch.tone_mask[None, :], axis=1)
+        rx = rx + ch.intf_scale * shaped
+    if ch.noise_sigma2 > 0:
+        rx = rx + np.sqrt(ch.noise_sigma2 / 2.0) * noise
+    if ch.comb_keep is not None:
+        rx = np.fft.ifft(np.fft.fft(rx, axis=1) * ch.comb_keep[None, :], axis=1)
+    return rx

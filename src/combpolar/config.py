@@ -7,9 +7,9 @@ Every field has a default; a config file only needs the overrides.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .channel import ChannelProfile
+from .channel import tone_centers
 from .modem import PulseSpec
 
 _SCHEMA = {
@@ -17,7 +17,7 @@ _SCHEMA = {
     "criterion": None,
     "decoder": {"mode", "list_size"},
     "modem": {"rolloff", "span_symbols", "sps", "symbol_rate_hz"},
-    "channel": {"snr_db", "sir_db", "fundamental_hz", "tone_bandwidth_hz", "tone_offset_hz", "tone_model"},
+    "channel": {"sir_db", "fundamental_hz", "tone_bandwidth_hz", "tone_offset_hz", "tone_model"},
     "comb_filter": {"enabled", "notch_bandwidth_hz"},
     "construction": {"method", "design_snr_db", "trials"},
     "snr_sweep_db": None,
@@ -26,6 +26,16 @@ _SCHEMA = {
     "welch": {"segment", "overlap", "window", "frames"},
     "psd_tier": None,
     "threads": None,
+}
+
+
+# the three arms of the paired comparison: conventional code, shaped code
+# with symmetric construction and plain decoding, and shaped code with the
+# constrained construction and permuted decoding
+ARM_PRESETS = {
+    "cp": {"shaped": False, "criterion": "symmetric", "decoder_mode": "plain"},
+    "csp-nonc": {"shaped": True, "criterion": "symmetric", "decoder_mode": "plain"},
+    "csp-c": {"shaped": True, "criterion": "cis-constrained", "decoder_mode": "ccd"},
 }
 
 
@@ -43,7 +53,6 @@ class ExperimentConfig:
     list_size: int = 8
     pulse: PulseSpec = field(default_factory=lambda: PulseSpec(0.25, 16, 8))
     symbol_rate: float = 800.0
-    snr_db: float = 0.0
     sir_db: float | None = -20.0
     fundamental_hz: float = 50.0
     tone_bandwidth_hz: float = 20.0
@@ -75,15 +84,18 @@ class ExperimentConfig:
         half = (1.0 + self.pulse.rolloff) * self.symbol_rate / 2.0
         return (-half, half)
 
-    def channel_profile(self, snr_db: float | None = None) -> ChannelProfile:
-        return ChannelProfile(
-            snr_db=self.snr_db if snr_db is None else snr_db,
-            sir_db=self.sir_db,
-            fundamental_hz=self.fundamental_hz,
-            tone_bandwidth_hz=self.tone_bandwidth_hz,
-            tone_offset_hz=self.tone_offset_hz,
-            tone_model=self.tone_model,
-        )
+    def for_arm(self, name: str) -> ExperimentConfig:
+        """A validated copy of this config running arm `name` of ARM_PRESETS;
+        an unshaped arm drops the shaping order."""
+        if name not in ARM_PRESETS:
+            raise ConfigError(f"unknown arm {name!r}")
+        preset = ARM_PRESETS[name]
+        return replace(
+            self,
+            r=self.r if preset["shaped"] else None,
+            criterion=preset["criterion"],
+            decoder_mode=preset["decoder_mode"],
+        ).validate()
 
     def validate(self):
         from .construction import validate_params
@@ -94,6 +106,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown decoder mode {self.decoder_mode!r}")
         if self.decoder_mode == "ccd" and self.r is None:
             raise ConfigError("ccd decoding needs a shaped code (set code.r)")
+        if self.symbol_rate <= 0:
+            raise ConfigError(f"symbol rate must be positive, got {self.symbol_rate}")
+        if not 0 < self.tone_bandwidth_hz < self.fundamental_hz:
+            raise ConfigError(
+                f"tone bandwidth {self.tone_bandwidth_hz} Hz must be positive and "
+                f"smaller than the fundamental {self.fundamental_hz} Hz"
+            )
+        if self.notch_bandwidth_hz <= 0:
+            raise ConfigError(
+                f"notch bandwidth must be positive, got {self.notch_bandwidth_hz} Hz"
+            )
+        half = self.band[1]
+        if len(tone_centers(self.fundamental_hz, self.tone_offset_hz, half)) == 0:
+            raise ConfigError(
+                f"no tone of the grid (offset {self.tone_offset_hz} Hz, spacing "
+                f"{self.fundamental_hz} Hz) falls inside the signal band +/-{half} Hz"
+            )
         if self.r is not None:
             if self.K > self.N // 2:
                 raise ConfigError("rate exceeds 1/2 under a shaping index set")
@@ -173,7 +202,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     )
     cfg.symbol_rate = float(mod.get("symbol_rate_hz", cfg.symbol_rate))
     ch = data.get("channel", {})
-    cfg.snr_db = float(ch.get("snr_db", cfg.snr_db))
     sir = ch.get("sir_db", cfg.sir_db)
     cfg.sir_db = None if sir is None else float(sir)
     cfg.fundamental_hz = float(ch.get("fundamental_hz", cfg.fundamental_hz))

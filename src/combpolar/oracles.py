@@ -29,6 +29,32 @@ def _codebook_symbols(N: int, free: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * cw.astype(np.float64)
 
 
+def _target_words(N: int, u_prefix, i: int, u_i: int, free_indices) -> tuple:
+    """BPSK symbols of every source word that matches the prefix and has
+    u_i at index i, with the free-index count Kf; see subchannel_probability
+    for the meaning of the arguments."""
+    if free_indices is None:
+        free = np.arange(N, dtype=np.int64)
+    else:
+        free = np.asarray(free_indices, dtype=np.int64)
+    if i not in free:
+        raise ValueError(f"target index {i} is pinned to zero")
+    pos = int(np.searchsorted(free, i))
+    u_prefix = np.asarray(u_prefix, dtype=np.int64)
+    if len(u_prefix) != pos:
+        raise ValueError(f"prefix must cover the {pos} free indices below {i}")
+
+    sym = _codebook_symbols(N, free)
+    Kf = len(free)
+    c = np.arange(1 << Kf)
+    want_prefix = 0
+    for b in u_prefix:
+        want_prefix = (want_prefix << 1) | int(b)
+    keep = (c >> (Kf - pos)) == want_prefix
+    keep &= ((c >> (Kf - pos - 1)) & 1) == u_i
+    return sym[keep], Kf
+
+
 def subchannel_probability(
     y: np.ndarray,
     u_prefix: np.ndarray,
@@ -49,27 +75,7 @@ def subchannel_probability(
     """
     y = np.asarray(y, dtype=np.float64)
     N = len(y)
-    if free_indices is None:
-        free = np.arange(N, dtype=np.int64)
-    else:
-        free = np.asarray(free_indices, dtype=np.int64)
-    if i not in free:
-        raise ValueError(f"target index {i} is pinned to zero")
-    pos = int(np.searchsorted(free, i))
-    u_prefix = np.asarray(u_prefix, dtype=np.int64)
-    if len(u_prefix) != pos:
-        raise ValueError(f"prefix must cover the {pos} free indices below {i}")
-
-    sym = _codebook_symbols(N, free)
-    Kf = len(free)
-    # select words matching the prefix and the target bit
-    c = np.arange(1 << Kf)
-    want_prefix = 0
-    for b in u_prefix:
-        want_prefix = (want_prefix << 1) | int(b)
-    keep = (c >> (Kf - pos)) == want_prefix
-    keep &= ((c >> (Kf - pos - 1)) & 1) == u_i
-    s = sym[keep]
+    s, Kf = _target_words(N, u_prefix, i, u_i, free_indices)
     loglik = -np.sum((y[None, :] - s) ** 2, axis=1) / (2 * noise_var)
     loglik -= 0.5 * N * np.log(2 * np.pi * noise_var)
     # joint density of (y, prefix) given u_i: every free bit except u_i
@@ -92,22 +98,8 @@ def subchannel_probability_bsc(
     """
     x_obs = np.asarray(x_obs, dtype=np.float64)
     N = len(x_obs)
-    free = np.arange(N, dtype=np.int64) if free_indices is None else np.asarray(free_indices)
-    if i not in free:
-        raise ValueError(f"target index {i} is pinned to zero")
-    pos = int(np.searchsorted(free, i))
-    u_prefix = np.asarray(u_prefix, dtype=np.int64)
-    if len(u_prefix) != pos:
-        raise ValueError(f"prefix must cover the {pos} free indices below {i}")
-    sym = _codebook_symbols(N, free)
-    Kf = len(free)
-    c = np.arange(1 << Kf)
-    want_prefix = 0
-    for b in u_prefix:
-        want_prefix = (want_prefix << 1) | int(b)
-    keep = (c >> (Kf - pos)) == want_prefix
-    keep &= ((c >> (Kf - pos - 1)) & 1) == u_i
-    flips = np.sum(sym[keep] != x_obs[None, :], axis=1)
+    s, Kf = _target_words(N, u_prefix, i, u_i, free_indices)
+    flips = np.sum(s != x_obs[None, :], axis=1)
     lik = (p**flips) * ((1 - p) ** (N - flips))
     return float(np.sum(lik) / 2.0 ** (Kf - 1))
 

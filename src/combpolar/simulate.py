@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import oracles
-from .channel import _band_mask, _tone_mask, tone_centers
-from .config import ExperimentConfig
+from .channel import LinkChannel, calibrate_channel, impair, tone_centers
+from .config import ARM_PRESETS, ExperimentConfig
 from .construction import (
     ReliabilityProfile,
     estimate_symmetric_reliability,
@@ -31,7 +30,7 @@ from .construction import (
     snr_db_to_noise_var,
 )
 from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
-from .modem import bpsk_map, srrc_taps
+from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols
 from .polar import assemble_source, bit_reversal, encode, generator_matrix
 from .shaping import (
     CisSpec,
@@ -48,12 +47,6 @@ from .spectral import exact_null_bins, exact_spectrum_magnitude, null_depth, wel
 
 _INFO_STREAM, _CHANNEL_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 0, 1, 2, 3
 _SUPER_BATCH = 512
-
-ARM_PRESETS = {
-    "cp": {"shaped": False, "criterion": "symmetric", "decoder_mode": "plain"},
-    "csp-nonc": {"shaped": True, "criterion": "symmetric", "decoder_mode": "plain"},
-    "csp-c": {"shaped": True, "criterion": "cis-constrained", "decoder_mode": "ccd"},
-}
 
 
 def _rng(master_seed: int, stream: int, index: int = 0):
@@ -119,67 +112,22 @@ class LinkContext:
     code: CodeConfig
     decoder_mode: str
     list_size: int
-    taps: np.ndarray
-    sps: int
-    frame_len: int
-    noise_sigma2: float          # complex per-sample channel noise variance
+    pulse: PulseSpec
+    channel: LinkChannel
     symbol_noise_var: float      # per-dimension symbol noise after matched filter
-    intf_scale: float            # 0 disables interference
-    tone_mask: np.ndarray | None     # noise tone model: kept FFT bins
-    tone_basis: np.ndarray | None    # sinusoid tone model: per-tone phasors
-    comb_keep: np.ndarray | None
     master_seed: int
-
-    @property
-    def delay(self) -> int:
-        return len(self.taps) - 1
 
 
 def make_link(cfg: ExperimentConfig, code: CodeConfig, snr_db: float) -> LinkContext:
-    taps = srrc_taps(cfg.pulse)
-    L = cfg.N * cfg.pulse.sps + cfg.pulse.span_symbols * cfg.pulse.sps
-    fs = cfg.sample_rate
-    band_bins = int(np.count_nonzero(_band_mask(L, fs, cfg.band)))
-    # expected per-sample in-band signal power of a unit-energy-pulse frame
-    p_sig = cfg.N / L
-    if np.isinf(snr_db):
-        sigma2 = 0.0
-    else:
-        sigma2 = p_sig / (10 ** (snr_db / 10) * band_bins / L)
-    tone_mask = None
-    tone_basis = None
-    intf_scale = 0.0
-    if cfg.sir_db is not None and not np.isinf(cfg.sir_db):
-        centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
-        sir_lin = 10 ** (cfg.sir_db / 10)
-        if cfg.tone_model == "sinusoid":
-            t = np.arange(L) / fs
-            tone_basis = np.exp(2j * np.pi * np.outer(centers, t))
-            n_in = int(np.count_nonzero((centers >= cfg.band[0]) & (centers <= cfg.band[1])))
-            intf_scale = float(np.sqrt(p_sig / (sir_lin * n_in)))
-        else:
-            tone_mask = _tone_mask(L, fs, centers, cfg.tone_bandwidth_hz / 2)
-            in_band = int(np.count_nonzero(tone_mask & _band_mask(L, fs, cfg.band)))
-            # unit draw has per-sample variance 2 before masking
-            intf_scale = float(np.sqrt(p_sig * L / (sir_lin * 2.0 * in_band)))
-    comb_keep = None
-    if cfg.comb_enabled:
-        centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
-        comb_keep = ~_tone_mask(L, fs, centers, cfg.notch_bandwidth_hz / 2)
-    sym_nv = sigma2 / 2.0 if sigma2 > 0 else 1e-12
+    channel = calibrate_channel(cfg, snr_db)
+    sigma2 = channel.noise_sigma2
     return LinkContext(
         code=code,
         decoder_mode=cfg.decoder_mode,
         list_size=cfg.list_size,
-        taps=taps,
-        sps=cfg.pulse.sps,
-        frame_len=L,
-        noise_sigma2=sigma2,
-        symbol_noise_var=sym_nv,
-        intf_scale=intf_scale,
-        tone_mask=tone_mask,
-        tone_basis=tone_basis,
-        comb_keep=comb_keep,
+        pulse=cfg.pulse,
+        channel=channel,
+        symbol_noise_var=sigma2 / 2.0 if sigma2 > 0 else 1e-12,
         master_seed=cfg.master_seed,
     )
 
@@ -192,46 +140,15 @@ def synthesize_frames(link: LinkContext, frame_indices):
     same information word and the same channel realization, whichever arm
     or batch it lands in.
     """
-    idx = np.asarray(list(frame_indices), dtype=np.int64)
-    b = len(idx)
+    idx = [int(fi) for fi in frame_indices]
     code = link.code
-    N, K, L = code.N, code.K, link.frame_len
-
-    info = np.empty((b, K), dtype=np.uint8)
-    noise = np.empty((b, L), dtype=np.complex128)
-    sinusoid = link.tone_basis is not None
-    if link.intf_scale > 0:
-        intf = np.empty((b, len(link.tone_basis) if sinusoid else L), dtype=np.complex128)
-    else:
-        intf = None
+    info = np.empty((len(idx), code.K), dtype=np.uint8)
     for k, fi in enumerate(idx):
-        info[k] = _rng(link.master_seed, _INFO_STREAM, int(fi)).integers(0, 2, K, dtype=np.uint8)
-        g = _rng(link.master_seed, _CHANNEL_STREAM, int(fi))
-        if intf is not None:
-            if sinusoid:
-                intf[k] = np.exp(1j * g.uniform(0.0, 2 * np.pi, intf.shape[1]))
-            else:
-                intf[k] = g.standard_normal(L) + 1j * g.standard_normal(L)
-        noise[k] = g.standard_normal(L) + 1j * g.standard_normal(L)
-
-    x = encode(assemble_source(info, code.A, N))
-    up = np.zeros((b, N * link.sps))
-    up[:, :: link.sps] = bpsk_map(x)
-    s = fftconvolve(up, link.taps[None, :], mode="full", axes=1)
-    rx = s.astype(np.complex128)
-    if intf is not None:
-        if sinusoid:
-            shaped = intf @ link.tone_basis
-        else:
-            shaped = np.fft.ifft(np.fft.fft(intf, axis=1) * link.tone_mask[None, :], axis=1)
-        rx = rx + link.intf_scale * shaped
-    if link.noise_sigma2 > 0:
-        rx = rx + np.sqrt(link.noise_sigma2 / 2.0) * noise
-    if link.comb_keep is not None:
-        rx = np.fft.ifft(np.fft.fft(rx, axis=1) * link.comb_keep[None, :], axis=1)
-    mf = fftconvolve(rx, np.conj(link.taps[::-1])[None, :], mode="full", axes=1)
-    y = mf[:, link.delay + link.sps * np.arange(N)]
-    return info, y
+        info[k] = _rng(link.master_seed, _INFO_STREAM, fi).integers(0, 2, code.K, dtype=np.uint8)
+    x = encode(assemble_source(info, code.A, code.N))
+    s = modulate_symbols(bpsk_map(x), link.pulse)
+    rx = impair(link.channel, s, [_rng(link.master_seed, _CHANNEL_STREAM, fi) for fi in idx])
+    return info, matched_filter(rx, link.pulse, code.N)
 
 
 def decode_frames(link: LinkContext, y: np.ndarray) -> np.ndarray:
@@ -339,18 +256,10 @@ def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
         os.makedirs(out_dir, exist_ok=True)
     results = {}
     for arm in arms:
-        preset = ARM_PRESETS[arm]
-        import copy
-
-        acfg = copy.deepcopy(cfg)
-        acfg.criterion = preset["criterion"]
-        acfg.decoder_mode = preset["decoder_mode"]
-        if not preset["shaped"]:
-            acfg.r = None
         out = None if out_dir is None else os.path.join(out_dir, f"fer_{arm}.csv")
         if log:
             log(f"--- arm {arm}")
-        results[arm] = run_fer(acfg, out, log=log)
+        results[arm] = run_fer(cfg.for_arm(arm), out, log=log)
     return results
 
 
@@ -389,10 +298,11 @@ def run_psd(cfg: ExperimentConfig, out_dir: str, depth_threshold_db: float = 25.
     for _ in range(cfg.psd_frames):
         info = rng.integers(0, 2, cfg.K, dtype=np.uint8)
         syms.append(bpsk_map(encode(assemble_source(info, code.A, cfg.N))))
+    # looked up when called, so a wrapper installed on the modem module sees it
     from .modem import modulate_symbols
 
-    sig = modulate_symbols(np.concatenate(syms), cfg.pulse, cfg.symbol_rate)
-    est = welch_psd(sig.samples, sig.sample_rate, segment=cfg.welch_segment,
+    samples = modulate_symbols(np.concatenate(syms), cfg.pulse)
+    est = welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment,
                     overlap=cfg.welch_overlap, window=cfg.welch_window)
     depths = null_depth(est, targets, (-flat_edge, flat_edge))
     with open(os.path.join(out_dir, "psd.csv"), "w") as fh:
@@ -573,14 +483,7 @@ def check_noiseless_roundtrip(frames: int = 50) -> tuple:
     cfg.construction_trials = 10_000
     total = 0
     for arm in ARM_PRESETS:
-        import copy
-
-        acfg = copy.deepcopy(cfg)
-        preset = ARM_PRESETS[arm]
-        acfg.criterion = preset["criterion"]
-        acfg.decoder_mode = preset["decoder_mode"]
-        if not preset["shaped"]:
-            acfg.r = None
+        acfg = cfg.for_arm(arm)
         code = build_code(acfg)
         link = make_link(acfg, code, np.inf)
         total += int(np.count_nonzero(run_link_frames(link, range(frames))))

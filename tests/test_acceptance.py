@@ -8,7 +8,7 @@ deterministic.
 import numpy as np
 
 from combpolar import construction, decoder, modem, oracles, polar, shaping, spectral
-from combpolar.config import ExperimentConfig
+from combpolar.config import ARM_PRESETS, ExperimentConfig
 from combpolar import simulate
 
 
@@ -88,8 +88,8 @@ def test_criterion_3_psd_notch_depths():
             where = rng.choice(lam if shaped else np.arange(N), K, replace=False)
             u[where] = rng.integers(0, 2, K)
             syms.append(modem.bpsk_map(polar.encode(u)))
-        sig = modem.modulate_symbols(np.concatenate(syms), pulse, Rs)
-        est = spectral.welch_psd(sig.samples, sig.sample_rate, segment=16384)
+        samples = modem.modulate_symbols(np.concatenate(syms), pulse)
+        est = spectral.welch_psd(samples, Rs * pulse.sps, segment=16384)
         return spectral.null_depth(est, targets, (-flat_edge, flat_edge))
 
     shaped = averaged_depths(True)
@@ -212,17 +212,13 @@ def test_criterion_7_decoder_soundness():
 
     # noiseless frames decode perfectly for every arm of the link
     noiseless_errors = 0
-    for arm, preset in simulate.ARM_PRESETS.items():
-        cfg = ExperimentConfig()
-        cfg.criterion = preset["criterion"]
-        cfg.decoder_mode = preset["decoder_mode"]
-        if not preset["shaped"]:
-            cfg.r = None
-        cfg.sir_db = None
-        cfg.comb_enabled = False
-        cfg.construction_trials = 20_000
-        cfg.design_snr_db = 1.0
-        cfg.validate()
+    base = ExperimentConfig()
+    base.sir_db = None
+    base.comb_enabled = False
+    base.construction_trials = 20_000
+    base.design_snr_db = 1.0
+    for arm in ARM_PRESETS:
+        cfg = base.for_arm(arm)
         arm_code = simulate.build_code(cfg)
         link = simulate.make_link(cfg, arm_code, np.inf)
         noiseless_errors += int(np.count_nonzero(simulate.run_link_frames(link, range(1000))))
@@ -251,16 +247,9 @@ def test_criterion_8_fer_ordering_and_floor():
     )
 
     # error-floor contrast at high SNR
-    import copy
-
     floor = {}
     for arm in ("cp", "csp-c"):
-        preset = simulate.ARM_PRESETS[arm]
-        acfg = copy.deepcopy(cfg)
-        acfg.criterion = preset["criterion"]
-        acfg.decoder_mode = preset["decoder_mode"]
-        if not preset["shaped"]:
-            acfg.r = None
+        acfg = cfg.for_arm(arm)
         acfg.snr_sweep_db = (4.0,)
         acfg.max_frames = 20_000
         floor[arm] = simulate.run_fer(acfg, None)[0].fer

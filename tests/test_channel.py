@@ -1,187 +1,187 @@
+"""The link's channel, exercised through the batched path every FER run uses:
+calibrate_channel for the levels, impair for a block of frames."""
+
+import dataclasses
+
 import numpy as np
 import pytest
 
 from combpolar import channel, modem, polar, shaping
-
-FS = 6400.0
-BAND = (-500.0, 500.0)
+from combpolar.config import ConfigError, ExperimentConfig, load_config
 
 
-def reference_signal(seed=0, n=256):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, n, dtype=np.uint8)
-    sig = modem.modulate(bits, modem.PulseSpec(0.25, 8, 8), 800.0)
-    return sig.samples.astype(np.complex128)
+def link_cfg(**kw):
+    """The reference link: N=256 at 800 Hz, 8 samples/symbol, 50 Hz grid."""
+    return dataclasses.replace(ExperimentConfig(), **kw).validate()
+
+
+def tx_frames(cfg, n_frames, seed=0):
+    bits = np.random.default_rng(seed).integers(0, 2, (n_frames, cfg.N), dtype=np.uint8)
+    return modem.modulate_symbols(modem.bpsk_map(bits), cfg.pulse)
+
+
+def received(cfg, snr_db, s, seed=0):
+    gens = [np.random.default_rng([seed, k]) for k in range(len(s))]
+    return channel.impair(channel.calibrate_channel(cfg, snr_db), s, gens)
+
+
+def power_in(x, cfg, lo, hi):
+    """Mean per-sample power of the frames' component inside [lo, hi] Hz."""
+    L = x.shape[-1]
+    f = np.fft.fftfreq(L, d=1.0 / cfg.sample_rate)
+    spec = np.fft.fft(x, axis=-1)[..., (f >= lo) & (f <= hi)]
+    return float(np.mean(np.sum(np.abs(spec) ** 2, axis=-1)) / L**2)
+
+
+def ratio_db(a, b):
+    return 10 * np.log10(a / b)
 
 
 class TestAddAwgn:
+    """Noise calibrated against the in-band signal power."""
+
     def test_infinite_snr_is_identity(self):
-        s = reference_signal()
-        out, sigma2 = channel.add_awgn(s, FS, np.inf, BAND, np.random.default_rng(0))
-        assert sigma2 == 0.0
-        assert np.array_equal(out, s)
+        cfg = link_cfg(sir_db=None, comb_enabled=False)
+        s = tx_frames(cfg, 4)
+        assert channel.calibrate_channel(cfg, np.inf).noise_sigma2 == 0.0
+        assert np.array_equal(received(cfg, np.inf, s), s.astype(np.complex128))
 
     def test_requested_snr_is_met(self):
-        s = reference_signal()
-        ratios = []
-        for k in range(100):
-            noisy, _ = channel.add_awgn(s, FS, 3.0, BAND, np.random.default_rng(k))
-            p_n = channel.band_power(noisy - s, FS, BAND)
-            p_s = channel.band_power(s, FS, BAND)
-            ratios.append(p_s / p_n)
-        measured = 10 * np.log10(np.mean(ratios))
-        assert abs(measured - 3.0) < 0.1
+        # with interference on, for both tone models: the noise is the
+        # difference to the same draws at infinite SNR
+        for model in ("noise", "sinusoid"):
+            cfg = link_cfg(tone_model=model, comb_enabled=False)
+            s = tx_frames(cfg, 200)
+            noise = received(cfg, -1.0, s) - received(cfg, np.inf, s)
+            snr = ratio_db(power_in(s, cfg, *cfg.band), power_in(noise, cfg, *cfg.band))
+            assert abs(snr - (-1.0)) < 0.1, (model, snr)
 
     def test_zero_db_matches_powers(self):
-        s = reference_signal()
-        diffs = []
-        for k in range(100):
-            noisy, _ = channel.add_awgn(s, FS, 0.0, BAND, np.random.default_rng(200 + k))
-            diffs.append(
-                channel.band_power(noisy - s, FS, BAND) / channel.band_power(s, FS, BAND)
-            )
-        assert abs(10 * np.log10(np.mean(diffs))) < 0.1
+        cfg = link_cfg(sir_db=None, comb_enabled=False)
+        s = tx_frames(cfg, 200, seed=2)
+        noise = received(cfg, 0.0, s, seed=2) - s
+        assert abs(ratio_db(power_in(noise, cfg, *cfg.band),
+                            power_in(s, cfg, *cfg.band))) < 0.1
 
     def test_noise_whiteness(self):
-        s = np.zeros(20000, dtype=np.complex128)
-        s[0] = 1.0  # nonzero so band power is finite
-        noisy, _ = channel.add_awgn(s, FS, 0.0, BAND, np.random.default_rng(5))
-        z = noisy - s
+        cfg = link_cfg(sir_db=None, comb_enabled=False)
+        z = received(cfg, 0.0, np.zeros((20, 2176)), seed=5)
         z = z - z.mean()
-        n = len(z)
+        n = z.size
         for lag in (1, 3, 10, 100):
-            rho = np.vdot(z[:-lag], z[lag:]) / (np.vdot(z, z).real)
+            rho = np.vdot(z[:, :-lag], z[:, lag:]) / np.vdot(z, z).real
             assert abs(rho) < 5 / np.sqrt(n)
 
     def test_empty_band_rejected(self):
-        with pytest.raises(ValueError):
-            channel.add_awgn(reference_signal(), FS, 0.0, (100.0, 100.0), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="symbol rate"):
+            load_config(None, {"modem": {"symbol_rate_hz": 0.0}})
 
 
 class TestPeriodicInterference:
-    def profile(self, sir=-20.0):
-        return channel.ChannelProfile(
-            snr_db=0.0, sir_db=sir, fundamental_hz=50.0,
-            tone_bandwidth_hz=20.0, tone_offset_hz=25.0,
-        )
+    """Tones on the periodic grid, calibrated to the in-band SIR."""
 
     def test_infinite_sir_is_identity(self):
-        s = reference_signal()
-        out, intf = channel.add_periodic_interference(
-            s, FS, self.profile(np.inf), BAND, np.random.default_rng(0)
-        )
-        assert np.array_equal(out, s)
-        assert np.all(intf == 0)
+        for sir in (None, np.inf):
+            cfg = link_cfg(sir_db=sir, comb_enabled=False)
+            s = tx_frames(cfg, 4)
+            assert channel.calibrate_channel(cfg, np.inf).intf_scale == 0.0
+            assert np.array_equal(received(cfg, np.inf, s), s.astype(np.complex128))
 
     def test_tone_centers_grid(self):
         centers = channel.tone_centers(50.0, 25.0, 150.0)
         assert centers.tolist() == [-125.0, -75.0, -25.0, 25.0, 75.0, 125.0]
 
     def test_power_concentrated_in_tone_bands(self):
-        s = reference_signal()
-        _, intf = channel.add_periodic_interference(
-            s, FS, self.profile(), BAND, np.random.default_rng(1)
-        )
-        centers = channel.tone_centers(50.0, 25.0, FS / 2)
-        in_tones = sum(
-            channel.band_power(intf, FS, (c - 10.0001, c + 10.0001)) for c in centers
-        )
+        cfg = link_cfg(comb_enabled=False)
+        s = tx_frames(cfg, 20, seed=1)
+        intf = received(cfg, np.inf, s, seed=1) - s
+        centers = channel.tone_centers(50.0, 25.0, cfg.sample_rate / 2)
+        in_tones = sum(power_in(intf, cfg, c - 10.0001, c + 10.0001) for c in centers)
         total = np.mean(np.abs(intf) ** 2)
-        assert in_tones / total > 0.99
+        assert in_tones / total > 0.999
 
     def test_requested_sir_is_met(self):
-        s = reference_signal()
-        vals = []
-        for k in range(50):
-            _, intf = channel.add_periodic_interference(
-                s, FS, self.profile(), BAND, np.random.default_rng(50 + k)
-            )
-            vals.append(
-                channel.band_power(s, FS, BAND) / channel.band_power(intf, FS, BAND)
-            )
-        assert abs(10 * np.log10(np.mean(vals)) - (-20.0)) < 0.2
+        for model, tol in (("noise", 0.2), ("sinusoid", 0.5)):
+            cfg = link_cfg(tone_model=model, comb_enabled=False)
+            s = tx_frames(cfg, 200, seed=3)
+            intf = received(cfg, np.inf, s, seed=3) - s
+            sir = ratio_db(power_in(s, cfg, *cfg.band), power_in(intf, cfg, *cfg.band))
+            assert abs(sir - (-20.0)) < tol, (model, sir)
 
     def test_determinism(self):
-        s = reference_signal()
-        a = channel.add_periodic_interference(s, FS, self.profile(), BAND, np.random.default_rng(9))
-        b = channel.add_periodic_interference(s, FS, self.profile(), BAND, np.random.default_rng(9))
-        assert np.array_equal(a[0], b[0])
+        cfg = link_cfg()
+        s = tx_frames(cfg, 4)
+        assert np.array_equal(received(cfg, 0.0, s, seed=9), received(cfg, 0.0, s, seed=9))
+        assert not np.allclose(received(cfg, 0.0, s, seed=9), received(cfg, 0.0, s, seed=10))
 
     def test_overlapping_tones_rejected(self):
-        with pytest.raises(ValueError):
-            channel.ChannelProfile(snr_db=0.0, sir_db=-20.0, fundamental_hz=50.0,
-                                   tone_bandwidth_hz=60.0)
+        with pytest.raises(ConfigError, match="tone bandwidth"):
+            load_config(None, {"channel": {"tone_bandwidth_hz": 60.0}})
 
     def test_sinusoid_tone_model(self):
-        # frame length 2560 puts the 25 + 50k Hz grid exactly on FFT bins,
-        # so the pure tones occupy single bins with no leakage
-        s = np.zeros(2560, dtype=np.complex128)
-        s[::8] = 1.0
-        prof = channel.ChannelProfile(
-            snr_db=0.0, sir_db=-20.0, fundamental_hz=50.0, tone_bandwidth_hz=20.0,
-            tone_offset_hz=25.0, tone_model="sinusoid",
-        )
-        _, intf = channel.add_periodic_interference(s, FS, prof, BAND, np.random.default_rng(4))
-        centers = channel.tone_centers(50.0, 25.0, FS / 2)
-        in_tone = sum(channel.band_power(intf, FS, (c - 3.0, c + 3.0)) for c in centers)
-        assert in_tone / np.mean(np.abs(intf) ** 2) > 0.999
-        ratio = channel.band_power(s, FS, BAND) / channel.band_power(intf, FS, BAND)
-        assert abs(10 * np.log10(ratio) - (-20.0)) < 0.5
+        # every frame's interference is one random-phase tone of equal
+        # amplitude at each grid center
+        cfg = link_cfg(tone_model="sinusoid", comb_enabled=False)
+        ch = channel.calibrate_channel(cfg, np.inf)
+        s = tx_frames(cfg, 3, seed=4)
+        intf = received(cfg, np.inf, s, seed=4) - s
+        coef = np.linalg.lstsq(ch.tone_basis.T, intf.T, rcond=None)[0]
+        assert np.max(np.abs(intf - (ch.tone_basis.T @ coef).T)) < 1e-9
+        assert np.allclose(np.abs(coef), ch.intf_scale, rtol=1e-9)
 
     def test_unknown_tone_model(self):
-        with pytest.raises(ValueError):
-            channel.ChannelProfile(snr_db=0.0, sir_db=-20.0, tone_model="square")
+        with pytest.raises(ConfigError, match="tone model"):
+            dataclasses.replace(ExperimentConfig(), tone_model="square").validate()
 
 
 class TestCombFilter:
-    def spec(self, f_max=FS / 2):
-        centers = channel.tone_centers(50.0, 25.0, f_max)
-        return channel.CombFilterSpec(tuple(centers), 20.0)
+    """The receiver comb: notches of the notch bandwidth on the tone grid."""
+
+    def tone_gain(self, freq_hz):
+        # span 32 makes the frame 2304 samples, which puts 25 + 25k Hz on FFT bins
+        cfg = link_cfg(sir_db=None, pulse=modem.PulseSpec(0.25, 32, 8))
+        t = np.arange(2304) / cfg.sample_rate
+        tone = np.exp(2j * np.pi * freq_hz * t)[None, :]
+        out = received(cfg, np.inf, tone)
+        return np.sum(np.abs(out) ** 2) / np.sum(np.abs(tone) ** 2)
 
     def test_tone_at_notch_center_removed(self):
-        # frame length chosen so 25 Hz is exactly on the FFT grid
-        n = 2560
-        t = np.arange(n) / FS
-        tone = np.exp(2j * np.pi * 25.0 * t)
-        out = channel.comb_filter(tone, FS, self.spec())
-        assert np.sum(np.abs(out) ** 2) / np.sum(np.abs(tone) ** 2) < 1e-6
+        assert self.tone_gain(25.0) < 1e-20
 
     def test_tone_between_notches_passes(self):
-        n = 2560
-        t = np.arange(n) / FS
-        tone = np.exp(2j * np.pi * 50.0 * t)  # midway between 25 and 75
-        out = channel.comb_filter(tone, FS, self.spec())
-        assert abs(np.sum(np.abs(out) ** 2) / np.sum(np.abs(tone) ** 2) - 1.0) < 1e-3
+        assert abs(self.tone_gain(50.0) - 1.0) < 1e-9  # midway between 25 and 75
 
     def test_interference_removal(self):
-        s = reference_signal()
-        prof = channel.ChannelProfile(snr_db=0.0, sir_db=-20.0, fundamental_hz=50.0,
-                                      tone_bandwidth_hz=20.0, tone_offset_hz=25.0)
-        impaired, intf = channel.add_periodic_interference(
-            s, FS, prof, BAND, np.random.default_rng(3)
-        )
-        cleaned = channel.comb_filter(impaired, FS, self.spec())
-        resid = cleaned - channel.comb_filter(s, FS, self.spec())
-        assert np.mean(np.abs(resid) ** 2) < 1e-2 * np.mean(np.abs(intf) ** 2)
+        # removed when the tones fit inside the notches, not otherwise
+        for tone_bw, notch_bw, removed in ((20.0, 20.0, True), (10.0, 20.0, True),
+                                           (30.0, 10.0, False)):
+            cfg = link_cfg(tone_bandwidth_hz=tone_bw, notch_bandwidth_hz=notch_bw)
+            s = tx_frames(cfg, 20, seed=3)
+            clean = received(dataclasses.replace(cfg, sir_db=None), np.inf, s, seed=3)
+            resid = received(cfg, np.inf, s, seed=3) - clean
+            intf = received(dataclasses.replace(cfg, comb_enabled=False), np.inf, s, seed=3) - s
+            frac = np.sum(np.abs(resid) ** 2) / np.sum(np.abs(intf) ** 2)
+            assert (frac < 1e-20) if removed else (frac > 0.3), (tone_bw, notch_bw, frac)
 
     def test_shaped_codeword_suffers_less_distortion(self):
         rng = np.random.default_rng(11)
-        N, r, K = 256, 3, 96
-        pulse = modem.PulseSpec(0.25, 8, 8)
-        lam = shaping.cis(shaping.CisSpec(N, r))
-        ratios = {"shaped": [], "conventional": []}
-        for _ in range(100):
-            u = np.zeros(N, dtype=np.uint8)
+        cfg = link_cfg(sir_db=None)
+        N, K = cfg.N, cfg.K
+        lam = shaping.cis(shaping.CisSpec(N, cfg.r))
+        u_shaped = np.zeros((100, N), dtype=np.uint8)
+        for u in u_shaped:
             u[rng.choice(lam, K, replace=False)] = rng.integers(0, 2, K)
-            s = modem.modulate(polar.encode(u), pulse, 800.0).samples.astype(complex)
-            d = channel.comb_filter(s, FS, self.spec()) - s
-            ratios["shaped"].append(np.sum(np.abs(d) ** 2) / np.sum(np.abs(s) ** 2))
-            u = rng.integers(0, 2, N, dtype=np.uint8)
-            s = modem.modulate(polar.encode(u), pulse, 800.0).samples.astype(complex)
-            d = channel.comb_filter(s, FS, self.spec()) - s
-            ratios["conventional"].append(np.sum(np.abs(d) ** 2) / np.sum(np.abs(s) ** 2))
-        assert np.mean(ratios["shaped"]) < 0.5 * np.mean(ratios["conventional"])
+        u_conv = rng.integers(0, 2, (100, N), dtype=np.uint8)
+        loss = {}
+        for name, u in (("shaped", u_shaped), ("conventional", u_conv)):
+            s = modem.modulate_symbols(modem.bpsk_map(polar.encode(u)), cfg.pulse)
+            d = received(cfg, np.inf, s) - s
+            loss[name] = np.mean(np.sum(np.abs(d) ** 2, axis=1) / np.sum(s**2, axis=1))
+        assert loss["shaped"] < 0.5 * loss["conventional"]
 
     def test_needs_centers(self):
-        with pytest.raises(ValueError):
-            channel.CombFilterSpec((), 20.0)
+        with pytest.raises(ConfigError, match="notch bandwidth"):
+            load_config(None, {"comb_filter": {"notch_bandwidth_hz": -5.0}})
+        with pytest.raises(ConfigError, match="no tone"):
+            load_config(None, {"code": {"r": None}, "decoder": {"mode": "plain"},
+                               "channel": {"fundamental_hz": 2000.0, "tone_offset_hz": 600.0}})

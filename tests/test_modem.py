@@ -48,30 +48,36 @@ class TestSrrcTaps:
             modem.PulseSpec(0.25, 0, 8)
 
 
+def modulate_bits(bits, spec):
+    return modem.modulate_symbols(modem.bpsk_map(bits), spec)
+
+
 class TestModulate:
     def test_single_symbol_is_impulse_response(self):
         spec = modem.PulseSpec(0.25, 8, 8)
-        sig = modem.modulate(np.array([0]), spec, 800.0)
+        samples = modulate_bits(np.array([0]), spec)
         taps = modem.srrc_taps(spec)
-        assert len(sig.samples) == 8 + 64
-        assert np.allclose(sig.samples[: len(taps)], taps)
-        assert np.allclose(sig.samples[len(taps):], 0.0)
+        assert len(samples) == 8 + 64
+        assert np.allclose(samples[: len(taps)], taps)
+        assert np.allclose(samples[len(taps):], 0.0)
 
-    def test_output_length_and_rates(self):
+    def test_output_length_and_batch_rows(self):
+        rng = np.random.default_rng(3)
         spec = modem.PulseSpec(0.25, 8, 8)
-        sig = modem.modulate(np.zeros(256, dtype=np.uint8), spec, 800.0)
-        assert len(sig.samples) == 256 * 8 + 8 * 8
-        assert sig.sample_rate == 6400.0
-        assert sig.sps == 8
+        bits = rng.integers(0, 2, (5, 256), dtype=np.uint8)
+        batch = modulate_bits(bits, spec)
+        assert batch.shape == (5, 256 * 8 + 8 * 8)
+        for row, b in zip(batch, bits):
+            assert np.max(np.abs(row - modulate_bits(b, spec))) < 1e-12
 
     def test_superposition_of_shifted_pulses(self):
         spec = modem.PulseSpec(0.25, 8, 8)
-        sig = modem.modulate(np.zeros(4, dtype=np.uint8), spec, 800.0)
+        samples = modulate_bits(np.zeros(4, dtype=np.uint8), spec)
         taps = modem.srrc_taps(spec)
         ref = np.zeros(4 * 8 + 64)
         for n in range(4):
             ref[n * 8 : n * 8 + len(taps)] += taps
-        assert np.max(np.abs(sig.samples - ref)) < 1e-12
+        assert np.max(np.abs(samples - ref)) < 1e-12
 
     def test_repetition_identity_for_shaped_codewords(self):
         # a locally periodic codeword modulates to s0 + delay(s0, L*sps)
@@ -89,8 +95,8 @@ class TestModulate:
         first_period = np.zeros(N)
         for k in range(N // (2 * L)):
             first_period[k * 2 * L : k * 2 * L + L] = 1
-        s0 = modem.modulate_symbols(sym * first_period, spec, 800.0).samples
-        full = modem.modulate_symbols(sym, spec, 800.0).samples
+        s0 = modem.modulate_symbols(sym * first_period, spec)
+        full = modem.modulate_symbols(sym, spec)
         shifted = np.concatenate([np.zeros(L * 8), s0[: -L * 8]])
         assert np.max(np.abs(full - (s0 + shifted))) < 1e-12
 
@@ -99,34 +105,35 @@ class TestModulate:
         rng = np.random.default_rng(5)
         spec = modem.PulseSpec(0.25, 8, 8)
         bits = rng.integers(0, 2, 4096, dtype=np.uint8)
-        sig = modem.modulate(bits, spec, 800.0)
-        assert abs(np.sum(sig.samples**2) / 4096 - 1.0) < 0.02
+        samples = modulate_bits(bits, spec)
+        assert abs(np.sum(samples**2) / 4096 - 1.0) < 0.02
 
 
 class TestDemodulate:
+    """The matched filter and symbol sampler of the link."""
+
     def test_noiseless_round_trip_hard_decisions(self):
         rng = np.random.default_rng(6)
         spec = modem.PulseSpec(0.25, 8, 8)
-        bits = rng.integers(0, 2, 256, dtype=np.uint8)
-        y = modem.demodulate(modem.modulate(bits, spec, 800.0), spec, 256)
+        bits = rng.integers(0, 2, (4, 256), dtype=np.uint8)
+        y = modem.matched_filter(modulate_bits(bits, spec), spec, 256)
         assert np.array_equal(np.sign(np.real(y)), modem.bpsk_map(bits))
 
     def test_isi_levels(self):
         rng = np.random.default_rng(7)
-        bits = rng.integers(0, 2, 256, dtype=np.uint8)
+        bits = rng.integers(0, 2, (4, 256), dtype=np.uint8)
         for span, bound in ((8, 2.5e-2), (16, 5e-3), (32, 1.1e-3)):
             spec = modem.PulseSpec(0.25, span, 8)
-            y = modem.demodulate(modem.modulate(bits, spec, 800.0), spec, 256)
+            y = modem.matched_filter(modulate_bits(bits, spec), spec, 256)
             assert np.max(np.abs(np.real(y) - modem.bpsk_map(bits))) < bound
 
     def test_linearity_in_scale(self):
         rng = np.random.default_rng(8)
         spec = modem.PulseSpec(0.25, 8, 8)
         bits = rng.integers(0, 2, 64, dtype=np.uint8)
-        sig = modem.modulate(bits, spec, 800.0)
-        y1 = modem.demodulate(sig, spec, 64)
-        scaled = modem.BasebandSignal(2.5 * sig.samples, sig.sample_rate, sig.symbol_rate)
-        y2 = modem.demodulate(scaled, spec, 64)
+        samples = modulate_bits(bits, spec)
+        y1 = modem.matched_filter(samples, spec, 64)
+        y2 = modem.matched_filter(2.5 * samples, spec, 64)
         assert np.allclose(y2, 2.5 * y1)
 
     def test_noise_variance_preserved(self):
@@ -134,28 +141,14 @@ class TestDemodulate:
         rng = np.random.default_rng(9)
         spec = modem.PulseSpec(0.25, 8, 8)
         v = 0.7
-        noise = (rng.standard_normal(80000) + 1j * rng.standard_normal(80000)) * np.sqrt(v / 2)
-        sig = modem.BasebandSignal(noise, 6400.0, 800.0)
-        y = modem.demodulate(sig, spec, 9000)
+        shape = (10, 8000)
+        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(v / 2)
+        y = modem.matched_filter(noise, spec, 900)
+        assert y.shape == (10, 900)
         assert abs(np.var(y) / v - 1.0) < 0.05
 
     def test_too_short_signal(self):
         spec = modem.PulseSpec(0.25, 8, 8)
-        sig = modem.modulate(np.zeros(4, dtype=np.uint8), spec, 800.0)
-        with pytest.raises(ValueError):
-            modem.demodulate(sig, spec, 400)
-
-
-class TestSignalExport:
-    def test_csv_round_trip(self, tmp_path):
-        spec = modem.PulseSpec(0.25, 4, 4)
-        sig = modem.modulate(np.array([0, 1, 1, 0]), spec, 800.0)
-        path = tmp_path / "sig.csv"
-        modem.signal_to_csv(sig, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# combpolar signal v1"
-        assert lines[2] == "sample_index,re,im"
-        assert len(lines) == 3 + len(sig.samples)
-        k, re, im = lines[3].split(",")
-        assert k == "0" and float(im) == 0.0
-        assert abs(float(re) - sig.samples[0]) < 1e-9
+        samples = modulate_bits(np.zeros((2, 4), dtype=np.uint8), spec)
+        with pytest.raises(ValueError, match="too short"):
+            modem.matched_filter(samples, spec, 400)

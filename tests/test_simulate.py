@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -79,6 +80,25 @@ class TestConfig:
         cfg = load_config(str(p))
         assert cfg.r is None and cfg.N == 128
 
+    def test_snr_db_key_rejected(self, tmp_path):
+        # the sweep sets the link SNR; a single channel SNR is not a key
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"channel": {"snr_db": 99.0}}))
+        with pytest.raises(ConfigError, match="unknown config key 'channel'.'snr_db'"):
+            load_config(str(p))
+
+    def test_for_arm(self):
+        cfg = tiny_cfg()
+        cp, nonc, c = (cfg.for_arm(a) for a in ("cp", "csp-nonc", "csp-c"))
+        assert (cp.r, cp.criterion, cp.decoder_mode) == (None, "symmetric", "plain")
+        assert (nonc.r, nonc.criterion, nonc.decoder_mode) == (1, "symmetric", "plain")
+        assert (c.r, c.criterion, c.decoder_mode) == (1, "cis-constrained", "ccd")
+        assert cfg.for_arm("cp") is not cfg and cfg.r == 1
+        with pytest.raises(ConfigError, match="unknown arm"):
+            cfg.for_arm("csp")
+        with pytest.raises(ConfigError, match="ccd"):
+            cp.for_arm("csp-c")
+
 
 class TestWilson:
     def test_basic_properties(self):
@@ -130,17 +150,10 @@ class TestLinkDeterminism:
         symbols is the same whichever code/decoder the arm uses."""
         contributions = {}
         for arm in ("cp", "csp-c"):
-            preset = simulate.ARM_PRESETS[arm]
-            cfg = tiny_cfg()
-            cfg.criterion = preset["criterion"]
-            cfg.decoder_mode = preset["decoder_mode"]
-            if not preset["shaped"]:
-                cfg.r = None
-            cfg.validate()
+            cfg = tiny_cfg().for_arm(arm)
             code = simulate.build_code(cfg)
             noisy = simulate.make_link(cfg, code, 0.0)
-            clean = simulate.make_link(cfg, code, np.inf)
-            clean.intf_scale = 0.0
+            clean = simulate.make_link(dataclasses.replace(cfg, sir_db=None), code, np.inf)
             _, y_noisy = simulate.synthesize_frames(noisy, range(8))
             _, y_clean = simulate.synthesize_frames(clean, range(8))
             contributions[arm] = y_noisy - y_clean
@@ -159,6 +172,20 @@ class TestLinkDeterminism:
         y1 = simulate.synthesize_frames(simulate.make_link(cfg1, code, 0.0), range(4))[1]
         y2 = simulate.synthesize_frames(simulate.make_link(cfg2, code, 0.0), range(4))[1]
         assert not np.allclose(y1, y2)
+
+    def test_pinned_arm_frame_errors(self):
+        """Exact per-arm counts of a small paired run, for both tone models.
+        Any change to the channel, modem or decoders that moves a single
+        decision shows here."""
+        pinned = {
+            "noise": {"cp": [203, 174], "csp-nonc": [19, 0], "csp-c": [23, 3]},
+            "sinusoid": {"cp": [247, 246], "csp-nonc": [231, 228], "csp-c": [217, 210]},
+        }
+        for model, want in pinned.items():
+            res = simulate.run_fer_arms(tiny_cfg(snr_sweep_db=(-5.0, -3.0), tone_model=model))
+            got = {arm: [r.frame_errors for r in recs] for arm, recs in res.items()}
+            assert got == want, model
+            assert all(r.frames == 256 for recs in res.values() for r in recs)
 
     def test_threads_do_not_change_results(self):
         r1 = simulate.run_fer(tiny_cfg(), None)
@@ -287,6 +314,15 @@ class TestCli:
         bad.write_text(json.dumps({"code": {"N": 256, "K": 64, "r": 3},
                                    "channel": {"fundamental_hz": 60.0}}))
         assert cli_main(["construct", "--config", str(bad)]) == 1
+
+    def test_channel_checks_exit_one(self, tmp_path, capsys):
+        for bad in ({"channel": {"tone_bandwidth_hz": 60}},
+                    {"comb_filter": {"notch_bandwidth_hz": -5}}):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            assert cli_main(["fer", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_unwritable_output_exit_three(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
