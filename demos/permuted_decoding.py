@@ -25,6 +25,8 @@ spec = shaping.CisSpec(N, r)
 profile = construction.estimate_symmetric_reliability(N, 1.0)
 code_mapped = construction.select_cis_constrained(profile, K, spec)
 code_plain = construction.select_symmetric_in_cis(profile, K, spec)
+# plain decoding is the same decoder on the same A with no permutation
+code_unpermuted = shaping.CodeConfig(N, K, None, code_plain.A)
 print(f"shaped codes at N={N}, K={K}, order {r}")
 print(f"  mapped construction:    min constrained capacity "
       f"{construction.mcsc(code_mapped, profile):.4f}")
@@ -46,9 +48,8 @@ for lo in range(0, frames, 500):
 
     x = polar.encode(polar.assemble_source(info, code_plain.A, N))
     y = (1.0 - 2.0 * x) + noise
-    llr = decoder.channel_llr(y, noise_var)
-    u_hat, _ = decoder.scl_decode_batch(llr, code_plain.frozen_mask(), 8)
-    errors["symmetric + plain decode"] += int(np.sum(np.any(u_hat[:, code_plain.A] != info, axis=1)))
+    got, _, _ = decoder.ccd_decode_batch(y, code_unpermuted, noise_var, 8)
+    errors["symmetric + plain decode"] += int(np.sum(np.any(got != info, axis=1)))
 
 print(f"\n{frames} paired frames over the symbol channel at {SNR_DB} dB:")
 for k, v in errors.items():

@@ -18,9 +18,9 @@ from .construction import (
     select_symmetric_in_cis,
     validate_params,
 )
-from .decoder import DecodeResult, ccd_decode, channel_llr, sc_decode, scl_decode
+from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols, srrc_taps
-from .polar import assemble_source, bit_reversal, encode, generator_entry, generator_matrix
+from .polar import assemble_source, bit_reversal, encode, generator_matrix, generator_row
 from .shaping import (
     CisSpec,
     CodeConfig,

@@ -40,6 +40,20 @@ def _tone_mask(n: int, sample_rate: float, centers, halfwidth: float) -> np.ndar
     return mask
 
 
+def frame_samples(cfg: ExperimentConfig) -> int:
+    """Samples in one transmitted frame: N symbols plus the pulse tail."""
+    return (cfg.N + cfg.pulse.span_symbols) * cfg.pulse.sps
+
+
+def noise_tone_mask(cfg: ExperimentConfig) -> tuple:
+    """The noise tone model's FFT bins of a frame (tone bandwidth around each
+    grid center), and how many of them lie inside cfg.band."""
+    L, fs = frame_samples(cfg), cfg.sample_rate
+    centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
+    mask = _tone_mask(L, fs, centers, cfg.tone_bandwidth_hz / 2)
+    return mask, int(np.count_nonzero(mask & _band_mask(L, fs, cfg.band)))
+
+
 @dataclass
 class LinkChannel:
     """Calibrated impairments for frames of one link at one SNR."""
@@ -60,7 +74,7 @@ def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
     interference there.  snr_db = inf disables noise; sir_db None or inf
     disables interference.
     """
-    L = cfg.N * cfg.pulse.sps + cfg.pulse.span_symbols * cfg.pulse.sps
+    L = frame_samples(cfg)
     fs = cfg.sample_rate
     band_bins = int(np.count_nonzero(_band_mask(L, fs, cfg.band)))
     p_sig = cfg.N / L
@@ -72,16 +86,15 @@ def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
     tone_basis = None
     intf_scale = 0.0
     if cfg.sir_db is not None and not np.isinf(cfg.sir_db):
-        centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
         sir_lin = 10 ** (cfg.sir_db / 10)
         if cfg.tone_model == "sinusoid":
+            centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
             t = np.arange(L) / fs
             tone_basis = np.exp(2j * np.pi * np.outer(centers, t))
             n_in = int(np.count_nonzero((centers >= cfg.band[0]) & (centers <= cfg.band[1])))
             intf_scale = float(np.sqrt(p_sig / (sir_lin * n_in)))
         else:
-            tone_mask = _tone_mask(L, fs, centers, cfg.tone_bandwidth_hz / 2)
-            in_band = int(np.count_nonzero(tone_mask & _band_mask(L, fs, cfg.band)))
+            tone_mask, in_band = noise_tone_mask(cfg)
             # unit draw has per-sample variance 2 before masking
             intf_scale = float(np.sqrt(p_sig * L / (sir_lin * 2.0 * in_band)))
     comb_keep = None

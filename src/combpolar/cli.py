@@ -48,10 +48,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,6 @@ class ReliabilityProfile:
     method: str
     capacity: np.ndarray
     std_err: np.ndarray | None = None
-    low_trials: bool = False
 
     def __post_init__(self):
         self.capacity = np.asarray(self.capacity, dtype=np.float64)
@@ -155,13 +154,12 @@ def monte_carlo_symmetric_capacity(
     trials: int,
     rng,
     batch: int = 4096,
-    frozen_to_zero: np.ndarray | None = None,
 ):
     """Genie-aided SC capacity estimate of every sub-channel.
 
-    Draws i.i.d. uniform source words (optionally forcing a frozen pattern
-    to zero), transmits them over the antipodal-AWGN symbol channel, and
-    averages 1 - log2(1 + exp(-L_i)) of the true-bit decision LLRs.
+    Draws i.i.d. uniform source words, transmits them over the
+    antipodal-AWGN symbol channel, and averages 1 - log2(1 + exp(-L_i))
+    of the true-bit decision LLRs.
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
@@ -171,8 +169,6 @@ def monte_carlo_symmetric_capacity(
     while done < trials:
         b = min(batch, trials - done)
         u = rng.integers(0, 2, size=(b, N), dtype=np.uint8)
-        if frozen_to_zero is not None:
-            u[:, frozen_to_zero] = 0
         x = encode(u)
         y = (1.0 - 2.0 * x) + rng.standard_normal((b, N)) * np.sqrt(noise_var)
         llr = 2.0 * y / noise_var
@@ -186,9 +182,6 @@ def monte_carlo_symmetric_capacity(
     return mean, np.sqrt(var / trials)
 
 
-MIN_MC_TRIALS = 10_000
-
-
 def estimate_symmetric_reliability(
     N: int,
     snr_db: float,
@@ -200,8 +193,7 @@ def estimate_symmetric_reliability(
     """Build a per-index symmetric-capacity profile.
 
     method is "gaussian-approximation" (deterministic) or
-    "monte-carlo-genie" (needs trials >= 1e4; fewer sets the low_trials
-    flag on the returned profile).
+    "monte-carlo-genie" (genie-aided estimate from `trials` source words).
     """
     noise_var = snr_db_to_noise_var(snr_db, rolloff)
     if method == "gaussian-approximation":
@@ -211,14 +203,7 @@ def estimate_symmetric_reliability(
         if rng is None:
             rng = np.random.default_rng(0)
         mean, se = monte_carlo_symmetric_capacity(N, noise_var, trials, rng)
-        return ReliabilityProfile(
-            N,
-            snr_db,
-            method,
-            np.clip(mean, 0.0, 1.0),
-            std_err=se,
-            low_trials=trials < MIN_MC_TRIALS,
-        )
+        return ReliabilityProfile(N, snr_db, method, np.clip(mean, 0.0, 1.0), std_err=se)
     raise ValueError(f"unknown reliability method {method!r}")
 
 

@@ -1,16 +1,14 @@
-"""Successive-cancellation (list) decoding over LLRs, plus the
-shaping-aware wrapper that permutes the received vector and decodes with
-the top-half information set.
+"""Successive-cancellation (list) decoding over LLRs, plus the frame
+decoder that permutes the received vector of a shaped code and decodes
+with the top-half information set.
 
 All decoders use the exact log-domain check-node update (soft XOR) and the
 exact path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
-codebook the best path is maximum-likelihood.  Batch variants vectorize
-over frames; the single-frame operations are thin wrappers.
+codebook the best path is maximum-likelihood.  Every decoder works on a
+(B, N) batch of frames.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +48,6 @@ def channel_llr(y, noise_var: float) -> np.ndarray:
     return np.clip(llr, -LLR_MAX, LLR_MAX)
 
 
-@dataclass
-class DecodeResult:
-    info_bits: np.ndarray
-    source_estimate: np.ndarray
-    path_metric: float
-
-
 # --------------------------------------------------------------------------
 # successive cancellation (single path), batched over frames
 # --------------------------------------------------------------------------
@@ -80,25 +71,25 @@ def _sc_recurse(lam, frozen, u_out, offset, pm):
     return np.concatenate([cw_l ^ cw_r, cw_r], axis=1)
 
 
-def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
-    """SC-decode a (B, N) batch; returns (source bits (B, N), metrics (B,))."""
+def _decoder_inputs(llrs, frozen_mask):
+    """Checked (B, N) float LLRs and the boolean frozen mask of length N."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     N = llrs.shape[1]
     _check_power_of_two(N)
     frozen = np.asarray(frozen_mask, dtype=bool)
     if len(frozen) != N:
         raise ValueError(f"frozen mask length {len(frozen)} != N = {N}")
-    lam = llrs[:, bit_reversal(N)]
+    return llrs, frozen
+
+
+def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
+    """SC-decode a (B, N) batch; returns (source bits (B, N), metrics (B,))."""
+    llrs, frozen = _decoder_inputs(llrs, frozen_mask)
+    lam = llrs[:, bit_reversal(llrs.shape[1])]
     u_hat = np.zeros_like(llrs, dtype=np.uint8)
     pm = np.zeros(llrs.shape[0])
     _sc_recurse(lam, frozen, u_hat, 0, pm)
     return u_hat, pm
-
-
-def sc_decode(llrs, frozen_mask) -> DecodeResult:
-    u_hat, pm = sc_decode_batch(np.asarray(llrs)[None, :], frozen_mask)
-    info = u_hat[0, ~np.asarray(frozen_mask, dtype=bool)]
-    return DecodeResult(info, u_hat[0], float(pm[0]))
 
 
 # --------------------------------------------------------------------------
@@ -211,40 +202,31 @@ def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    B, N = llrs.shape
-    _check_power_of_two(N)
-    frozen = np.asarray(frozen_mask, dtype=bool)
-    if len(frozen) != N:
-        raise ValueError(f"frozen mask length {len(frozen)} != N = {N}")
-    engine = _SclEngine(llrs[:, bit_reversal(N)], frozen, list_size)
+    llrs, frozen = _decoder_inputs(llrs, frozen_mask)
+    engine = _SclEngine(llrs[:, bit_reversal(llrs.shape[1])], frozen, list_size)
     return engine.run()
 
 
-def scl_decode(llrs, frozen_mask, list_size: int) -> DecodeResult:
-    u_hat, pm = scl_decode_batch(np.asarray(llrs)[None, :], frozen_mask, list_size)
-    info = u_hat[0, ~np.asarray(frozen_mask, dtype=bool)]
-    return DecodeResult(info, u_hat[0], float(pm[0]))
-
-
 # --------------------------------------------------------------------------
-# shaping-aware decoding: permute, decode on the top half, map back
+# frame decoding: permute, decode with the decoder-side set, map back
 # --------------------------------------------------------------------------
 
 def ccd_decode_batch(y: np.ndarray, config: CodeConfig, noise_var: float, list_size: int):
-    """Decode received symbols (B, N) for a shaped code.
+    """Decode received symbols (B, N) of any code: SC at list size 1, SCL above.
 
-    The received vector is gathered through the receive permutation, which
-    turns the shaped frame into an ordinary top-half-coded frame; that is
-    decoded with the decoder-side information set, and the information
-    bits come back in transmit order (the index map preserves order).
+    For a shaped code (config.r set) the received vector is gathered
+    through the receive permutation, which turns the shaped frame into an
+    ordinary top-half-coded frame; that is decoded with the decoder-side
+    information set, and the information bits come back in transmit order
+    (the index map preserves order).  With r=None there is no permutation
+    and the decoder-side set is A itself, which is plain decoding.
     Returns (info bits (B, K), TX-domain source bits (B, N), metrics (B,)).
     """
     y = np.atleast_2d(np.asarray(y))
     if y.shape[1] != config.N:
         raise ValueError(f"expected {config.N} symbols per frame, got {y.shape[1]}")
     if config.r is not None:
-        y = y[:, receive_permutation(config.spec, "inverse")]
+        y = y[:, receive_permutation(config.spec)]
     llrs = channel_llr(y, noise_var)
     frozen = config.frozen_mask(decoder_side=True)
     if list_size == 1:
@@ -255,11 +237,6 @@ def ccd_decode_batch(y: np.ndarray, config: CodeConfig, noise_var: float, list_s
     source = np.zeros((y.shape[0], config.N), dtype=np.uint8)
     source[:, config.A] = info
     return info, source, pm
-
-
-def ccd_decode(y, config: CodeConfig, noise_var: float, list_size: int) -> DecodeResult:
-    info, source, pm = ccd_decode_batch(np.asarray(y)[None, :], config, noise_var, list_size)
-    return DecodeResult(info[0], source[0], float(pm[0]))
 
 
 def ml_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):

@@ -28,25 +28,12 @@ def bit_reversal(N: int) -> np.ndarray:
     return rev
 
 
-def generator_entry(i: int, j: int, m: int) -> int:
-    """Entry (i, j) of the N=2^m generator matrix.
+def generator_row(i: int, m: int) -> np.ndarray:
+    """Row i of the N=2^m generator matrix as a length-N uint8 array.
 
-    Evaluates the closed form: the entry is 0 iff some bit position d has
+    Evaluates the closed form: entry j is 0 iff some bit position d has
     i_d = 0 and j_{m-d-1} = 1.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    N = 1 << m
-    if not (0 <= i < N and 0 <= j < N):
-        raise ValueError(f"indices must lie in [0, {N}), got i={i}, j={j}")
-    for d in range(m):
-        if not ((i >> d) & 1) and ((j >> (m - d - 1)) & 1):
-            return 0
-    return 1
-
-
-def generator_row(i: int, m: int) -> np.ndarray:
-    """Row i of the generator matrix as a length-2^m uint8 array."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     N = 1 << m
@@ -61,7 +48,7 @@ def generator_row(i: int, m: int) -> np.ndarray:
 
 
 def generator_matrix(N: int) -> np.ndarray:
-    """Full N x N generator matrix built from the entry formula."""
+    """Full N x N generator matrix built row by row from the closed form."""
     m = _check_power_of_two(N)
     return np.stack([generator_row(i, m) for i in range(N)])
 

@@ -75,31 +75,25 @@ def cis_to_half(spec: CisSpec, i) -> np.ndarray | int:
     return out if i_arr.ndim else int(out)
 
 
-def receive_permutation(spec: CisSpec, direction: str = "inverse") -> np.ndarray:
+def receive_permutation(spec: CisSpec) -> np.ndarray:
     """Gather table for permuting a received codeword vector.
 
     Relabeling the source word through the index map (u_rel[j] =
     u[map(j)]) corresponds on the codeword side to gathering through the
     same map conjugated by bit reversal, because the codeword domain is
     the bit-reversed image of the source domain.  The returned table t is
-    used as y_permuted[j] = y[t[j]]; "inverse" is the receive-side table
-    that turns a shaping-set-coded frame into a top-half-coded frame, and
-    composing "forward" after "inverse" is the identity.
+    used as y_permuted[j] = y[t[j]]; it turns a shaping-set-coded frame
+    into a top-half-coded frame.
 
     The convention is pinned by exact GF(2) facts covered in the test
     suite: with P the matrix of the inverse index map and B the
     bit-reversal matrix, G P G = B P B (so the codeword-side image of the
-    relabeling is itself a permutation), P G P_t = G for the inverse
-    table's matrix P_t, and encode(u[map_table]) == encode(u)[t] for
-    every source word.
+    relabeling is itself a permutation), P G P_t = G for the table's
+    matrix P_t, and encode(u[map_table]) == encode(u)[t] for every source
+    word.
     """
-    idx = np.arange(spec.N, dtype=np.int64)
     rev = bit_reversal(spec.N)
-    if direction == "inverse":
-        return rev[half_to_cis(spec, rev[idx])]
-    if direction == "forward":
-        return rev[cis_to_half(spec, rev[idx])]
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return rev[half_to_cis(spec, rev)]
 
 
 def permutation_matrix(mapping: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracles
 from .channel import LinkChannel, calibrate_channel, impair, tone_centers
-from .config import ARM_PRESETS, ExperimentConfig
+from .config import ARM_PRESETS, ConfigError, ExperimentConfig
 from .construction import (
     ReliabilityProfile,
     estimate_symmetric_reliability,
@@ -29,6 +29,7 @@ from .construction import (
     select_symmetric_in_cis,
     snr_db_to_noise_var,
 )
+# sc_decode_batch is not called here; perfbench/tracing.py wraps it under this name
 from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols
 from .polar import assemble_source, bit_reversal, encode, generator_matrix
@@ -47,6 +48,7 @@ from .spectral import exact_null_bins, exact_spectrum_magnitude, null_depth, wel
 
 _INFO_STREAM, _CHANNEL_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 0, 1, 2, 3
 _SUPER_BATCH = 512
+NOTCH_DEPTH_THRESHOLD_DB = 25.0  # Welch notch depth that nulldepth.csv counts as a pass
 
 
 def _rng(master_seed: int, stream: int, index: int = 0):
@@ -109,8 +111,7 @@ def construct_report(cfg: ExperimentConfig, out_path: str) -> dict:
 class LinkContext:
     """Everything one worker needs to run frames of one arm at one SNR."""
 
-    code: CodeConfig
-    decoder_mode: str
+    code: CodeConfig             # decoder-side code: r=None for plain decoding
     list_size: int
     pulse: PulseSpec
     channel: LinkChannel
@@ -121,9 +122,11 @@ class LinkContext:
 def make_link(cfg: ExperimentConfig, code: CodeConfig, snr_db: float) -> LinkContext:
     channel = calibrate_channel(cfg, snr_db)
     sigma2 = channel.noise_sigma2
+    if cfg.decoder_mode == "plain":
+        # plain decoding is permuted decoding of the same A with no permutation
+        code = CodeConfig(code.N, code.K, None, code.A)
     return LinkContext(
         code=code,
-        decoder_mode=cfg.decoder_mode,
         list_size=cfg.list_size,
         pulse=cfg.pulse,
         channel=channel,
@@ -151,25 +154,11 @@ def synthesize_frames(link: LinkContext, frame_indices):
     return info, matched_filter(rx, link.pulse, code.N)
 
 
-def decode_frames(link: LinkContext, y: np.ndarray) -> np.ndarray:
-    """Decode received symbol frames; returns information bits (B, K)."""
-    code = link.code
-    if link.decoder_mode == "ccd":
-        info_hat, _, _ = ccd_decode_batch(y, code, link.symbol_noise_var, link.list_size)
-        return info_hat
-    llr = channel_llr(y, link.symbol_noise_var)
-    frozen = code.frozen_mask()
-    if link.list_size == 1:
-        u_hat, _ = sc_decode_batch(llr, frozen)
-    else:
-        u_hat, _ = scl_decode_batch(llr, frozen, link.list_size)
-    return u_hat[:, code.A]
-
-
 def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:
     """Simulate the given frame indices; returns a boolean error flag per frame."""
     info, y = synthesize_frames(link, frame_indices)
-    return np.any(decode_frames(link, y) != info, axis=1)
+    info_hat, _, _ = ccd_decode_batch(y, link.code, link.symbol_noise_var, link.list_size)
+    return np.any(info_hat != info, axis=1)
 
 
 def _worker(args):
@@ -267,9 +256,11 @@ def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
 # PSD runs
 # --------------------------------------------------------------------------
 
-def run_psd(cfg: ExperimentConfig, out_dir: str, depth_threshold_db: float = 25.0) -> dict:
+def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Average the PSD of random frames and report notch depths at the
     interference target frequencies.  Writes psd.csv and nulldepth.csv."""
+    if cfg.psd_tier == "exact" and cfg.r is None:
+        raise ConfigError("the exact psd tier needs a shaped code (set code.r)")
     os.makedirs(out_dir, exist_ok=True)
     rng = _rng(cfg.master_seed, _PSD_STREAM)
     code = build_code(cfg)
@@ -278,8 +269,6 @@ def run_psd(cfg: ExperimentConfig, out_dir: str, depth_threshold_db: float = 25.
     targets = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, band_edge)
 
     if cfg.psd_tier == "exact":
-        if cfg.r is None:
-            raise ValueError("exact tier needs a shaped code")
         worst = 0.0
         bins = exact_null_bins(cfg.N, cfg.r, cfg.pulse.sps)
         for _ in range(max(cfg.psd_frames, 20)):
@@ -313,10 +302,10 @@ def run_psd(cfg: ExperimentConfig, out_dir: str, depth_threshold_db: float = 25.
             fh.write(f"{f:.6f},{10*np.log10(max(p, tiny)):.4f}\n")
     with open(os.path.join(out_dir, "nulldepth.csv"), "w") as fh:
         fh.write("# combpolar nulldepth v1\n")
-        fh.write(f"# threshold_db={depth_threshold_db}\n")
+        fh.write(f"# threshold_db={NOTCH_DEPTH_THRESHOLD_DB}\n")
         fh.write("freq_hz,depth_db,pass\n")
         for f, d in zip(targets, depths):
-            fh.write(f"{f:.2f},{d:.3f},{int(d >= depth_threshold_db)}\n")
+            fh.write(f"{f:.2f},{d:.3f},{int(d >= NOTCH_DEPTH_THRESHOLD_DB)}\n")
     return {"tier": "welch", "targets": targets, "depths": depths}
 
 
@@ -329,7 +318,10 @@ def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None,
     """Minimum constrained capacity of both selection criteria at several
     rates; the reference scenario is N=256, r=3 at -2 dB."""
     if cfg.r is None:
-        raise ValueError("capacity table needs a shaped code (set code.r)")
+        raise ConfigError("the capacity table needs a shaped code (set code.r)")
+    Ks = [int(round(rate * cfg.N)) for rate in rates]
+    if min(Ks) < 1:
+        raise ConfigError(f"rate {min(rates)} leaves no information bit at N = {cfg.N}")
     noise_var = snr_db_to_noise_var(snr_db, cfg.pulse.rolloff)
     mean, _ = monte_carlo_symmetric_capacity(
         cfg.N, noise_var, cfg.construction_trials,
@@ -338,8 +330,7 @@ def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None,
     profile = ReliabilityProfile(cfg.N, snr_db, "monte-carlo-genie", np.clip(mean, 0.0, 1.0))
     spec = CisSpec(cfg.N, cfg.r)
     rows = []
-    for rate in rates:
-        K = int(round(rate * cfg.N))
+    for rate, K in zip(rates, Ks):
         rows.append((rate, "cis-constrained",
                      mcsc(select_cis_constrained(profile, K, spec), profile)))
         rows.append((rate, "symmetric",
@@ -438,7 +429,7 @@ def check_transition_oracle(draws: int = 5) -> tuple:
     for r in range(3):
         spec = CisSpec(N, r)
         free = cis(spec)
-        t = receive_permutation(spec, "inverse")
+        t = receive_permutation(spec)
         for i in free:
             j = int(cis_to_half(spec, int(i)))
             pos = int(np.searchsorted(free, i))

@@ -52,9 +52,6 @@ class PsdEstimate:
 
     freqs: np.ndarray
     psd: np.ndarray
-    segment: int
-    overlap: float
-    window: str
 
     def interp(self, f) -> np.ndarray:
         return np.interp(np.asarray(f, dtype=np.float64), self.freqs, self.psd)
@@ -90,25 +87,7 @@ def welch_psd(
         scaling="density",
     )
     order = np.argsort(freqs)
-    return PsdEstimate(freqs[order], psd[order], segment, overlap, window)
-
-
-def average_welch_psd(frames, sample_rate: float, **kwargs) -> PsdEstimate:
-    """Average the Welch PSD over an iterable of equal-length frames."""
-    acc = None
-    count = 0
-    for frame in frames:
-        est = welch_psd(frame, sample_rate, **kwargs)
-        if acc is None:
-            acc = est
-            acc.psd = acc.psd.copy()
-        else:
-            acc.psd += est.psd
-        count += 1
-    if acc is None:
-        raise ValueError("no frames given")
-    acc.psd /= count
-    return acc
+    return PsdEstimate(freqs[order], psd[order])
 
 
 def null_depth(psd: PsdEstimate, freqs, ref_band) -> np.ndarray:

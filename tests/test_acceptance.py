@@ -162,7 +162,7 @@ def test_criterion_6_transition_probability_identity():
     for r in range(3):
         spec = shaping.CisSpec(N, r)
         free = shaping.cis(spec)
-        t = shaping.receive_permutation(spec, "inverse")
+        t = shaping.receive_permutation(spec)
         for i in free:
             j = int(shaping.cis_to_half(spec, int(i)))
             pos = int(np.searchsorted(free, i))

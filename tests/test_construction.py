@@ -75,12 +75,6 @@ class TestMonteCarloEstimator:
         assert c[0] <= c[1] + slack and c[1] <= c[3] + slack
         assert c[0] <= c[2] + slack and c[2] <= c[3] + slack
 
-    def test_low_trials_flagged(self):
-        p = construction.estimate_symmetric_reliability(
-            2, 0.0, method="monte-carlo-genie", trials=500, rng=np.random.default_rng(3)
-        )
-        assert p.low_trials
-
     def test_agrees_with_gaussian_approximation(self):
         # same ranking of the clearly-separated sub-channels at N = 16
         ga = construction.estimate_symmetric_reliability(16, 0.0)

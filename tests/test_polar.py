@@ -18,14 +18,12 @@ def kron_oracle(N):
 class TestGeneratorEntry:
     def test_kernel_values(self):
         # G_2 = F = [[1,0],[1,1]]
-        assert polar.generator_entry(0, 0, 1) == 1
-        assert polar.generator_entry(0, 1, 1) == 0
-        assert polar.generator_entry(1, 0, 1) == 1
-        assert polar.generator_entry(1, 1, 1) == 1
+        assert polar.generator_row(0, 1).tolist() == [1, 0]
+        assert polar.generator_row(1, 1).tolist() == [1, 1]
 
     def test_n4_entry_against_oracle(self):
         G = kron_oracle(4)
-        assert polar.generator_entry(1, 2, 2) == 1
+        assert polar.generator_row(1, 2)[2] == 1
         assert G[1, 2] == 1
         rows = ["".join(map(str, row)) for row in G]
         assert rows == ["1000", "1010", "1100", "1111"]
@@ -35,7 +33,7 @@ class TestGeneratorEntry:
             N = 1 << m
             G = kron_oracle(N)
             assert np.all(G[N - 1] == 1)
-            assert all(polar.generator_entry(N - 1, j, m) == 1 for j in range(N))
+            assert np.all(polar.generator_row(N - 1, m) == 1)
 
     def test_matrix_matches_oracle(self):
         for N in (2, 4, 8, 16, 32, 64):
@@ -54,9 +52,11 @@ class TestGeneratorEntry:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            polar.generator_entry(4, 0, 2)
+            polar.generator_row(4, 2)
         with pytest.raises(ValueError):
-            polar.generator_entry(0, -1, 2)
+            polar.generator_row(-1, 2)
+        with pytest.raises(ValueError):
+            polar.generator_row(0, 0)
 
 
 class TestBitReversal:

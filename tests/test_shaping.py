@@ -105,16 +105,15 @@ class TestIndexMaps:
 
 class TestReceivePermutation:
     def test_forward_inverse_compose_to_identity(self):
+        # the forward table conjugates the forward map by bit reversal the
+        # same way the receive table conjugates the inverse map
         for N, r in [(8, 0), (16, 1), (64, 3)]:
             s = shaping.CisSpec(N, r)
-            t = shaping.receive_permutation(s, "inverse")
-            tf = shaping.receive_permutation(s, "forward")
+            rev = polar.bit_reversal(N)
+            t = shaping.receive_permutation(s)
+            tf = rev[shaping.cis_to_half(s, rev)]
             assert np.array_equal(t[tf], np.arange(N))
             assert np.array_equal(tf[t], np.arange(N))
-
-    def test_direction_validation(self):
-        with pytest.raises(ValueError):
-            shaping.receive_permutation(shaping.CisSpec(8, 1), "sideways")
 
     def test_convention_pin_matrix_identities(self):
         """The conjugation facts that make permuted decoding exact.
@@ -135,7 +134,7 @@ class TestReceivePermutation:
                 ).astype(np.int64)
                 assert np.array_equal((G @ P @ G) % 2, (B @ P @ B) % 2), (N, r)
                 Pt = shaping.permutation_matrix(
-                    shaping.receive_permutation(s, "inverse")
+                    shaping.receive_permutation(s)
                 ).astype(np.int64)
                 assert np.array_equal((P @ G @ Pt) % 2, G), (N, r)
 
@@ -148,7 +147,7 @@ class TestReceivePermutation:
             for r in range(m):
                 s = shaping.CisSpec(N, r)
                 gt = shaping.half_to_cis(s, np.arange(N))
-                t = shaping.receive_permutation(s, "inverse")
+                t = shaping.receive_permutation(s)
                 u = rng.integers(0, 2, (10, N), dtype=np.uint8)
                 assert np.array_equal(polar.encode(u[:, gt]), polar.encode(u)[:, t])
 

@@ -174,17 +174,20 @@ class TestLinkDeterminism:
         assert not np.allclose(y1, y2)
 
     def test_pinned_arm_frame_errors(self):
-        """Exact per-arm counts of a small paired run, for both tone models.
-        Any change to the channel, modem or decoders that moves a single
-        decision shows here."""
+        """Exact per-arm counts of a small paired run, for both tone models,
+        under SCL (L=4) and SC (L=1).  Any change to the channel, modem or
+        decoders that moves a single decision shows here."""
         pinned = {
-            "noise": {"cp": [203, 174], "csp-nonc": [19, 0], "csp-c": [23, 3]},
-            "sinusoid": {"cp": [247, 246], "csp-nonc": [231, 228], "csp-c": [217, 210]},
+            (4, "noise"): {"cp": [203, 174], "csp-nonc": [19, 0], "csp-c": [23, 3]},
+            (4, "sinusoid"): {"cp": [247, 246], "csp-nonc": [231, 228], "csp-c": [217, 210]},
+            (1, "noise"): {"cp": [203, 188], "csp-nonc": [40, 4], "csp-c": [38, 7]},
+            (1, "sinusoid"): {"cp": [249, 248], "csp-nonc": [239, 234], "csp-c": [217, 214]},
         }
-        for model, want in pinned.items():
-            res = simulate.run_fer_arms(tiny_cfg(snr_sweep_db=(-5.0, -3.0), tone_model=model))
+        for (list_size, model), want in pinned.items():
+            res = simulate.run_fer_arms(tiny_cfg(snr_sweep_db=(-5.0, -3.0), tone_model=model,
+                                                 list_size=list_size))
             got = {arm: [r.frame_errors for r in recs] for arm, recs in res.items()}
-            assert got == want, model
+            assert got == want, (list_size, model)
             assert all(r.frames == 256 for recs in res.values() for r in recs)
 
     def test_threads_do_not_change_results(self):

@@ -85,9 +85,7 @@ class TestWelchPsd:
 
 class TestNullDepth:
     def test_flat_psd_zero_depth(self):
-        est = spectral.PsdEstimate(
-            np.linspace(-50, 50, 101), np.ones(101), 101, 0.5, "hann"
-        )
+        est = spectral.PsdEstimate(np.linspace(-50, 50, 101), np.ones(101))
         depths = spectral.null_depth(est, [-20.0, 0.0, 17.5], (-40, 40))
         assert np.max(np.abs(depths)) < 1e-9
 
@@ -95,12 +93,12 @@ class TestNullDepth:
         freqs = np.linspace(-50, 50, 1001)
         psd = np.ones(1001)
         psd[np.abs(freqs - 10.0) < 0.2] = 1e-3
-        est = spectral.PsdEstimate(freqs, psd, 1001, 0.5, "hann")
+        est = spectral.PsdEstimate(freqs, psd)
         d = spectral.null_depth(est, [10.0], (-40, 40))
         assert d[0] > 29.0
 
     def test_out_of_range_frequency(self):
-        est = spectral.PsdEstimate(np.linspace(-50, 50, 11), np.ones(11), 11, 0.5, "hann")
+        est = spectral.PsdEstimate(np.linspace(-50, 50, 11), np.ones(11))
         with pytest.raises(ValueError):
             spectral.null_depth(est, [60.0], (-40, 40))
 
@@ -155,8 +153,10 @@ class TestExactTier:
 
 class TestAverageWelch:
     def test_averaging_reduces_variance(self):
+        # run_psd estimates over the concatenated frames, so Welch's
+        # segment averaging spans all of them
         rng = np.random.default_rng(6)
         frames = [rng.standard_normal(4096) for _ in range(40)]
         one = spectral.welch_psd(frames[0], 100.0, segment=1024)
-        avg = spectral.average_welch_psd(frames, 100.0, segment=1024)
+        avg = spectral.welch_psd(np.concatenate(frames), 100.0, segment=1024)
         assert np.std(avg.psd) < np.std(one.psd)
