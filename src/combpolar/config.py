@@ -68,6 +68,13 @@ class ConfigError(ValueError):
 # fixed limits, so a config loads the same way on every machine
 MAX_THREADS = 256
 MAX_FRAME_SAMPLES = 1 << 20
+# sizes whose buffers grow with the config: SCL keeps (512, L, N) path
+# buffers (about 1 GiB at the ceiling), the sinusoid tone model a complex
+# (tones, frame samples) phasor basis (128 MiB), and the Welch tier the
+# whole PSD signal with its segments (about 85 bytes per sample)
+MAX_LIST_SYMBOLS = 1 << 16
+MAX_TONE_PHASORS = 1 << 23
+MAX_PSD_SAMPLES = 1 << 23
 DB_LIMIT = 300.0  # |SNR| and |SIR| in dB; beyond it 10**(dB/10) leaves the float range
 
 
@@ -152,6 +159,9 @@ class ExperimentConfig:
                             ("welch.frames", self.psd_frames)):
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.list_size * self.N > MAX_LIST_SYMBOLS:
+            raise ConfigError(f"decoder.list_size {self.list_size} x code.N {self.N} exceeds "
+                              f"{MAX_LIST_SYMBOLS} path symbols")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {MAX_THREADS}], got {self.threads}")
         if not 0 <= self.master_seed < 2**64:
@@ -215,6 +225,11 @@ class ExperimentConfig:
         if interfered and self.tone_model == "noise" and noise_tone_mask(self)[1] == 0:
             raise ConfigError(f"no FFT bin of the {samples}-sample frame lies in both a "
                               f"{self.tone_bandwidth_hz} Hz tone band and the signal band")
+        if interfered and self.tone_model == "sinusoid":
+            tones = len(tone_centers(fun, self.tone_offset_hz, self.sample_rate / 2))
+            if tones * samples > MAX_TONE_PHASORS:
+                raise ConfigError(f"the sinusoid tone model's {tones} tones x {samples} frame "
+                                  f"samples exceed {MAX_TONE_PHASORS} phasors")
         if not 0 <= self.welch_overlap < 1:
             raise ConfigError(f"welch.overlap must lie in [0, 1), got {self.welch_overlap}")
         try:
@@ -225,6 +240,9 @@ class ExperimentConfig:
         if self.psd_tier == "welch" and self.welch_segment > psd_samples:
             raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
                               f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
+        if self.psd_tier == "welch" and psd_samples > MAX_PSD_SAMPLES:
+            raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
+                              f"PSD signal, over {MAX_PSD_SAMPLES}")
         return self
 
 

@@ -97,22 +97,31 @@ def _phi(x):
     return np.clip(out, 0.0, 1.0)
 
 
-def _phi_inverse(y: float) -> float:
-    """Invert the monotone-decreasing _phi by bisection."""
-    if y >= 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while _phi(hi) > y:
-        hi *= 2
-        if hi > 1e9:
-            return hi
+def _phi_inverse(y):
+    """Invert the monotone-decreasing _phi elementwise by bisection.
+
+    Each element follows the same rule: y >= 1 gives 0; otherwise the
+    upper end starts at 1 and doubles while _phi stays above y (an end
+    past 1e9 is returned as is), then 80 bisection steps on [0, end]
+    run for all elements at once.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    shape, y = y.shape, y.ravel()
+    hi = np.ones_like(y)
+    grow = np.flatnonzero((y < 1.0) & (_phi(hi) > y))
+    while grow.size:
+        hi[grow] *= 2
+        grow = grow[hi[grow] <= 1e9]
+        grow = grow[_phi(hi[grow]) > y[grow]]
+    escaped = hi > 1e9
+    lo = np.zeros_like(y)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _phi(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = _phi(mid) > y
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    x = np.where(escaped, hi, 0.5 * (lo + hi))
+    return np.where(y >= 1.0, 0.0, x).reshape(shape)
 
 
 _HERM_X, _HERM_W = np.polynomial.hermite_e.hermegauss(96)
@@ -127,14 +136,18 @@ def _capacity_from_mean_llr(mu):
 
 
 def gaussian_approximation_means(N: int, noise_var: float) -> np.ndarray:
-    """Mean decision LLR of each sub-channel under density evolution."""
+    """Mean decision LLR of each sub-channel under density evolution.
+
+    One tree level at a time: every node's check-node child comes from
+    one elementwise _phi_inverse call over the whole level, and its
+    variable-node child doubles the mean.
+    """
     _check_power_of_two(N)
     mu = np.array([2.0 / noise_var])
     while len(mu) < N:
         nxt = np.empty(2 * len(mu))
-        for k, m in enumerate(mu):
-            nxt[2 * k] = _phi_inverse(1.0 - (1.0 - _phi(np.array([m]))[0]) ** 2)
-            nxt[2 * k + 1] = 2.0 * m
+        nxt[0::2] = _phi_inverse(1.0 - (1.0 - _phi(mu)) ** 2)
+        nxt[1::2] = 2.0 * mu
         mu = nxt
     return mu
 

@@ -12,7 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from combpolar.cli import main as cli_main
-from combpolar.config import MAX_THREADS, ConfigError, load_config
+from combpolar.config import (
+    MAX_LIST_SYMBOLS,
+    MAX_PSD_SAMPLES,
+    MAX_THREADS,
+    ConfigError,
+    load_config,
+)
 
 PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
 
@@ -37,6 +43,15 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
               "channel": {"fundamental_hz": 800.0, "tone_offset_hz": 400.0}},
      "leaves no information bit at N = 2"),
     ("psd", {**PLAIN, "psd_tier": "exact"}, "exact psd tier needs a shaped code"),
+    # sizes that load without these ceilings but whose buffers do not fit
+    ("fer", {"code": {"N": 64, "K": 16, "r": 1}, "decoder": {"list_size": 1000000}},
+     "decoder.list_size 1000000 x code.N 64 exceeds"),
+    ("fer", {**PLAIN, "code": {"N": 1024, "K": 384, "r": None},
+             "channel": {"tone_model": "sinusoid", "fundamental_hz": 6400 / 8320,
+                         "tone_bandwidth_hz": 0.5, "tone_offset_hz": 0.0},
+             "comb_filter": {"notch_bandwidth_hz": 0.5}},
+     "sinusoid tone model's 8321 tones x 8320 frame samples exceed"),
+    ("psd", {"welch": {"frames": 100000}}, "welch.frames 100000 make a"),
 ])
 def test_bad_value_exits_one_with_one_line(tmp_path, capsys, command, cfg, message):
     path = tmp_path / "bad.json"
@@ -53,6 +68,18 @@ def test_threads_bounds():
     for bad in (-3, 0, MAX_THREADS + 1, 10000, 1.5, "2", True):
         with pytest.raises(ConfigError, match="threads"):
             load_config(None, {"threads": bad})
+
+
+def test_size_ceilings_are_inclusive():
+    cfg = load_config(None, {"decoder": {"list_size": MAX_LIST_SYMBOLS // 256}})
+    assert cfg.list_size * cfg.N == MAX_LIST_SYMBOLS
+    with pytest.raises(ConfigError, match="decoder.list_size"):
+        load_config(None, {"decoder": {"list_size": MAX_LIST_SYMBOLS // 256 + 1}})
+    # (frames * 256 + 16) * 8 samples: 4095 frames fit under 2^23, 4096 do not
+    assert load_config(None, {"welch": {"frames": 4095}}).psd_frames == 4095
+    assert (4096 * 256 + 16) * 8 > MAX_PSD_SAMPLES >= (4095 * 256 + 16) * 8
+    with pytest.raises(ConfigError, match="welch.frames"):
+        load_config(None, {"welch": {"frames": 4096}})
 
 
 # Coherent small configs that load (N <= 64), and per-key replacement values,

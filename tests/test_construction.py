@@ -1,7 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from combpolar import construction, shaping
+from combpolar.config import load_config
+from combpolar.simulate import build_code
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestValidateParams:
@@ -53,6 +60,90 @@ class TestGaussianApproximation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             construction.estimate_symmetric_reliability(8, 0.0, method="tea-leaves")
+
+
+def _scalar_phi_inverse(y):
+    """Reference: per-value bisection of _phi, one 0-d evaluation per step."""
+    if y >= 1.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while construction._phi(hi) > y:
+        hi *= 2
+        if hi > 1e9:
+            return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if construction._phi(mid) > y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_ga_levels(N, noise_var):
+    """Reference: per-node density evolution; the means of every tree level
+    down to length N (level k holds the means of the length-2^k code)."""
+    levels = [np.array([2.0 / noise_var])]
+    while len(levels[-1]) < N:
+        mu = levels[-1]
+        nxt = np.empty(2 * len(mu))
+        for k, m in enumerate(mu):
+            nxt[2 * k] = _scalar_phi_inverse(
+                1.0 - (1.0 - construction._phi(np.array([m]))[0]) ** 2)
+            nxt[2 * k + 1] = 2.0 * m
+        levels.append(nxt)
+    return levels
+
+
+class TestGaussianApproximationMatchesScalar:
+    @pytest.mark.parametrize("snr_db", [-300.0, -35.0, -2.0, 1.0, 25.0, 300.0])
+    def test_means_match_per_node_bisection(self, snr_db):
+        noise_var = construction.snr_db_to_noise_var(snr_db)
+        levels = _scalar_ga_levels(1024, noise_var)
+        for N in (2, 4, 16, 64, 256, 1024):
+            want = levels[N.bit_length() - 1]
+            got = construction.gaussian_approximation_means(N, noise_var)
+            assert got.shape == (N,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"N={N}")
+
+    def test_phi_inverse_at_one_and_above_is_zero(self):
+        y = np.array([1.0, 1.5, 1e300])
+        assert np.array_equal(construction._phi_inverse(y), np.zeros(3))
+        assert construction._phi_inverse(1.0) == 0.0
+
+    def test_phi_inverse_at_zero_grows_the_bracket(self):
+        # _phi underflows to 0 between x = 2048 and 4096, so the bracket
+        # [0, 1] must double twelve times before the bisection starts
+        x = construction._phi_inverse(0.0)
+        assert x == _scalar_phi_inverse(0.0)
+        assert 2048 < x <= 4096 and construction._phi(4096.0) == 0.0
+
+    def test_phi_inverse_elementwise_matches_scalar(self):
+        y = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 2.0], np.linspace(0.0, 1.0, 41)])
+        got = construction._phi_inverse(y)
+        want = np.array([_scalar_phi_inverse(v) for v in y])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert construction._phi_inverse(y.reshape(2, -1)).shape == (2, len(y) // 2)
+
+    def test_phi_of_phi_inverse_is_identity(self):
+        y = np.linspace(0.0, 1.0, 201)[1:-1]
+        np.testing.assert_allclose(construction._phi(construction._phi_inverse(y)), y,
+                                   rtol=1e-9, atol=1e-12)
+
+
+class TestPinnedConstructions:
+    """The information sets of configs/reference.json's three arms, at its
+    N=256 and at N=1024 (r=5, K=384), as the per-node GA built them."""
+
+    PINNED = json.loads((ROOT / "tests" / "reference_constructions.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_information_set(self, key):
+        n, arm = key.split("/")
+        overrides = {"code": {"N": 1024, "K": 384, "r": 5}} if n == "1024" else None
+        cfg = load_config(str(ROOT / "configs" / "reference.json"), overrides).for_arm(arm)
+        assert cfg.N == int(n)
+        assert shaping.index_set_text(build_code(cfg).A) == self.PINNED[key]
 
 
 class TestMonteCarloEstimator:
