@@ -189,6 +189,10 @@ class ExperimentConfig:
         if not 0 <= self.tone_offset_hz < fun:
             raise ConfigError(f"tone offset {self.tone_offset_hz} Hz must lie in [0, {fun}) Hz")
         half = self.band[1]
+        if half >= self.sample_rate / 2:
+            raise ConfigError(f"modem.sps {self.pulse.sps} puts the Nyquist frequency at "
+                              f"{self.sample_rate / 2:g} Hz, not above the pulse's band edge "
+                              f"{half:g} Hz")
         if len(tone_centers(fun, self.tone_offset_hz, half)) == 0:
             raise ConfigError(
                 f"no tone of the grid (offset {self.tone_offset_hz} Hz, spacing "
@@ -236,13 +240,23 @@ class ExperimentConfig:
             get_window(self.welch_window, 16)  # checks the name only
         except (TypeError, ValueError):
             raise ConfigError(f"unknown welch.window {self.welch_window!r}") from None
+        if self.psd_tier != "welch":
+            return self
         psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
-        if self.psd_tier == "welch" and self.welch_segment > psd_samples:
+        if self.welch_segment > psd_samples:
             raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
                               f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
-        if self.psd_tier == "welch" and psd_samples > MAX_PSD_SAMPLES:
+        if psd_samples > MAX_PSD_SAMPLES:
             raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
                               f"PSD signal, over {MAX_PSD_SAMPLES}")
+        # notch depths are read off the Welch grid, spaced as np.fft.fftfreq spaces it
+        seg = self.welch_segment
+        step = 1.0 / (seg * (1.0 / self.sample_rate))
+        lo, hi = -(seg // 2) * step, (seg - 1) // 2 * step
+        targets = tone_centers(fun, self.tone_offset_hz, half)
+        if targets[0] < lo or targets[-1] > hi:
+            raise ConfigError(f"a {seg}-point welch.segment spans [{lo:g}, {hi:g}] Hz, "
+                              f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
         return self
 
 

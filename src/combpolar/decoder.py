@@ -2,10 +2,13 @@
 decoder that permutes the received vector of a shaped code and decodes
 with the top-half information set.
 
-All decoders use the exact log-domain check-node update (soft XOR) and the
-exact path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
-codebook the best path is maximum-likelihood.  Every decoder works on a
-(B, N) batch of frames.
+One successive-cancellation tree walk serves three leaf rules: SC (hard
+decision), the genie (record the decision LLR, feed back the true bit)
+and SCL (fork, prune and gather the list).  All use the exact log-domain
+check-node update (soft XOR) and the exact path metric
+ln(1 + exp(-(1-2u)L)), so with a list covering the whole codebook the best
+path is maximum-likelihood.  Every decoder works on a (B, N) batch of
+frames.
 """
 
 from __future__ import annotations
@@ -49,97 +52,20 @@ def channel_llr(y, noise_var: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# successive cancellation (single path), batched over frames
+# the successive-cancellation walk; SC, the genie and SCL are its leaf rules
 # --------------------------------------------------------------------------
 
-def _sc_recurse(lam, frozen, u_out, offset, pm):
-    """Decode one subtree; writes bits into u_out, returns its codeword."""
-    width = lam.shape[-1]
-    if width == 1:
-        leaf = offset
-        if frozen[leaf]:
-            bit = np.zeros(lam.shape[0], dtype=np.uint8)
-        else:
-            bit = (lam[:, 0] < 0).astype(np.uint8)
-        pm += _softplus(-(1.0 - 2.0 * bit) * lam[:, 0])
-        u_out[:, leaf] = bit
-        return bit[:, None]
-    h = width // 2
-    a, b = lam[:, :h], lam[:, h:]
-    cw_l = _sc_recurse(soft_xor(a, b), frozen, u_out, offset, pm)
-    cw_r = _sc_recurse(b + (1.0 - 2.0 * cw_l) * a, frozen, u_out, offset + h, pm)
-    return np.concatenate([cw_l ^ cw_r, cw_r], axis=1)
-
-
-def _decoder_inputs(llrs, frozen_mask):
-    """Checked (B, N) float LLRs and the boolean frozen mask of length N."""
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    N = llrs.shape[1]
-    _check_power_of_two(N)
-    frozen = np.asarray(frozen_mask, dtype=bool)
-    if len(frozen) != N:
-        raise ValueError(f"frozen mask length {len(frozen)} != N = {N}")
-    return llrs, frozen
-
-
-def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
-    """SC-decode a (B, N) batch; returns (source bits (B, N), metrics (B,))."""
-    llrs, frozen = _decoder_inputs(llrs, frozen_mask)
-    lam = llrs[:, bit_reversal(llrs.shape[1])]
-    u_hat = np.zeros_like(llrs, dtype=np.uint8)
-    pm = np.zeros(llrs.shape[0])
-    _sc_recurse(lam, frozen, u_hat, 0, pm)
-    return u_hat, pm
-
-
-# --------------------------------------------------------------------------
-# genie-aided decision LLRs (for capacity estimation)
-# --------------------------------------------------------------------------
-
-def _genie_recurse(lam, u):
-    width = lam.shape[-1]
-    if width == 1:
-        return lam, u
-    h = width // 2
-    a, b = lam[:, :h], lam[:, h:]
-    dec_l, cw_l = _genie_recurse(soft_xor(a, b), u[:, :h])
-    dec_r, cw_r = _genie_recurse(b + (1.0 - 2.0 * cw_l) * a, u[:, h:])
-    return (
-        np.concatenate([dec_l, dec_r], axis=1),
-        np.concatenate([cw_l ^ cw_r, cw_r], axis=1),
-    )
-
-
-def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    """Per-index SC decision LLRs given the true preceding source bits.
-
-    llrs is (B, N) in codeword order; u_true is the (B, N) source batch.
-    Output column i is the LLR the decoder would see for source bit i if
-    all previous decisions were correct.
-    """
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    u_true = np.atleast_2d(np.asarray(u_true, dtype=np.uint8))
-    N = llrs.shape[1]
-    _check_power_of_two(N)
-    dec, _ = _genie_recurse(llrs[:, bit_reversal(N)], u_true)
-    return dec
-
-
-# --------------------------------------------------------------------------
-# successive cancellation list, batched over frames
-# --------------------------------------------------------------------------
-
-class _SclEngine:
-    """Depth-first list decoding over compact per-level buffers.
+class _Walk:
+    """Depth-first successive-cancellation walk over compact per-level buffers.
 
     Each tree level keeps only the active node's LLRs and the left-child
-    partial sums, so a prune permutes about 2N values per path instead of
-    the whole decode tensor.  Buffers stay path-independent (list axis of
-    size 1, broadcasting) until the first fork, and are skipped by the
-    prune gather while they remain so.
+    partial sums, shaped (B, paths, width).  A buffer keeps a path axis of
+    size 1 (broadcasting) while it does not depend on the path, and the
+    prune gather skips it.  Every leaf returns its codeword bits.  The leaf
+    rule here is SC: hard decision, 0 at frozen leaves, exact path metric.
     """
 
-    def __init__(self, lam0, frozen, list_size):
+    def __init__(self, lam0, frozen, list_size=1):
         self.B, self.N = lam0.shape
         self.n = self.N.bit_length() - 1
         self.L = list_size
@@ -150,7 +76,7 @@ class _SclEngine:
         self.hist = np.zeros((self.B, self.L, self.N), dtype=np.uint8)
         self.pm = np.full((self.B, self.L), _BIG)
         self.pm[:, 0] = 0.0
-        self._bidx = np.arange(self.B)[:, None]
+        self._zero = np.zeros((self.B, 1, 1), dtype=np.uint8)
 
     def run(self):
         self._node(0, 0)
@@ -164,33 +90,91 @@ class _SclEngine:
         lam = self.llr[d]
         h = (self.N >> d) // 2
         self.llr[d + 1] = soft_xor(lam[..., :h], lam[..., h:])
-        cw_l = self._node(d + 1, offset)
-        self.uleft[d] = cw_l
+        self.uleft[d] = self._node(d + 1, offset)
         lam = self.llr[d]  # reread: pruned while the left subtree ran
         self.llr[d + 1] = lam[..., h:] + (1.0 - 2.0 * self.uleft[d]) * lam[..., :h]
         cw_r = self._node(d + 1, offset + h)
-        return np.concatenate([self.uleft[d] ^ cw_r, cw_r], axis=2)
+        return np.concatenate(np.broadcast_arrays(self.uleft[d] ^ cw_r, cw_r), axis=2)
 
     def _leaf(self, offset):
         dm = self.llr[self.n][:, :, 0]
         if self.frozen[offset]:
             self.pm = self.pm + _softplus(-dm)
-            self.hist[:, :, offset] = 0
-        else:
-            cand = np.concatenate([self.pm + _softplus(-dm), self.pm + _softplus(dm)], axis=1)
-            order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
-            src = order % self.L
-            self.pm = np.take_along_axis(cand, order, axis=1)
-            self._gather(src)
-            self.hist[:, :, offset] = (order >= self.L).astype(np.uint8)
+            return self._zero
+        bit = (dm < 0).astype(np.uint8)
+        self.pm = self.pm + _softplus(-(1.0 - 2.0 * bit) * dm)
+        self.hist[:, :, offset] = bit
+        return bit[:, :, None]
+
+
+def _decoder_inputs(llrs, frozen_mask=None):
+    """Checked (B, N) float LLRs in the walk's leaf (bit-reversed) order, and
+    the boolean frozen mask of length N when one is given."""
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    N = llrs.shape[1]
+    _check_power_of_two(N)
+    frozen = None if frozen_mask is None else np.asarray(frozen_mask, dtype=bool)
+    if frozen is not None and len(frozen) != N:
+        raise ValueError(f"frozen mask length {len(frozen)} != N = {N}")
+    return llrs[:, bit_reversal(N)], frozen
+
+
+def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
+    """SC-decode a (B, N) batch; returns (source bits (B, N), metrics (B,))."""
+    return _Walk(*_decoder_inputs(llrs, frozen_mask)).run()
+
+
+class _GenieWalk(_Walk):
+    """Genie leaf rule: record the leaf LLR, feed back the true bit."""
+
+    def __init__(self, lam0, u_true):
+        super().__init__(lam0, None)
+        self.u = u_true
+        self.dec = np.empty((self.B, self.N))
+
+    def run(self):
+        self._node(0, 0)
+        return self.dec
+
+    def _leaf(self, offset):
+        self.dec[:, offset] = self.llr[self.n][:, 0, 0]
+        return self.u[:, offset, None, None]
+
+
+def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
+    """Per-index SC decision LLRs given the true preceding source bits.
+
+    llrs is (B, N) in codeword order; u_true is the (B, N) source batch.
+    Output column i is the LLR the decoder would see for source bit i if
+    all previous decisions were correct.
+    """
+    lam, _ = _decoder_inputs(llrs)
+    return _GenieWalk(lam, np.atleast_2d(np.asarray(u_true, dtype=np.uint8))).run()
+
+
+class _SclEngine(_Walk):
+    """SCL leaf rule: every path forks at an information leaf and the L
+    best of the 2L extensions survive; frozen leaves use the SC rule."""
+
+    def _leaf(self, offset):
+        if self.frozen[offset]:
+            return super()._leaf(offset)
+        dm = self.llr[self.n][:, :, 0]
+        cand = np.concatenate([self.pm + _softplus(-dm), self.pm + _softplus(dm)], axis=1)
+        order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
+        src = order % self.L
+        self.pm = np.take_along_axis(cand, order, axis=1)
+        self._gather(src)
+        self.hist[:, :, offset] = (order >= self.L).astype(np.uint8)
         return self.hist[:, :, offset : offset + 1]
 
     def _gather(self, src):
+        rows = np.arange(self.B)[:, None]
         for buf in (self.llr, self.uleft):
             for d, arr in enumerate(buf):
                 if arr is not None and arr.shape[1] == self.L:
-                    buf[d] = arr[self._bidx, src]
-        self.hist = self.hist[self._bidx, src]
+                    buf[d] = arr[rows, src]
+        self.hist = self.hist[rows, src]
 
 
 def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):
@@ -202,9 +186,7 @@ def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
-    llrs, frozen = _decoder_inputs(llrs, frozen_mask)
-    engine = _SclEngine(llrs[:, bit_reversal(llrs.shape[1])], frozen, list_size)
-    return engine.run()
+    return _SclEngine(*_decoder_inputs(llrs, frozen_mask), list_size).run()
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Config checks at load: every bad value is a ConfigError (exit 1 from the
 CLI with one line), and every config that loads runs."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -52,6 +54,10 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
              "comb_filter": {"notch_bandwidth_hz": 0.5}},
      "sinusoid tone model's 8321 tones x 8320 frame samples exceed"),
     ("psd", {"welch": {"frames": 100000}}, "welch.frames 100000 make a"),
+    # a pulse whose band reaches Nyquist, and a Welch grid short of the tones
+    ("psd", {"modem": {"sps": 1}}, "modem.sps 1 puts the Nyquist frequency at 400 Hz"),
+    ("psd", {"modem": {"sps": 2, "rolloff": 0.99}, "welch": {"segment": 16}},
+     "a 16-point welch.segment spans [-800, 700] Hz"),
 ])
 def test_bad_value_exits_one_with_one_line(tmp_path, capsys, command, cfg, message):
     path = tmp_path / "bad.json"
@@ -159,3 +165,10 @@ def test_any_object_is_rejected_or_runs(obj):
         assert cfg.N <= 64 and cfg.max_frames == 1 and cfg.threads in (1, 2)
         assert cli_main(["construct", "--config", path, "--out", tmp]) == 0
         assert cli_main(["fer", "--config", path, "--out", tmp]) == 0
+        # psd may still refuse (the exact tier needs a shaped code), in one line
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli_main(["psd", "--config", path, "--out", tmp])
+        text = err.getvalue()
+        assert status == 0 or (status == 1 and text.startswith("config error: ")
+                               and text.count("\n") == 1), (status, text)

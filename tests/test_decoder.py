@@ -68,16 +68,18 @@ class TestScDecode:
 
     def test_decision_llrs_match_enumeration(self):
         """SC's per-step LLRs equal brute-force sub-channel probability
-        ratios, pinning the recursion's index convention."""
+        ratios given random true prefixes, pinning the walk's index
+        convention and its partial-sum sign flips."""
         rng = np.random.default_rng(4)
         N, nv = 8, 0.8
         for _ in range(10):
             y = rng.standard_normal(N) * 1.3
             llr = 2.0 * y / nv
-            dec = decoder.genie_decision_llrs(llr[None, :], np.zeros((1, N), dtype=np.uint8))
+            u = rng.integers(0, 2, (1, N), dtype=np.uint8)
+            dec = decoder.genie_decision_llrs(llr[None, :], u)
             for i in range(N):
-                w0 = oracles.subchannel_probability(y, np.zeros(i, dtype=int), i, 0, nv)
-                w1 = oracles.subchannel_probability(y, np.zeros(i, dtype=int), i, 1, nv)
+                w0 = oracles.subchannel_probability(y, u[0, :i], i, 0, nv)
+                w1 = oracles.subchannel_probability(y, u[0, :i], i, 1, nv)
                 assert abs(dec[0, i] - np.log(w0 / w1)) < 1e-8
 
     def test_ml_agreement_when_unambiguous(self):
@@ -138,17 +140,23 @@ class TestSclDecode:
         assert fer[8] <= fer[1] + 3 * sigma
 
     def test_path_metric_is_best_path_likelihood(self):
+        """The returned metric of SC and of SCL at every list size is the
+        sum of softplus penalties over the genie LLRs of the decoded word."""
         rng = np.random.default_rng(9)
-        code = random_code(rng, 8, 3)
+        code = random_code(rng, 64, 32)
         frozen = code.frozen_mask()
-        y = (1.0 - 2.0 * polar.encode(polar.assemble_source(
-            rng.integers(0, 2, 3, dtype=np.uint8), code.A, 8))) + rng.standard_normal(8)
-        llr = decoder.channel_llr(y, 1.0)
-        u_hat, pm = decoder.scl_decode_batch(llr[None, :], frozen, 8)
-        dec = decoder.genie_decision_llrs(llr[None, :], u_hat)[0]
-        signs = 1.0 - 2.0 * u_hat[0]
-        expected = np.sum(np.logaddexp(0.0, -signs * dec))
-        assert abs(pm[0] - expected) < 1e-9
+        info = rng.integers(0, 2, (300, 32), dtype=np.uint8)
+        x = polar.encode(polar.assemble_source(info, code.A, 64))
+        llr = decoder.channel_llr((1.0 - 2.0 * x) + rng.standard_normal((300, 64)), 1.0)
+        decoders = {"sc": lambda: decoder.sc_decode_batch(llr, frozen)}
+        for L in (1, 8, 32):
+            decoders[f"scl{L}"] = lambda L=L: decoder.scl_decode_batch(llr, frozen, L)
+        for name, decode in decoders.items():
+            u_hat, pm = decode()
+            dec = decoder.genie_decision_llrs(llr, u_hat)
+            expected = np.sum(np.logaddexp(0.0, -(1.0 - 2.0 * u_hat) * dec), axis=1)
+            assert np.allclose(pm, expected, rtol=1e-12, atol=1e-9), name
+            assert np.all(u_hat[:, frozen] == 0), name
 
     def test_metric_growth_is_monotone(self):
         """Path metrics only accumulate nonnegative penalties, so the best

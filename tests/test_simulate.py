@@ -175,10 +175,12 @@ class TestLinkDeterminism:
 
     def test_pinned_arm_frame_errors(self):
         """Exact per-arm counts of a small paired run, for both tone models,
-        under SCL (L=4) and SC (L=1).  Any change to the channel, modem or
-        decoders that moves a single decision shows here."""
+        under SCL (L=4, and L=32 with the noise model) and SC (L=1).  Any
+        change to the channel, modem or decoders that moves a single
+        decision shows here."""
         pinned = {
             (4, "noise"): {"cp": [203, 174], "csp-nonc": [19, 0], "csp-c": [23, 3]},
+            (32, "noise"): {"cp": [204, 173], "csp-nonc": [20, 0], "csp-c": [21, 3]},
             (4, "sinusoid"): {"cp": [247, 246], "csp-nonc": [231, 228], "csp-c": [217, 210]},
             (1, "noise"): {"cp": [203, 188], "csp-nonc": [40, 4], "csp-c": [38, 7]},
             (1, "sinusoid"): {"cp": [249, 248], "csp-nonc": [239, 234], "csp-c": [217, 214]},
@@ -242,6 +244,14 @@ class TestMcscRun:
             assert by[(rate, "cis-constrained")] >= by[(rate, "symmetric")]
         text = (tmp_path / "mcsc.csv").read_text()
         assert text.startswith("# combpolar mcsc v1")
+        # exact values: any change to the genie decoder or the estimator shows
+        assert text.splitlines()[2:] == [
+            "rate,criterion,mcsc",
+            "0.25,cis-constrained,0.986817",
+            "0.25,symmetric,0.986817",
+            "0.375,cis-constrained,0.808123",
+            "0.375,symmetric,0.808123",
+        ]
 
 
 class TestConstructReport:
