@@ -82,7 +82,9 @@ def main(argv=None) -> int:
             for rate, crit, v in rows:
                 print(f"  rate {rate:<7} {crit:<16} mcsc {v:.4f}")
         elif args.command == "selftest":
-            ok = simulate.run_selftest(log=print)
+            from .selftest import run_selftest
+
+            ok = run_selftest(log=print)
             return 0 if ok else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -121,10 +121,12 @@ class ExperimentConfig:
 
     def for_arm(self, name: str) -> ExperimentConfig:
         """A validated copy of this config running arm `name` of ARM_PRESETS;
-        an unshaped arm drops the shaping order."""
+        an unshaped arm drops the shaping order, and a shaped arm needs one."""
         if name not in ARM_PRESETS:
             raise ConfigError(f"unknown arm {name!r}")
         preset = ARM_PRESETS[name]
+        if preset["shaped"] and self.r is None:
+            raise ConfigError(f"arm {name!r} needs a shaped code (set code.r)")
         return replace(
             self,
             r=self.r if preset["shaped"] else None,

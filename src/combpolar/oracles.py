@@ -83,27 +83,6 @@ def subchannel_probability(
     return float(np.exp(logsumexp(loglik) - (Kf - 1) * np.log(2.0)))
 
 
-def subchannel_probability_bsc(
-    x_obs: np.ndarray,
-    u_prefix: np.ndarray,
-    i: int,
-    u_i: int,
-    p: float,
-    free_indices: np.ndarray | None = None,
-) -> float:
-    """Like subchannel_probability, on a binary symmetric channel.
-
-    x_obs holds the observed antipodal values (+1/-1); a flip relative to
-    the transmitted symbol has probability p.
-    """
-    x_obs = np.asarray(x_obs, dtype=np.float64)
-    N = len(x_obs)
-    s, Kf = _target_words(N, u_prefix, i, u_i, free_indices)
-    flips = np.sum(s != x_obs[None, :], axis=1)
-    lik = (p**flips) * ((1 - p) ** (N - flips))
-    return float(np.sum(lik) / 2.0 ** (Kf - 1))
-
-
 def constrained_capacity_curve(
     N: int, r: int, noise_var: float, trials: int, rng, batch: int = 20000
 ):

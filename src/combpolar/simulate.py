@@ -1,5 +1,5 @@
 """Experiment orchestration: code construction reports, frame-error-rate
-sweeps, PSD/null-depth runs, capacity tables, and the self-test suite.
+sweeps, PSD/null-depth runs and capacity tables.
 
 Reproducibility contract: every random draw comes from a generator seeded
 by (master_seed, stream, frame index), so a (config, master_seed) pair
@@ -16,9 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import oracles
 from .channel import LinkChannel, calibrate_channel, impair, tone_centers
-from .config import ARM_PRESETS, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .construction import (
     ReliabilityProfile,
     estimate_symmetric_reliability,
@@ -29,21 +28,12 @@ from .construction import (
     select_symmetric_in_cis,
     snr_db_to_noise_var,
 )
-# sc_decode_batch is not called here; perfbench/tracing.py wraps it under this name
-from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
+# sc_decode_batch and scl_decode_batch are not called here; perfbench/tracing.py
+# wraps them under these names
+from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols
-from .polar import assemble_source, bit_reversal, encode, generator_matrix
-from .shaping import (
-    CisSpec,
-    CodeConfig,
-    cis,
-    cis_to_half,
-    half_to_cis,
-    index_set_text,
-    is_locally_periodic,
-    permutation_matrix,
-    receive_permutation,
-)
+from .polar import assemble_source, encode
+from .shaping import CisSpec, CodeConfig, index_set_text
 from .spectral import exact_null_bins, exact_spectrum_magnitude, null_depth, welch_psd
 
 _INFO_STREAM, _CHANNEL_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 0, 1, 2, 3
@@ -271,7 +261,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.psd_tier == "exact":
         worst = 0.0
         bins = exact_null_bins(cfg.N, cfg.r, cfg.pulse.sps)
-        for _ in range(max(cfg.psd_frames, 20)):
+        for _ in range(cfg.psd_frames):
             info = rng.integers(0, 2, cfg.K, dtype=np.uint8)
             x = encode(assemble_source(info, code.A, cfg.N))
             mag = exact_spectrum_magnitude(x, cfg.pulse.sps)
@@ -343,160 +333,3 @@ def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None,
             for rate, crit, v in rows:
                 fh.write(f"{rate},{crit},{v:.6f}\n")
     return rows
-
-
-# --------------------------------------------------------------------------
-# self test
-# --------------------------------------------------------------------------
-
-def check_conjugation(map_fn=half_to_cis, sizes=(4, 8, 16, 32)) -> tuple:
-    """Exact GF(2) facts behind constrained decoding: the codeword-side
-    image of the source relabeling is its bit-reversal conjugate, the mixed
-    conjugation fixes the generator, and encoding commutes with the
-    relabeling/receive-permutation pair."""
-    rng = np.random.default_rng(0)
-    for N in sizes:
-        G = generator_matrix(N).astype(np.int64)
-        rev = bit_reversal(N)
-        B = permutation_matrix(rev).astype(np.int64)
-        m = N.bit_length() - 1
-        for r in range(m):
-            spec = CisSpec(N, r)
-            idx = np.arange(N)
-            gt = np.asarray(map_fn(spec, idx))
-            gi = np.empty(N, dtype=np.int64)
-            gi[gt] = idx
-            P = permutation_matrix(gi).astype(np.int64)
-            if not np.array_equal((G @ P @ G) % 2, (B @ P @ B) % 2):
-                return False, f"channel-side image mismatch at N={N} r={r}"
-            t = rev[gt[rev]]
-            if not np.array_equal((P @ G @ permutation_matrix(t).astype(np.int64)) % 2, G):
-                return False, f"mixed conjugation broken at N={N} r={r}"
-            lam = cis(spec)
-            u = np.zeros((8, N), dtype=np.uint8)
-            u[:, lam] = rng.integers(0, 2, (8, N // 2), dtype=np.uint8)
-            if not np.array_equal(encode(u[:, gt]), encode(u)[:, t]):
-                return False, f"encode does not commute at N={N} r={r}"
-    return True, f"exact for N in {sizes}, all orders"
-
-
-def check_row_periodicity(sizes=(8, 64, 256)) -> tuple:
-    for N in sizes:
-        m = N.bit_length() - 1
-        G = generator_matrix(N)
-        for r in range(m):
-            for i in cis(CisSpec(N, r)):
-                if not is_locally_periodic(G[i], 1 << (m - r - 1), 2):
-                    return False, f"row {i} not periodic at N={N} r={r}"
-    return True, f"all shaping rows periodic for N in {sizes}"
-
-
-def check_map_bijection(sizes=(4, 16, 64, 256)) -> tuple:
-    for N in sizes:
-        m = N.bit_length() - 1
-        for r in range(m):
-            spec = CisSpec(N, r)
-            img = half_to_cis(spec, np.arange(N // 2, N))
-            if not (np.all(np.diff(img) > 0) and np.array_equal(np.sort(img), cis(spec))):
-                return False, f"order/image broken at N={N} r={r}"
-            rt = cis_to_half(spec, half_to_cis(spec, np.arange(N)))
-            if not np.array_equal(rt, np.arange(N)):
-                return False, f"round trip broken at N={N} r={r}"
-    return True, f"order-preserving bijections for N in {sizes}"
-
-
-def check_capacity_match(trials: int = 30_000, tol_se: float = 5.0) -> tuple:
-    N, noise_var = 8, 0.8
-    sym_mean, sym_se = monte_carlo_symmetric_capacity(
-        N, noise_var, 4 * trials, np.random.default_rng(1)
-    )
-    worst = 0.0
-    for r in range(3):
-        spec = CisSpec(N, r)
-        free, mean, se = oracles.constrained_capacity_curve(
-            N, r, noise_var, trials, np.random.default_rng(2 + r)
-        )
-        dec = cis_to_half(spec, free)
-        z = np.abs(mean - sym_mean[dec]) / np.sqrt(se**2 + sym_se[dec] ** 2)
-        worst = max(worst, float(z.max()))
-    return worst < tol_se, f"worst deviation {worst:.2f} combined std errors"
-
-
-def check_transition_oracle(draws: int = 5) -> tuple:
-    rng = np.random.default_rng(3)
-    N, noise_var = 8, 0.8
-    worst = 0.0
-    for r in range(3):
-        spec = CisSpec(N, r)
-        free = cis(spec)
-        t = receive_permutation(spec)
-        for i in free:
-            j = int(cis_to_half(spec, int(i)))
-            pos = int(np.searchsorted(free, i))
-            for _ in range(draws):
-                y = rng.standard_normal(N) * 1.5
-                prefix = rng.integers(0, 2, pos)
-                u_i = int(rng.integers(0, 2))
-                lhs = oracles.subchannel_probability(y, prefix, int(i), u_i, noise_var, free)
-                rhs = oracles.subchannel_probability(
-                    y[t], np.concatenate([np.zeros(N // 2, dtype=np.int64), prefix]),
-                    j, u_i, noise_var,
-                )
-                worst = max(worst, abs(lhs - 2.0 ** (N // 2) * rhs) / max(abs(lhs), 1e-300))
-    return worst < 1e-9, f"worst relative error {worst:.2e}"
-
-
-def check_scl_vs_ml(frames: int = 2000) -> tuple:
-    from .decoder import ml_decode_batch
-
-    rng = np.random.default_rng(4)
-    N, K = 8, 4
-    A = np.sort(rng.choice(N, K, replace=False))
-    code = CodeConfig(N=N, K=K, r=None, A=A)
-    frozen = code.frozen_mask()
-    info = rng.integers(0, 2, (frames, K), dtype=np.uint8)
-    x = encode(assemble_source(info, code.A, N))
-    y = (1.0 - 2.0 * x) + rng.standard_normal((frames, N))
-    llr = channel_llr(y, 1.0)
-    u_scl, _ = scl_decode_batch(llr, frozen, 16)
-    u_ml, _ = ml_decode_batch(llr, frozen)
-    same = int(np.sum(np.all(u_scl == u_ml, axis=1)))
-    return same == frames, f"{same}/{frames} frames decision-identical"
-
-
-def check_noiseless_roundtrip(frames: int = 50) -> tuple:
-    cfg = ExperimentConfig()
-    cfg.snr_sweep_db = (np.inf,)
-    cfg.sir_db = None
-    cfg.comb_enabled = False
-    cfg.max_frames = frames
-    cfg.min_frame_errors = 1
-    cfg.construction_trials = 10_000
-    total = 0
-    for arm in ARM_PRESETS:
-        acfg = cfg.for_arm(arm)
-        code = build_code(acfg)
-        link = make_link(acfg, code, np.inf)
-        total += int(np.count_nonzero(run_link_frames(link, range(frames))))
-    return total == 0, f"{total} errors over {3 * frames} noiseless frames"
-
-
-SELFTEST_CHECKS = (
-    ("generator-conjugation", check_conjugation),
-    ("shaping-row-periodicity", check_row_periodicity),
-    ("map-bijection-order", check_map_bijection),
-    ("constrained-capacity-match", check_capacity_match),
-    ("transition-probability-oracle", check_transition_oracle),
-    ("scl-vs-ml", check_scl_vs_ml),
-    ("noiseless-roundtrip", check_noiseless_roundtrip),
-)
-
-
-def run_selftest(log=print) -> bool:
-    ok_all = True
-    for name, fn in SELFTEST_CHECKS:
-        ok, detail = fn()
-        ok_all &= ok
-        if log:
-            log(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return ok_all

@@ -7,9 +7,8 @@ deterministic.
 
 import numpy as np
 
-from combpolar import construction, decoder, modem, oracles, polar, shaping, spectral
-from combpolar.config import ARM_PRESETS, ExperimentConfig
-from combpolar import simulate
+from combpolar import construction, decoder, modem, polar, selftest, shaping, simulate, spectral
+from combpolar.config import ExperimentConfig
 
 
 def _report(k, ok, detail):
@@ -22,34 +21,13 @@ ALL_N = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 def test_criterion_1_structural_exactness():
     # conjugation identities, exact, N in {4,...,32}, all orders
-    ok_conj, detail_conj = simulate.check_conjugation(sizes=(4, 8, 16, 32))
+    ok_conj, detail_conj = selftest.check_conjugation(sizes=(4, 8, 16, 32))
     # local periodicity of every shaping row, N up to 1024, all orders
-    bad_rows = 0
-    for N in ALL_N:
-        m = N.bit_length() - 1
-        G = polar.generator_matrix(N)
-        for r in range(m):
-            L = 1 << (m - r - 1)
-            for i in shaping.cis(shaping.CisSpec(N, r)):
-                if not shaping.is_locally_periodic(G[i], L, 2):
-                    bad_rows += 1
+    ok_rows, detail_rows = selftest.check_row_periodicity(ALL_N)
     # bijection and order preservation, N up to 1024, all orders
-    bad_maps = 0
-    for N in ALL_N:
-        m = N.bit_length() - 1
-        idx = np.arange(N)
-        for r in range(m):
-            s = shaping.CisSpec(N, r)
-            img = shaping.half_to_cis(s, np.arange(N // 2, N))
-            ok = (
-                np.all(np.diff(img) > 0)
-                and np.array_equal(np.sort(img), shaping.cis(s))
-                and np.array_equal(shaping.cis_to_half(s, shaping.half_to_cis(s, idx)), idx)
-            )
-            bad_maps += 0 if ok else 1
-    ok = ok_conj and bad_rows == 0 and bad_maps == 0
-    _report(1, ok, f"conjugation: {detail_conj}; periodicity violations: {bad_rows}; "
-                   f"map violations: {bad_maps} (N up to 1024)")
+    ok_maps, detail_maps = selftest.check_map_bijection(ALL_N)
+    _report(1, ok_conj and ok_rows and ok_maps,
+            f"conjugation: {detail_conj}; periodicity: {detail_rows}; maps: {detail_maps}")
 
 
 def test_criterion_2_exact_spectral_nulls():
@@ -134,70 +112,27 @@ def test_criterion_4_capacity_table():
 
 def test_criterion_5_constrained_capacity_identity():
     N, trials = 16, 100_000
-    noise_var = construction.snr_db_to_noise_var(-2.0)
-    sym_mean, sym_se = construction.monte_carlo_symmetric_capacity(
-        N, noise_var, trials, np.random.default_rng(50)
+    ok, detail = selftest.check_capacity_match(
+        N, construction.snr_db_to_noise_var(-2.0), trials, trials, seed=50, tol_se=3.0
     )
-    worst_z = 0.0
-    pairs = 0
-    for r in range(4):
-        spec = shaping.CisSpec(N, r)
-        free, mean, se = oracles.constrained_capacity_curve(
-            N, r, noise_var, trials, np.random.default_rng(51 + r)
-        )
-        dec = shaping.cis_to_half(spec, free)
-        z = np.abs(mean - sym_mean[dec]) / np.sqrt(se**2 + sym_se[dec] ** 2)
-        worst_z = max(worst_z, float(z.max()))
-        pairs += len(free)
-    _report(5, worst_z < 3.0,
-            f"worst |z| = {worst_z:.2f} combined std errors over {pairs} "
-            f"(order, index) pairs at {trials} trials each (need < 3)")
+    pairs = (N.bit_length() - 1) * N // 2  # every order, every shaping-set index
+    _report(5, ok, f"{detail} over {pairs} (order, index) pairs at {trials} trials each "
+                   f"(need < 3)")
 
 
 def test_criterion_6_transition_probability_identity():
-    rng = np.random.default_rng(60)
-    N, noise_var = 8, 0.8
-    worst = 0.0
-    checks = 0
-    for r in range(3):
-        spec = shaping.CisSpec(N, r)
-        free = shaping.cis(spec)
-        t = shaping.receive_permutation(spec)
-        for i in free:
-            j = int(shaping.cis_to_half(spec, int(i)))
-            pos = int(np.searchsorted(free, i))
-            for _ in range(20):
-                y = rng.standard_normal(N) * 1.5
-                prefix = rng.integers(0, 2, pos)
-                u_i = int(rng.integers(0, 2))
-                lhs = oracles.subchannel_probability(y, prefix, int(i), u_i, noise_var, free)
-                rhs = oracles.subchannel_probability(
-                    y[t], np.concatenate([np.zeros(N // 2, dtype=np.int64), prefix]),
-                    j, u_i, noise_var,
-                )
-                worst = max(worst, abs(lhs - 2.0 ** (N // 2) * rhs) / max(abs(lhs), 1e-300))
-                checks += 1
-    _report(6, worst < 1e-9,
-            f"worst relative error {worst:.2e} over {checks} enumerated checks "
-            f"(constant 2^(N/2) included)")
+    draws = 20
+    ok, detail = selftest.check_transition_oracle(draws, seed=60)
+    checks = 3 * 4 * draws  # orders 0-2 at N=8, four shaping-set indices each
+    _report(6, ok, f"{detail} over {checks} enumerated checks (constant 2^(N/2) included)")
 
 
 def test_criterion_7_decoder_soundness():
     rng = np.random.default_rng(70)
     # exhaustive-list SCL equals maximum likelihood
-    N, K = 8, 4
-    A = np.sort(rng.choice(N, K, replace=False))
-    code = shaping.CodeConfig(N=N, K=K, r=None, A=A)
-    frozen = code.frozen_mask()
-    info = rng.integers(0, 2, (10_000, K), dtype=np.uint8)
-    x = polar.encode(polar.assemble_source(info, code.A, N))
-    y = (1.0 - 2.0 * x) + rng.standard_normal((10_000, N))
-    llr = decoder.channel_llr(y, 1.0)
-    u_scl, _ = decoder.scl_decode_batch(llr, frozen, 16)
-    u_ml, _ = decoder.ml_decode_batch(llr, frozen)
-    ml_same = int(np.sum(np.all(u_scl == u_ml, axis=1)))
+    ok_ml, detail_ml = selftest.check_scl_vs_ml(10_000, rng)
 
-    # degenerate list equals successive cancellation
+    # degenerate list equals successive cancellation, drawing on from rng
     N2, K2 = 64, 32
     A2 = np.sort(rng.choice(N2, K2, replace=False))
     code2 = shaping.CodeConfig(N=N2, K=K2, r=None, A=A2)
@@ -211,21 +146,11 @@ def test_criterion_7_decoder_soundness():
     sc_same = bool(np.array_equal(u_sc, u_l1) and np.array_equal(pm_sc, pm_l1))
 
     # noiseless frames decode perfectly for every arm of the link
-    noiseless_errors = 0
-    base = ExperimentConfig()
-    base.sir_db = None
-    base.comb_enabled = False
-    base.construction_trials = 20_000
-    base.design_snr_db = 1.0
-    for arm in ARM_PRESETS:
-        cfg = base.for_arm(arm)
-        arm_code = simulate.build_code(cfg)
-        link = simulate.make_link(cfg, arm_code, np.inf)
-        noiseless_errors += int(np.count_nonzero(simulate.run_link_frames(link, range(1000))))
+    ok_nl, detail_nl = selftest.check_noiseless_roundtrip(1000, design_snr_db=1.0)
 
-    ok = ml_same == 10_000 and sc_same and noiseless_errors == 0
-    _report(7, ok, f"SCL(16)=ML on {ml_same}/10000 frames; SCL(1)=SC bit-exact: {sc_same}; "
-                   f"noiseless errors {noiseless_errors}/3000 frames across arms")
+    _report(7, ok_ml and sc_same and ok_nl,
+            f"SCL(16)=ML: {detail_ml}; SCL(1)=SC bit-exact: {sc_same}; "
+            f"noiseless: {detail_nl} across arms")
 
 
 def test_criterion_8_fer_ordering_and_floor():

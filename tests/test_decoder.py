@@ -38,6 +38,18 @@ class TestSoftXor:
         assert np.isfinite(out[0])
 
 
+def subchannel_probability_bsc(x_obs, u_prefix, i, u_i, p, free_indices=None):
+    """oracles.subchannel_probability on a binary symmetric channel:
+    x_obs holds the observed antipodal values (+1/-1), and a flip relative
+    to the transmitted symbol has probability p."""
+    x_obs = np.asarray(x_obs, dtype=np.float64)
+    N = len(x_obs)
+    s, Kf = oracles._target_words(N, u_prefix, i, u_i, free_indices)
+    flips = np.sum(s != x_obs[None, :], axis=1)
+    lik = (p**flips) * ((1 - p) ** (N - flips))
+    return float(np.sum(lik) / 2.0 ** (Kf - 1))
+
+
 def random_code(rng, N, K):
     A = np.sort(rng.choice(N, K, replace=False))
     return shaping.CodeConfig(N=N, K=K, r=None, A=A)
@@ -273,9 +285,8 @@ class TestCcdDecode:
                 pos = int(np.searchsorted(free, i))
                 prefix = source[0, free[:pos]]
                 w = [
-                    oracles.subchannel_probability_bsc(x_obs=y, u_prefix=prefix,
-                                                       i=int(i), u_i=b, p=p,
-                                                       free_indices=free)
+                    subchannel_probability_bsc(x_obs=y, u_prefix=prefix, i=int(i),
+                                               u_i=b, p=p, free_indices=free)
                     for b in (0, 1)
                 ]
                 if abs(np.log(w[0] / w[1])) < 1e-9:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from combpolar import shaping, simulate
+from combpolar import selftest, shaping, simulate
 from combpolar.cli import main as cli_main
 from combpolar.config import ConfigError, ExperimentConfig, load_config
 
@@ -96,8 +96,9 @@ class TestConfig:
         assert cfg.for_arm("cp") is not cfg and cfg.r == 1
         with pytest.raises(ConfigError, match="unknown arm"):
             cfg.for_arm("csp")
-        with pytest.raises(ConfigError, match="ccd"):
-            cp.for_arm("csp-c")
+        for arm in ("csp-nonc", "csp-c"):
+            with pytest.raises(ConfigError, match=f"arm '{arm}' needs a shaped code"):
+                cp.for_arm(arm)
 
 
 class TestWilson:
@@ -234,6 +235,18 @@ class TestPsdRuns:
         out = simulate.run_psd(cfg, str(tmp_path))
         assert out["worst_relative_magnitude"] < 1e-9
 
+    def test_exact_tier_draws_configured_frames(self, tmp_path, monkeypatch):
+        calls = []
+        spectrum = simulate.exact_spectrum_magnitude
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "exact_spectrum_magnitude", counted)
+        simulate.run_psd(tiny_cfg(psd_tier="exact", psd_frames=3), str(tmp_path))
+        assert len(calls) == 3
+
 
 class TestMcscRun:
     def test_ordering_and_csv(self, tmp_path):
@@ -278,23 +291,33 @@ class TestSelftestNegativeControl:
                 good[two], good[three] = 3, 2
             return good
 
-        ok, detail = simulate.check_conjugation(map_fn=broken)
+        ok, detail = selftest.check_conjugation(map_fn=broken)
         assert not ok
 
     def test_intact_map_passes(self):
-        ok, _ = simulate.check_conjugation()
+        ok, _ = selftest.check_conjugation()
         assert ok
 
 
 class TestCli:
     def test_selftest_exit_zero(self, capsys):
         assert cli_main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[PASS] generator-conjugation",
+            "[PASS] shaping-row-periodicity",
+            "[PASS] map-bijection-order",
+            "[PASS] constrained-capacity-match",
+            "[PASS] transition-probability-oracle",
+            "[PASS] scl-vs-ml",
+            "[PASS] noiseless-roundtrip",
+        ]
+        assert lines[5].endswith(": 2000/2000 frames decision-identical")
+        assert lines[6].endswith(": 0 errors over 150 noiseless frames")
 
     def test_selftest_failure_exit_two(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            simulate, "SELFTEST_CHECKS",
+            selftest, "SELFTEST_CHECKS",
             (("doomed", lambda: (False, "injected failure")),),
         )
         assert cli_main(["selftest"]) == 2
