@@ -7,7 +7,7 @@ with the constrained construction/decoding that restores the lost
 sub-channel reliability, and a baseband link simulator.
 """
 
-from .channel import LinkChannel, calibrate_channel, impair, tone_centers
+from .channel import LinkChannel, calibrate_channel, impair
 from .construction import (
     ReliabilityProfile,
     estimate_symmetric_reliability,
@@ -16,7 +16,6 @@ from .construction import (
     select_conventional,
     select_symmetric,
     select_symmetric_in_cis,
-    validate_params,
 )
 from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols, srrc_taps
@@ -30,6 +29,14 @@ from .shaping import (
     is_locally_periodic,
     receive_permutation,
 )
-from .spectral import PsdEstimate, g_window, null_depth, null_set, welch_psd
+from .spectral import (
+    PsdEstimate,
+    covering_order,
+    g_window,
+    null_depth,
+    null_set,
+    tone_centers,
+    welch_psd,
+)
 
 __version__ = "0.1.0"

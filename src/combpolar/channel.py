@@ -15,15 +15,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .spectral import tone_centers
+
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-
-
-def tone_centers(fundamental_hz: float, offset_hz: float, f_max: float) -> np.ndarray:
-    """All tone centers offset + k*fundamental inside [-f_max, f_max]."""
-    k_lo = int(np.ceil((-f_max - offset_hz) / fundamental_hz))
-    k_hi = int(np.floor((f_max - offset_hz) / fundamental_hz))
-    return offset_hz + fundamental_hz * np.arange(k_lo, k_hi + 1)
 
 
 def _band_mask(n: int, sample_rate: float, band) -> np.ndarray:

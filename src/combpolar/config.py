@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 from scipy.signal import get_window
 
-from .channel import frame_samples, noise_tone_mask, tone_centers
+from .channel import frame_samples, noise_tone_mask
 from .modem import PulseSpec
+from .spectral import covering_order, tone_centers
 
 # every JSON key: (ExperimentConfig attribute, value type[, null allowed]);
 # "pulse." attributes belong to the PulseSpec
@@ -135,8 +136,6 @@ class ExperimentConfig:
         ).validate()
 
     def validate(self):
-        from .construction import validate_params
-
         if not (self.N >= 2 and self.N & (self.N - 1) == 0):
             raise ConfigError(f"code.N must be a power of two >= 2, got {self.N}")
         samples = frame_samples(self)
@@ -200,33 +199,6 @@ class ExperimentConfig:
                 f"no tone of the grid (offset {self.tone_offset_hz} Hz, spacing "
                 f"{fun} Hz) falls inside the signal band +/-{half} Hz"
             )
-        if self.r is not None:
-            if self.K > self.N // 2:
-                raise ConfigError("rate exceeds 1/2 under a shaping index set")
-            check = validate_params(self.symbol_rate, fun, self.N)
-            if not check["feasible"]:
-                raise ConfigError(
-                    "infeasible parameters: N / (2*symbol_rate/fundamental) "
-                    f"= {self.N * fun / (2 * self.symbol_rate):.6g} "
-                    "is not a positive integer"
-                )
-            # nulls sit at odd multiples of the semiperiod; they cover the
-            # tone grid iff the offset is an odd multiple and the spacing
-            # an even multiple of it
-            semi = (1 << self.r) * self.symbol_rate / self.N
-            off, fun_semi = self.tone_offset_hz / semi, fun / semi
-            aligned = (
-                abs(off - round(off)) < 1e-9 and int(round(off)) % 2 == 1
-                and abs(fun_semi - round(fun_semi)) < 1e-9 and int(round(fun_semi)) % 2 == 0
-            )
-            if not aligned:
-                rec = check["recommended_r"]
-                hint = f"; these parameters need r = {rec}" if rec is not None else ""
-                raise ConfigError(
-                    f"shaping order {self.r} puts nulls at odd multiples of "
-                    f"{semi:.6g} Hz, which do not cover the tone grid "
-                    f"(offset {self.tone_offset_hz} Hz, spacing {fun} Hz){hint}"
-                )
         interfered = self.sir_db is not None and self.sir_db != math.inf
         if interfered and self.tone_model == "noise" and noise_tone_mask(self)[1] == 0:
             raise ConfigError(f"no FFT bin of the {samples}-sample frame lies in both a "
@@ -242,23 +214,42 @@ class ExperimentConfig:
             get_window(self.welch_window, 16)  # checks the name only
         except (TypeError, ValueError):
             raise ConfigError(f"unknown welch.window {self.welch_window!r}") from None
-        if self.psd_tier != "welch":
-            return self
-        psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
-        if self.welch_segment > psd_samples:
-            raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
-                              f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
-        if psd_samples > MAX_PSD_SAMPLES:
-            raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
-                              f"PSD signal, over {MAX_PSD_SAMPLES}")
-        # notch depths are read off the Welch grid, spaced as np.fft.fftfreq spaces it
-        seg = self.welch_segment
-        step = 1.0 / (seg * (1.0 / self.sample_rate))
-        lo, hi = -(seg // 2) * step, (seg - 1) // 2 * step
-        targets = tone_centers(fun, self.tone_offset_hz, half)
-        if targets[0] < lo or targets[-1] > hi:
-            raise ConfigError(f"a {seg}-point welch.segment spans [{lo:g}, {hi:g}] Hz, "
-                              f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
+        if self.psd_tier == "welch":
+            psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
+            if self.welch_segment > psd_samples:
+                raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
+                                  f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
+            if psd_samples > MAX_PSD_SAMPLES:
+                raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
+                                  f"PSD signal, over {MAX_PSD_SAMPLES}")
+            # notch depths are read off the Welch grid, spaced as np.fft.fftfreq spaces it
+            seg = self.welch_segment
+            step = 1.0 / (seg * (1.0 / self.sample_rate))
+            lo, hi = -(seg // 2) * step, (seg - 1) // 2 * step
+            targets = tone_centers(fun, self.tone_offset_hz, half)
+            if targets[0] < lo or targets[-1] > hi:
+                raise ConfigError(f"a {seg}-point welch.segment spans [{lo:g}, {hi:g}] Hz, "
+                                  f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
+        # last, so an order the message names passes every other check
+        if self.r is not None:
+            if self.K > self.N // 2:
+                raise ConfigError("rate exceeds 1/2 under a shaping index set")
+            order = covering_order(self.N, self.symbol_rate, fun, self.tone_offset_hz)
+            if order != self.r:
+                q = self.N * fun / (2 * self.symbol_rate)
+                if order is not None:
+                    why = f"these parameters need r = {order}"
+                elif math.isfinite(q) and round(q) >= 1 and abs(q - round(q)) < 1e-9:
+                    why = "no shaping order covers it"
+                else:
+                    why = ("no shaping order covers it, as N / (2*symbol_rate/fundamental) "
+                           f"= {q:.6g} is not a positive integer")
+                semi = (1 << self.r) * self.symbol_rate / self.N
+                raise ConfigError(
+                    f"shaping order {self.r} puts nulls at odd multiples of "
+                    f"{semi:.6g} Hz, which do not cover the tone grid "
+                    f"(offset {self.tone_offset_hz} Hz, spacing {fun} Hz); {why}"
+                )
         return self
 
 

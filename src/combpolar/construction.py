@@ -55,29 +55,6 @@ class ReliabilityProfile:
 
 
 # --------------------------------------------------------------------------
-# parameter validation (signal-interference separability)
-# --------------------------------------------------------------------------
-
-def validate_params(symbol_rate: float, fundamental_hz: float, N: int) -> dict:
-    """Check N / (2*symbol_rate/fundamental) is a positive integer.
-
-    Returns {"feasible": bool, "recommended_r": int | None}; the
-    recommendation exists when the quotient is a power of two in
-    {1,...,N/2}, placing nulls exactly on the interference grid.
-    """
-    if symbol_rate <= 0 or fundamental_hz <= 0 or N <= 0:
-        raise ValueError("symbol rate, fundamental frequency and N must be positive")
-    _check_power_of_two(N)
-    q = N * fundamental_hz / (2.0 * symbol_rate)
-    q_int = int(round(q))
-    feasible = q_int >= 1 and abs(q - q_int) < 1e-9
-    rec = None
-    if feasible and q_int & (q_int - 1) == 0 and q_int <= N // 2:
-        rec = q_int.bit_length() - 1
-    return {"feasible": feasible, "recommended_r": rec}
-
-
-# --------------------------------------------------------------------------
 # Gaussian-approximation density evolution
 # --------------------------------------------------------------------------
 

@@ -30,10 +30,6 @@ class CisSpec:
                 f"shaping order must lie in [0, {m - 1}], got {self.r}"
             )
 
-    @property
-    def m(self) -> int:
-        return self.N.bit_length() - 1
-
 
 def cis(spec: CisSpec) -> np.ndarray:
     """Ascending index set {i : bit r of i is 1}; always N/2 indices."""
@@ -121,7 +117,7 @@ class CodeConfig:
     K: int
     r: int | None
     A: np.ndarray
-    A_dec: np.ndarray = field(default=None)  # type: ignore[assignment]
+    A_dec: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _check_power_of_two(self.N)
@@ -145,11 +141,7 @@ class CodeConfig:
             )
         if self.K > self.N // 2:
             raise ValueError("rate exceeds 1/2 under a shaping index set")
-        a_dec = np.sort(cis_to_half(spec, A))
-        if self.A_dec is None:
-            object.__setattr__(self, "A_dec", a_dec)
-        elif not np.array_equal(np.sort(np.asarray(self.A_dec)), a_dec):
-            raise ValueError("A_dec is not the inverse-map image of A")
+        object.__setattr__(self, "A_dec", np.sort(cis_to_half(spec, A)))
 
     @property
     def spec(self) -> CisSpec | None:

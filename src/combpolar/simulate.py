@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .channel import LinkChannel, calibrate_channel, impair, tone_centers
+from .channel import LinkChannel, calibrate_channel, impair
 from .config import ConfigError, ExperimentConfig
 from .construction import (
     ReliabilityProfile,
@@ -34,7 +34,13 @@ from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols
 from .polar import assemble_source, encode
 from .shaping import CisSpec, CodeConfig, index_set_text
-from .spectral import exact_null_bins, exact_spectrum_magnitude, null_depth, welch_psd
+from .spectral import (
+    exact_null_bins,
+    exact_spectrum_magnitude,
+    null_depth,
+    tone_centers,
+    welch_psd,
+)
 
 _INFO_STREAM, _CHANNEL_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 0, 1, 2, 3
 _SUPER_BATCH = 512

@@ -1,5 +1,7 @@
 """Spectral analysis: the repetition window function, Welch PSD estimation,
-the predicted null grid of a comb-shaped signal, and notch-depth reports.
+the interference tone grid, the predicted null grid of a comb-shaped
+signal and the shaping order whose nulls cover the tones, and notch-depth
+reports.
 
 Two verification tiers are supported.  The exact tier uses a rectangular
 pulse and a frame length that puts every predicted null exactly on an FFT
@@ -10,6 +12,7 @@ finite measured depth set by the analysis resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +40,41 @@ def g_window(M: int, T: float, f) -> np.ndarray | complex:
     return out if f_arr.ndim else complex(out)
 
 
+def tone_centers(fundamental_hz: float, offset_hz: float, f_max: float) -> np.ndarray:
+    """All tone centers offset + k*fundamental inside [-f_max, f_max]."""
+    k_lo = int(np.ceil((-f_max - offset_hz) / fundamental_hz))
+    k_hi = int(np.floor((f_max - offset_hz) / fundamental_hz))
+    return offset_hz + fundamental_hz * np.arange(k_lo, k_hi + 1)
+
+
 def null_set(N: int, r: int, symbol_rate: float, f_max: float) -> np.ndarray:
     """Predicted spectral nulls (1 + 2a) * 2^r * symbol_rate/N within [-f_max, f_max]."""
-    f_w = symbol_rate / N
-    semiperiod = (1 << r) * f_w
-    a_lo = int(np.ceil((-f_max / semiperiod - 1) / 2))
-    a_hi = int(np.floor((f_max / semiperiod - 1) / 2))
-    return semiperiod * (1 + 2 * np.arange(a_lo, a_hi + 1))
+    semiperiod = (1 << r) * (symbol_rate / N)
+    return tone_centers(2 * semiperiod, semiperiod, f_max)
+
+
+def _near_int(x: float) -> int | None:
+    """x as an integer if it lies within 1e-9 of one, else None."""
+    return round(x) if math.isfinite(x) and abs(x - round(x)) < 1e-9 else None
+
+
+def covering_order(N: int, symbol_rate: float, fundamental_hz: float,
+                   offset_hz: float) -> int | None:
+    """The shaping order whose nulls hold every tone offset + k*fundamental,
+    or None if no order in [0, log2 N) does.
+
+    Order r puts nulls at the odd multiples of semi = 2^r * symbol_rate/N,
+    so it covers the grid iff offset/semi is an odd integer and
+    fundamental/semi an even one.  At most one order can: halving semi
+    makes the offset ratio even, and doubling it makes it fractional.
+    """
+    for r in range(N.bit_length() - 1):
+        semiperiod = (1 << r) * (symbol_rate / N)
+        off = _near_int(offset_hz / semiperiod)
+        fun = _near_int(fundamental_hz / semiperiod)
+        if off is not None and fun is not None and off % 2 == 1 and fun % 2 == 0:
+            return r
+    return None
 
 
 @dataclass

@@ -58,6 +58,11 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
     ("psd", {"modem": {"sps": 1}}, "modem.sps 1 puts the Nyquist frequency at 400 Hz"),
     ("psd", {"modem": {"sps": 2, "rolloff": 0.99}, "welch": {"segment": 16}},
      "a 16-point welch.segment spans [-800, 700] Hz"),
+    # a tone grid that another order covers names that order; one that no
+    # order covers (a tone at DC) names none
+    ("fer", {"channel": {"tone_offset_hz": 12.5}}, "these parameters need r = 2"),
+    ("fer", {"code": {"r": 2}, "channel": {"tone_offset_hz": 0.0}},
+     "no shaping order covers it"),
 ])
 def test_bad_value_exits_one_with_one_line(tmp_path, capsys, command, cfg, message):
     path = tmp_path / "bad.json"
@@ -66,6 +71,14 @@ def test_bad_value_exits_one_with_one_line(tmp_path, capsys, command, cfg, messa
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_order_hint_is_right():
+    # the order a rejection names loads, and a grid no order covers names none
+    assert load_config(None, {"code": {"r": 2}, "channel": {"tone_offset_hz": 12.5}}).r == 2
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, {"code": {"r": 2}, "channel": {"tone_offset_hz": 0.0}})
+    assert "r = " not in str(exc.value)
 
 
 def test_threads_bounds():

@@ -11,34 +11,6 @@ from combpolar.simulate import build_code
 ROOT = Path(__file__).resolve().parents[1]
 
 
-class TestValidateParams:
-    def test_reference_cases(self):
-        assert construction.validate_params(800.0, 50.0, 256) == {
-            "feasible": True, "recommended_r": 3,
-        }
-        assert construction.validate_params(800.0, 50.0, 1024) == {
-            "feasible": True, "recommended_r": 5,
-        }
-        assert construction.validate_params(25600.0, 50.0, 1024) == {
-            "feasible": True, "recommended_r": 0,
-        }
-
-    def test_feasible_without_recommendation(self):
-        # quotient 3 is a positive integer but not a power of two
-        out = construction.validate_params(300.0, 50.0, 256)  # 256/(12) not integer
-        assert out["feasible"] is False
-        out = construction.validate_params(2400.0, 450.0, 32)  # 32/(32/3) = 3
-        assert out["feasible"] is True
-        assert out["recommended_r"] is None
-
-    def test_infeasible(self):
-        assert construction.validate_params(800.0, 60.0, 256)["feasible"] is False
-
-    def test_positivity(self):
-        with pytest.raises(ValueError):
-            construction.validate_params(-800.0, 50.0, 256)
-
-
 class TestGaussianApproximation:
     def test_extreme_snr_limits(self):
         hi = construction.estimate_symmetric_reliability(2, 25.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,48 @@ class TestNullSet:
         a = spectral.null_set(256, 3, 800.0, 500.0)
         b = spectral.null_set(1024, 5, 800.0, 500.0)
         assert np.array_equal(a, b)
+
+
+class TestCoveringOrder:
+    """The one shaping order whose nulls hold every tone of the grid."""
+
+    def test_reference_cases(self):
+        # (N, symbol rate, fundamental, offset) -> order
+        assert spectral.covering_order(256, 800.0, 50.0, 25.0) == 3
+        assert spectral.covering_order(1024, 800.0, 50.0, 25.0) == 5
+        assert spectral.covering_order(1024, 25600.0, 50.0, 25.0) == 0
+
+    def test_quotient_not_a_power_of_two(self):
+        # N*fundamental/(2*symbol_rate) = 3; nulls at odd multiples of 75 Hz
+        # still hold the tones 225 + 450k Hz
+        assert spectral.covering_order(32, 2400.0, 450.0, 225.0) == 0
+
+    def test_no_order(self):
+        assert spectral.covering_order(256, 800.0, 60.0, 25.0) is None
+        assert spectral.covering_order(256, 300.0, 50.0, 25.0) is None
+        # a tone at DC sits on no null
+        assert spectral.covering_order(256, 800.0, 50.0, 0.0) is None
+
+    def test_agrees_with_null_membership(self):
+        # with two neighbouring tones in range, the nulls hold every tone in
+        # range iff they hold the whole grid
+        covered = 0
+        for N, rate, fun, frac in itertools.product(
+            (16, 64, 256), (400.0, 800.0, 2400.0), (25.0, 50.0, 150.0, 450.0),
+            (0.0, 0.125, 0.25, 0.5, 0.75, 1 / 3),
+        ):
+            offset, f_max = fun * frac, 2 * fun
+            tones = spectral.tone_centers(fun, offset, f_max)
+            assert len(tones) >= 2
+            holding = [
+                r for r in range(N.bit_length() - 1)
+                if all(np.any(np.isclose(spectral.null_set(N, r, rate, f_max), t,
+                                         rtol=0.0, atol=1e-9)) for t in tones)
+            ]
+            order = spectral.covering_order(N, rate, fun, offset)
+            assert holding == ([] if order is None else [order]), (N, rate, fun, offset)
+            covered += order is not None
+        assert covered >= 10
 
 
 class TestWelchPsd:
