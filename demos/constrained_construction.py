@@ -15,7 +15,6 @@ import numpy as np
 from combpolar import construction, oracles, shaping
 
 N, r, SNR_DB = 256, 3, -2.0
-spec = shaping.CisSpec(N, r)
 
 print(f"estimating per-index capacities at N={N}, {SNR_DB} dB "
       "(genie-aided Monte Carlo, 200k frames)...")
@@ -23,16 +22,14 @@ noise_var = construction.snr_db_to_noise_var(SNR_DB)
 mean, _ = construction.monte_carlo_symmetric_capacity(
     N, noise_var, 200_000, np.random.default_rng(0), batch=4096
 )
-profile = construction.ReliabilityProfile(
-    N, SNR_DB, "monte-carlo-genie", np.clip(mean, 0, 1)
-)
+capacity = np.clip(mean, 0, 1)
 
 print(f"\n{'rate':>6} {'constrained-rule':>17} {'symmetric-rule':>15}")
 for K in (64, 80, 96):
-    cfg_c = construction.select_cis_constrained(profile, K, spec)
-    cfg_s = construction.select_symmetric_in_cis(profile, K, spec)
-    mc_c = construction.mcsc(cfg_c, profile)
-    mc_s = construction.mcsc(cfg_s, profile)
+    cfg_c = construction.select_code(capacity, K, r, "cis-constrained")
+    cfg_s = construction.select_code(capacity, K, r, "symmetric")
+    mc_c = construction.mcsc(cfg_c, capacity)
+    mc_s = construction.mcsc(cfg_s, capacity)
     print(f"{K}/{N:>3} {mc_c:>17.4f} {mc_s:>15.4f}")
 print("(minimum constrained sub-channel capacity of the selected set; "
       "higher is better)")

@@ -20,18 +20,17 @@ from combpolar import construction, decoder, polar, shaping
 rng = np.random.default_rng(0)
 N, r, K = 256, 3, 96
 SNR_DB = 0.0
-spec = shaping.CisSpec(N, r)
 
-profile = construction.estimate_symmetric_reliability(N, 1.0)
-code_mapped = construction.select_cis_constrained(profile, K, spec)
-code_plain = construction.select_symmetric_in_cis(profile, K, spec)
+capacity = construction.estimate_symmetric_reliability(N, 1.0)
+code_mapped = construction.select_code(capacity, K, r, "cis-constrained")
+code_plain = construction.select_code(capacity, K, r, "symmetric")
 # plain decoding is the same decoder on the same A with no permutation
 code_unpermuted = shaping.CodeConfig(N, K, None, code_plain.A)
 print(f"shaped codes at N={N}, K={K}, order {r}")
 print(f"  mapped construction:    min constrained capacity "
-      f"{construction.mcsc(code_mapped, profile):.4f}")
+      f"{construction.mcsc(code_mapped, capacity):.4f}")
 print(f"  symmetric construction: min constrained capacity "
-      f"{construction.mcsc(code_plain, profile):.4f}")
+      f"{construction.mcsc(code_plain, capacity):.4f}")
 
 noise_var = construction.snr_db_to_noise_var(SNR_DB)
 frames = 4000

@@ -8,15 +8,7 @@ sub-channel reliability, and a baseband link simulator.
 """
 
 from .channel import LinkChannel, calibrate_channel, impair
-from .construction import (
-    ReliabilityProfile,
-    estimate_symmetric_reliability,
-    mcsc,
-    select_cis_constrained,
-    select_conventional,
-    select_symmetric,
-    select_symmetric_in_cis,
-)
+from .construction import CRITERIA, estimate_symmetric_reliability, mcsc, select_code
 from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols, srrc_taps
 from .polar import assemble_source, bit_reversal, encode, generator_matrix, generator_row

@@ -12,9 +12,11 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 
+import numpy as np
 from scipy.signal import get_window
 
 from .channel import frame_samples, noise_tone_mask
+from .construction import CRITERIA, select_code
 from .modem import PulseSpec
 from .spectral import covering_order, tone_centers
 
@@ -44,7 +46,7 @@ _FIELDS = {
 }
 
 _CHOICES = {
-    "criterion": ("cis-constrained", "symmetric"),
+    "criterion": CRITERIA,
     "decoder_mode": ("ccd", "plain"),
     "construction_method": ("gaussian-approximation", "monte-carlo-genie"),
     "tone_model": ("noise", "sinusoid"),
@@ -141,8 +143,8 @@ class ExperimentConfig:
         samples = frame_samples(self)
         if samples > MAX_FRAME_SAMPLES:
             raise ConfigError(f"a frame of {samples} samples exceeds {MAX_FRAME_SAMPLES}")
-        if not 1 <= self.K <= self.N:
-            raise ConfigError(f"code.K must lie in [1, {self.N}], got {self.K}")
+        if self.K < 1:
+            raise ConfigError(f"code.K must be >= 1, got {self.K}")
         if self.r is not None and not 0 <= self.r < self.N.bit_length() - 1:
             raise ConfigError(
                 f"code.r must be null or lie in [0, {self.N.bit_length() - 2}], got {self.r}"
@@ -231,9 +233,11 @@ class ExperimentConfig:
                 raise ConfigError(f"a {seg}-point welch.segment spans [{lo:g}, {hi:g}] Hz, "
                                   f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
         # last, so an order the message names passes every other check
+        try:  # K against the candidate set of the selection rule
+            select_code(np.zeros(self.N), self.K, self.r, self.criterion)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.r is not None:
-            if self.K > self.N // 2:
-                raise ConfigError("rate exceeds 1/2 under a shaping index set")
             order = covering_order(self.N, self.symbol_rate, fun, self.tone_offset_hz)
             if order != self.r:
                 q = self.N * fun / (2 * self.symbol_rate)

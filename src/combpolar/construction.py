@@ -16,11 +16,9 @@ filtering maps the ratio to a per-dimension symbol noise variance of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .shaping import CisSpec, CodeConfig, cis_to_half, half_to_cis
+from .shaping import CisSpec, CodeConfig, cis, half_to_cis
 from .decoder import genie_decision_llrs
 from .polar import _check_power_of_two, encode
 
@@ -34,24 +32,6 @@ def snr_db_to_noise_var(snr_db: float, rolloff: float = DEFAULT_ROLLOFF) -> floa
     of its energy inside it.
     """
     return (1.0 - rolloff / 4.0) / (2.0 * 10 ** (snr_db / 10))
-
-
-@dataclass
-class ReliabilityProfile:
-    """Per-index symmetric sub-channel capacity estimates in [0, 1]."""
-
-    N: int
-    snr_db: float
-    method: str
-    capacity: np.ndarray
-    std_err: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.capacity = np.asarray(self.capacity, dtype=np.float64)
-        if len(self.capacity) != self.N:
-            raise ValueError("capacity vector length must equal N")
-        if np.any(self.capacity < 0) or np.any(self.capacity > 1):
-            raise ValueError("capacities must lie in [0, 1]")
 
 
 # --------------------------------------------------------------------------
@@ -179,21 +159,21 @@ def estimate_symmetric_reliability(
     trials: int = 200_000,
     rng=None,
     rolloff: float = DEFAULT_ROLLOFF,
-) -> ReliabilityProfile:
-    """Build a per-index symmetric-capacity profile.
+) -> np.ndarray:
+    """Per-index symmetric capacity in [0, 1], an (N,) array.
 
     method is "gaussian-approximation" (deterministic) or
-    "monte-carlo-genie" (genie-aided estimate from `trials` source words).
+    "monte-carlo-genie" (genie-aided estimate from `trials` source words,
+    clipped to [0, 1]).
     """
     noise_var = snr_db_to_noise_var(snr_db, rolloff)
     if method == "gaussian-approximation":
-        cap = _capacity_from_mean_llr(gaussian_approximation_means(N, noise_var))
-        return ReliabilityProfile(N, snr_db, method, cap)
+        return _capacity_from_mean_llr(gaussian_approximation_means(N, noise_var))
     if method == "monte-carlo-genie":
         if rng is None:
             rng = np.random.default_rng(0)
-        mean, se = monte_carlo_symmetric_capacity(N, noise_var, trials, rng)
-        return ReliabilityProfile(N, snr_db, method, np.clip(mean, 0.0, 1.0), std_err=se)
+        mean, _ = monte_carlo_symmetric_capacity(N, noise_var, trials, rng)
+        return np.clip(mean, 0.0, 1.0)
     raise ValueError(f"unknown reliability method {method!r}")
 
 
@@ -201,62 +181,48 @@ def estimate_symmetric_reliability(
 # information index selection
 # --------------------------------------------------------------------------
 
-def select_symmetric(profile: ReliabilityProfile, K: int, restrict) -> np.ndarray:
-    """The K indices of `restrict` with the largest capacity, ascending.
+# the selection criteria of a shaped code, in the row order of mcsc.csv
+CRITERIA = ("cis-constrained", "symmetric")
 
-    Ties resolve to the smaller index, so selection is deterministic.
+
+def select_code(capacity, K: int, r: int | None = None,
+                criterion: str = "symmetric") -> CodeConfig:
+    """The code of length len(capacity) whose K information indices are the
+    most reliable candidates.
+
+    Candidates are all indices for a conventional code (r None, either
+    criterion), the shaping set cis(r) ranked by raw symmetric capacity for
+    "symmetric", and the top half {N/2,...,N-1} for "cis-constrained",
+    whose picks are then mapped into the shaping set: by the capacity
+    identity the image carries the same constrained reliabilities.  Ties
+    resolve to the smaller index, so selection is deterministic.
     """
-    restrict = np.asarray(restrict, dtype=np.int64)
-    if K > len(restrict):
-        raise ValueError(f"K = {K} exceeds candidate set size {len(restrict)}")
-    cap = profile.capacity[restrict]
-    order = np.lexsort((restrict, -cap))
-    return np.sort(restrict[order[:K]])
+    capacity = np.asarray(capacity, dtype=np.float64)
+    N = len(capacity)
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown selection criterion {criterion!r}")
+    spec = None if r is None else CisSpec(N, r)
+    if spec is None:
+        cand = np.arange(N, dtype=np.int64)
+    elif criterion == "cis-constrained":
+        cand = np.arange(N // 2, N, dtype=np.int64)
+    else:
+        cand = cis(spec)
+    if K > len(cand):
+        raise ValueError(f"K = {K} exceeds the {len(cand)} candidate indices"
+                         + ("" if spec is None else
+                            "; rate exceeds 1/2 under a shaping index set"))
+    picks = cand[np.lexsort((cand, -capacity[cand]))[:K]]
+    if spec is not None and criterion == "cis-constrained":
+        picks = half_to_cis(spec, picks)
+    return CodeConfig(N=N, K=K, r=r, A=picks)
 
 
-def select_cis_constrained(profile: ReliabilityProfile, K: int, spec: CisSpec) -> CodeConfig:
-    """Construct a shaped code: best top-half indices mapped into the set.
-
-    The decoder-side set is the K most reliable of {N/2,...,N-1}; the
-    transmit-side information set is its forward-map image, which by the
-    capacity identity carries the same constrained reliabilities.
-    """
-    N = profile.N
-    if K > N // 2:
-        raise ValueError("rate exceeds 1/2 under a shaping index set")
-    upper = np.arange(N // 2, N, dtype=np.int64)
-    a_dec = select_symmetric(profile, K, upper)
-    A = np.sort(half_to_cis(spec, a_dec))
-    return CodeConfig(N=N, K=K, r=spec.r, A=A)
-
-
-def select_symmetric_in_cis(profile: ReliabilityProfile, K: int, spec: CisSpec) -> CodeConfig:
-    """Baseline shaped code: K best indices inside the shaping set by raw
-    symmetric capacity (ignores the constrained-capacity reindexing)."""
-    from .shaping import cis as cis_set
-
-    if K > profile.N // 2:
-        raise ValueError("rate exceeds 1/2 under a shaping index set")
-    A = select_symmetric(profile, K, cis_set(spec))
-    return CodeConfig(N=profile.N, K=K, r=spec.r, A=A)
-
-
-def select_conventional(profile: ReliabilityProfile, K: int) -> CodeConfig:
-    """Unshaped code: K most reliable indices over all of {0,...,N-1}."""
-    A = select_symmetric(profile, K, np.arange(profile.N, dtype=np.int64))
-    return CodeConfig(N=profile.N, K=K, r=None, A=A)
-
-
-def mcsc(config: CodeConfig, profile: ReliabilityProfile) -> float:
+def mcsc(code: CodeConfig, capacity) -> float:
     """Minimum constrained sub-channel capacity of the information set.
 
-    For a shaped code the constrained capacity at transmit index i equals
-    the symmetric capacity at the inverse-mapped index; for a conventional
-    code it is the symmetric capacity itself.
+    The constrained capacity at a transmit index of a shaped code equals
+    the symmetric capacity at its decoder-side index; for a conventional
+    code A_dec is A, so it is the symmetric capacity itself.
     """
-    if profile.N != config.N:
-        raise ValueError("profile and code lengths differ")
-    if config.r is None:
-        return float(np.min(profile.capacity[config.A]))
-    dec = cis_to_half(config.spec, config.A)
-    return float(np.min(profile.capacity[dec]))
+    return float(np.min(np.asarray(capacity)[code.A_dec]))

@@ -219,26 +219,3 @@ def ccd_decode_batch(y: np.ndarray, config: CodeConfig, noise_var: float, list_s
     source = np.zeros((y.shape[0], config.N), dtype=np.uint8)
     source[:, config.A] = info
     return info, source, pm
-
-
-def ml_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
-    """Exhaustive maximum-likelihood oracle over all 2^K codewords.
-
-    Only intended for tiny codes; ranks codewords by correlation with the
-    LLR vector (equivalently by likelihood), ties to the smaller source
-    word.  Returns (source bits (B, N), selected codeword index (B,)).
-    """
-    from .polar import assemble_source, encode
-
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    N = llrs.shape[1]
-    frozen = np.asarray(frozen_mask, dtype=bool)
-    A = np.flatnonzero(~frozen)
-    K = len(A)
-    if K > 20:
-        raise ValueError(f"refusing exhaustive search over 2^{K} codewords")
-    words = ((np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
-    codebook = encode(assemble_source(words, A, N))
-    corr = llrs @ (1.0 - 2.0 * codebook.astype(np.float64)).T
-    pick = np.argmax(corr, axis=1)
-    return assemble_source(words[pick], A, N), pick

@@ -29,6 +29,25 @@ def _codebook_symbols(N: int, free: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * cw.astype(np.float64)
 
 
+def ml_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
+    """Exhaustive maximum-likelihood decoding over all 2^K codewords.
+
+    Ranks codewords by correlation with the LLR vector (equivalently by
+    likelihood), ties to the smaller source word.  Returns (source bits
+    (B, N), selected codeword index (B,)).
+    """
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    N = llrs.shape[1]
+    A = np.flatnonzero(~np.asarray(frozen_mask, dtype=bool))
+    K = len(A)
+    if K > 20:
+        raise ValueError(f"refusing exhaustive search over 2^{K} codewords")
+    pick = np.argmax(llrs @ _codebook_symbols(N, A).T, axis=1)
+    u = np.zeros((len(llrs), N), dtype=np.uint8)
+    u[:, A] = (pick[:, None] >> np.arange(K - 1, -1, -1)) & 1
+    return u, pick
+
+
 def _target_words(N: int, u_prefix, i: int, u_i: int, free_indices) -> tuple:
     """BPSK symbols of every source word that matches the prefix and has
     u_i at index i, with the free-index count Kf; see subchannel_probability

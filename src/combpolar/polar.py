@@ -73,22 +73,14 @@ def encode(u: np.ndarray) -> np.ndarray:
 
 
 def assemble_source(info_bits: np.ndarray, A: np.ndarray, N: int) -> np.ndarray:
-    """Scatter K info bits into an N-length source word, zeros elsewhere.
+    """Scatter info bits (..., K) into source words (..., N), zeros elsewhere.
 
-    `A` must be the ascending information index set; info_bits[k] is placed
-    at index A[k].
+    `A` must be the ascending information index set; info_bits[..., k] is
+    placed at index A[k].
     """
     info_bits = np.asarray(info_bits, dtype=np.uint8)
     A = np.asarray(A, dtype=np.int64)
     _check_power_of_two(N)
-    if info_bits.ndim == 1:
-        if len(A) != len(info_bits):
-            raise ValueError(
-                f"info length {len(info_bits)} != |A| = {len(A)}"
-            )
-        u = np.zeros(N, dtype=np.uint8)
-        u[A] = info_bits
-        return u
     if info_bits.shape[-1] != len(A):
         raise ValueError(
             f"info length {info_bits.shape[-1]} != |A| = {len(A)}"

@@ -12,7 +12,7 @@ import numpy as np
 from . import oracles
 from .config import ARM_PRESETS, ExperimentConfig
 from .construction import monte_carlo_symmetric_capacity
-from .decoder import channel_llr, ml_decode_batch, scl_decode_batch
+from .decoder import channel_llr, scl_decode_batch
 from .polar import assemble_source, bit_reversal, encode, generator_matrix
 from .shaping import (
     CisSpec,
@@ -146,7 +146,7 @@ def check_scl_vs_ml(frames: int = 2000, seed=4) -> tuple:
     y = (1.0 - 2.0 * x) + rng.standard_normal((frames, N))
     llr = channel_llr(y, 1.0)
     u_scl, _ = scl_decode_batch(llr, frozen, 16)
-    u_ml, _ = ml_decode_batch(llr, frozen)
+    u_ml, _ = oracles.ml_decode_batch(llr, frozen)
     same = int(np.sum(np.all(u_scl == u_ml, axis=1)))
     return same == frames, f"{same}/{frames} frames decision-identical"
 

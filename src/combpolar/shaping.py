@@ -139,8 +139,6 @@ class CodeConfig:
                 f"information indices {A[~in_cis].tolist()} lie outside the "
                 f"order-{self.r} shaping set"
             )
-        if self.K > self.N // 2:
-            raise ValueError("rate exceeds 1/2 under a shaping index set")
         object.__setattr__(self, "A_dec", np.sort(cis_to_half(spec, A)))
 
     @property

@@ -19,13 +19,11 @@ import numpy as np
 from .channel import LinkChannel, calibrate_channel, impair
 from .config import ConfigError, ExperimentConfig
 from .construction import (
-    ReliabilityProfile,
+    CRITERIA,
     estimate_symmetric_reliability,
     mcsc,
     monte_carlo_symmetric_capacity,
-    select_cis_constrained,
-    select_conventional,
-    select_symmetric_in_cis,
+    select_code,
     snr_db_to_noise_var,
 )
 # sc_decode_batch and scl_decode_batch are not called here; perfbench/tracing.py
@@ -33,7 +31,7 @@ from .construction import (
 from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols
 from .polar import assemble_source, encode
-from .shaping import CisSpec, CodeConfig, index_set_text
+from .shaping import CodeConfig, index_set_text
 from .spectral import (
     exact_null_bins,
     exact_spectrum_magnitude,
@@ -57,7 +55,8 @@ def _rng(master_seed: int, stream: int, index: int = 0):
 # code construction
 # --------------------------------------------------------------------------
 
-def build_profile(cfg: ExperimentConfig) -> ReliabilityProfile:
+def build_profile(cfg: ExperimentConfig) -> np.ndarray:
+    """The configured per-index symmetric capacity, an (N,) array."""
     return estimate_symmetric_reliability(
         cfg.N,
         cfg.design_snr_db,
@@ -68,22 +67,17 @@ def build_profile(cfg: ExperimentConfig) -> ReliabilityProfile:
     )
 
 
-def build_code(cfg: ExperimentConfig, profile: ReliabilityProfile | None = None) -> CodeConfig:
-    if profile is None:
-        profile = build_profile(cfg)
-    if cfg.r is None:
-        return select_conventional(profile, cfg.K)
-    spec = CisSpec(cfg.N, cfg.r)
-    if cfg.criterion == "cis-constrained":
-        return select_cis_constrained(profile, cfg.K, spec)
-    return select_symmetric_in_cis(profile, cfg.K, spec)
+def build_code(cfg: ExperimentConfig, capacity: np.ndarray | None = None) -> CodeConfig:
+    if capacity is None:
+        capacity = build_profile(cfg)
+    return select_code(capacity, cfg.K, cfg.r, cfg.criterion)
 
 
 def construct_report(cfg: ExperimentConfig, out_path: str) -> dict:
     """Build the code and write a construction report; returns a summary."""
-    profile = build_profile(cfg)
-    code = build_code(cfg, profile)
-    m = mcsc(code, profile)
+    capacity = build_profile(cfg)
+    code = build_code(cfg, capacity)
+    m = mcsc(code, capacity)
     selected = np.zeros(cfg.N, dtype=bool)
     selected[code.A] = True
     with open(out_path, "w") as fh:
@@ -95,7 +89,7 @@ def construct_report(cfg: ExperimentConfig, out_path: str) -> dict:
         fh.write(f"# mcsc={m:.6f}\n")
         fh.write("index,capacity,selected\n")
         for i in range(cfg.N):
-            fh.write(f"{i},{profile.capacity[i]:.8f},{int(selected[i])}\n")
+            fh.write(f"{i},{capacity[i]:.8f},{int(selected[i])}\n")
     return {"A": code.A, "A_dec": code.A_dec, "mcsc": m}
 
 
@@ -323,14 +317,9 @@ def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None,
         cfg.N, noise_var, cfg.construction_trials,
         _rng(cfg.master_seed, _CONSTRUCTION_STREAM), batch=4096,
     )
-    profile = ReliabilityProfile(cfg.N, snr_db, "monte-carlo-genie", np.clip(mean, 0.0, 1.0))
-    spec = CisSpec(cfg.N, cfg.r)
-    rows = []
-    for rate, K in zip(rates, Ks):
-        rows.append((rate, "cis-constrained",
-                     mcsc(select_cis_constrained(profile, K, spec), profile)))
-        rows.append((rate, "symmetric",
-                     mcsc(select_symmetric_in_cis(profile, K, spec), profile)))
+    capacity = np.clip(mean, 0.0, 1.0)
+    rows = [(rate, crit, mcsc(select_code(capacity, K, cfg.r, crit), capacity))
+            for rate, K in zip(rates, Ks) for crit in CRITERIA]
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write("# combpolar mcsc v1\n")

@@ -14,20 +14,19 @@ ROOT = Path(__file__).resolve().parents[1]
 class TestGaussianApproximation:
     def test_extreme_snr_limits(self):
         hi = construction.estimate_symmetric_reliability(2, 25.0)
-        assert np.all(hi.capacity > 0.99)
+        assert np.all(hi > 0.99)
         lo = construction.estimate_symmetric_reliability(2, -35.0)
-        assert np.all(lo.capacity < 0.01)
+        assert np.all(lo < 0.01)
 
     def test_polarization_partial_order(self):
-        p = construction.estimate_symmetric_reliability(4, 0.0)
-        c = p.capacity
+        c = construction.estimate_symmetric_reliability(4, 0.0)
         assert c[0] <= c[1] <= c[3]
         assert c[0] <= c[2] <= c[3]
 
     def test_profile_invariants(self):
         p = construction.estimate_symmetric_reliability(64, 1.0)
-        assert len(p.capacity) == 64
-        assert np.all((p.capacity >= 0) & (p.capacity <= 1))
+        assert p.shape == (64,)
+        assert np.all((p >= 0) & (p <= 1))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -123,18 +122,18 @@ class TestMonteCarloEstimator:
         hi = construction.estimate_symmetric_reliability(
             2, 25.0, method="monte-carlo-genie", trials=20000, rng=np.random.default_rng(0)
         )
-        assert np.all(hi.capacity > 0.99)
+        assert np.all(hi > 0.99)
         lo = construction.estimate_symmetric_reliability(
             2, -35.0, method="monte-carlo-genie", trials=20000, rng=np.random.default_rng(1)
         )
-        assert np.all(lo.capacity < 0.01)
+        assert np.all(lo < 0.01)
 
     def test_partial_order_n4(self):
-        p = construction.estimate_symmetric_reliability(
-            4, 0.0, method="monte-carlo-genie", trials=50000, rng=np.random.default_rng(2)
+        mean, se = construction.monte_carlo_symmetric_capacity(
+            4, construction.snr_db_to_noise_var(0.0), 50000, np.random.default_rng(2)
         )
-        c = p.capacity
-        slack = 3 * np.max(p.std_err)
+        c = np.clip(mean, 0.0, 1.0)
+        slack = 3 * np.max(se)
         assert c[0] <= c[1] + slack and c[1] <= c[3] + slack
         assert c[0] <= c[2] + slack and c[2] <= c[3] + slack
 
@@ -144,63 +143,62 @@ class TestMonteCarloEstimator:
         mc = construction.estimate_symmetric_reliability(
             16, 0.0, method="monte-carlo-genie", trials=50000, rng=np.random.default_rng(4)
         )
-        assert np.max(np.abs(ga.capacity - mc.capacity)) < 0.06
-        top_ga = set(np.argsort(-ga.capacity)[:4].tolist())
-        top_mc = set(np.argsort(-mc.capacity)[:4].tolist())
+        assert np.max(np.abs(ga - mc)) < 0.06
+        top_ga = set(np.argsort(-ga)[:4].tolist())
+        top_mc = set(np.argsort(-mc)[:4].tolist())
         assert top_ga == top_mc
 
 
 class TestSelection:
-    def profile(self, capacity):
-        return construction.ReliabilityProfile(
-            len(capacity), 0.0, "gaussian-approximation", np.asarray(capacity)
-        )
-
     def test_full_set(self):
-        p = self.profile([0.1, 0.9, 0.4, 0.7])
-        sel = construction.select_symmetric(p, 4, np.arange(4))
+        sel = construction.select_code([0.1, 0.9, 0.4, 0.7], 4).A
         assert sel.tolist() == [0, 1, 2, 3]
 
     def test_best_upper_half(self):
         p = construction.estimate_symmetric_reliability(16, 0.0)
-        sel = construction.select_symmetric(p, 1, np.arange(8, 16))
+        sel = construction.select_code(p, 1, 0, "cis-constrained").A_dec
         assert sel.tolist() == [15]
 
     def test_tie_break_smaller_index(self):
-        p = self.profile([0.5, 0.5, 0.5, 0.9])
-        sel = construction.select_symmetric(p, 2, np.arange(4))
+        sel = construction.select_code([0.5, 0.5, 0.5, 0.9], 2).A
         assert sel.tolist() == [0, 3]
 
     def test_k_too_large(self):
-        p = self.profile([0.5, 0.5])
         with pytest.raises(ValueError):
-            construction.select_symmetric(p, 3, np.arange(2))
+            construction.select_code([0.5, 0.5], 3)
+
+    def test_unknown_criterion(self):
+        with pytest.raises(ValueError, match="unknown selection criterion"):
+            construction.select_code([0.5, 0.5], 1, criterion="tea-leaves")
+
+    def test_unshaped_criteria_coincide(self):
+        p = construction.estimate_symmetric_reliability(64, 0.0)
+        a, b = (construction.select_code(p, 20, None, crit) for crit in construction.CRITERIA)
+        assert np.array_equal(a.A, b.A)
 
     def test_constrained_selection_identity_order(self):
         # at the top shaping order the map is the identity on the top half
         p = construction.estimate_symmetric_reliability(16, 0.0)
-        cfg = construction.select_cis_constrained(p, 4, shaping.CisSpec(16, 3))
+        cfg = construction.select_code(p, 4, 3, "cis-constrained")
         assert np.array_equal(cfg.A, cfg.A_dec)
 
     def test_constrained_selection_subset_of_cis(self):
         p = construction.estimate_symmetric_reliability(64, 0.0)
         spec = shaping.CisSpec(64, 2)
-        cfg = construction.select_cis_constrained(p, 20, spec)
+        cfg = construction.select_code(p, 20, 2, "cis-constrained")
         assert np.all(np.isin(cfg.A, shaping.cis(spec)))
-        assert np.array_equal(
-            cfg.A_dec, construction.select_symmetric(p, 20, np.arange(32, 64))
-        )
+        # the 20 most reliable upper-half indices: a conventional pick on p[32:]
+        assert np.array_equal(cfg.A_dec, 32 + construction.select_code(p[32:], 20).A)
 
     def test_rate_bound(self):
         p = construction.estimate_symmetric_reliability(16, 0.0)
         with pytest.raises(ValueError):
-            construction.select_cis_constrained(p, 9, shaping.CisSpec(16, 1))
+            construction.select_code(p, 9, 1, "cis-constrained")
 
     def test_determinism(self):
         p = construction.estimate_symmetric_reliability(64, 0.0)
-        spec = shaping.CisSpec(64, 1)
-        a = construction.select_cis_constrained(p, 16, spec)
-        b = construction.select_cis_constrained(p, 16, spec)
+        a = construction.select_code(p, 16, 1, "cis-constrained")
+        b = construction.select_code(p, 16, 1, "cis-constrained")
         assert np.array_equal(a.A, b.A)
 
 
@@ -208,13 +206,13 @@ class TestMcsc:
     def test_single_index(self):
         p = construction.estimate_symmetric_reliability(16, 0.0)
         cfg = shaping.CodeConfig(N=16, K=1, r=None, A=np.array([15]))
-        assert construction.mcsc(cfg, p) == p.capacity[15]
+        assert construction.mcsc(cfg, p) == p[15]
 
     def test_reads_through_inverse_map(self):
         p = construction.estimate_symmetric_reliability(16, 0.0)
         spec = shaping.CisSpec(16, 1)
-        cfg = construction.select_cis_constrained(p, 4, spec)
-        expect = np.min(p.capacity[shaping.cis_to_half(spec, cfg.A)])
+        cfg = construction.select_code(p, 4, 1, "cis-constrained")
+        expect = np.min(p[shaping.cis_to_half(spec, cfg.A)])
         assert construction.mcsc(cfg, p) == expect
 
     def test_dominance_over_symmetric_criterion(self):
@@ -222,8 +220,7 @@ class TestMcsc:
         for snr in (-2.0, 0.0, 2.0):
             p = construction.estimate_symmetric_reliability(128, snr)
             for r in (0, 2, 5):
-                spec = shaping.CisSpec(128, r)
                 for K in (16, 32, 48):
-                    c1 = construction.mcsc(construction.select_cis_constrained(p, K, spec), p)
-                    c2 = construction.mcsc(construction.select_symmetric_in_cis(p, K, spec), p)
+                    c1 = construction.mcsc(construction.select_code(p, K, r, "cis-constrained"), p)
+                    c2 = construction.mcsc(construction.select_code(p, K, r, "symmetric"), p)
                     assert c1 >= c2
