@@ -4,11 +4,14 @@ with the top-half information set.
 
 One successive-cancellation tree walk serves three leaf rules: SC (hard
 decision), the genie (record the decision LLR, feed back the true bit)
-and SCL (fork, prune and gather the list).  All use the exact log-domain
-check-node update (soft XOR) and the exact path metric
-ln(1 + exp(-(1-2u)L)), so with a list covering the whole codebook the best
-path is maximum-likelihood.  Every decoder works on a (B, N) batch of
-frames.
+and SCL (fork and prune the list).  An SCL prune copies no buffer: it
+composes per-level row maps, which the walk applies only to the buffers
+it reads again (lazy gathers), and keeps one row of back-pointers per
+information bit, through which the best path is traced once at the end.
+All use the exact log-domain check-node update (soft XOR) and the exact
+path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
+codebook the best path is maximum-likelihood.  Every decoder works on a
+(B, N) batch of frames.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def channel_llr(y, noise_var: float) -> np.ndarray:
     noise_var is the per-dimension (real) variance of the symbol noise.
     Values are clamped to +/-LLR_MAX.
     """
-    if noise_var <= 0:
+    if not noise_var > 0:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
     llr = 2.0 * np.real(np.asarray(y)) / noise_var
     return np.clip(llr, -LLR_MAX, LLR_MAX)
@@ -58,11 +61,17 @@ def channel_llr(y, noise_var: float) -> np.ndarray:
 class _Walk:
     """Depth-first successive-cancellation walk over compact per-level buffers.
 
-    Each tree level keeps only the active node's LLRs and the left-child
-    partial sums, shaped (B, paths, width).  A buffer keeps a path axis of
-    size 1 (broadcasting) while it does not depend on the path, and the
-    prune gather skips it.  Every leaf returns its codeword bits.  The leaf
-    rule here is SC: hard decision, 0 at frozen leaves, exact path metric.
+    Each tree level d keeps only the active node's LLRs llr[d] and the
+    left-child partial sums uleft[d], shaped (B, paths, width).  A buffer
+    keeps a path axis of size 1 (broadcasting) while it does not depend on
+    the path, and is never gathered.  A list prune (`_prune`) moves no
+    buffer: it composes each level's pending (B, L) row map, and a level
+    buffer is gathered through that map only where the walk reads it again
+    (`_take`): llr[d] before the right child, uleft[d] at the combine.
+    llr[d+1] is computed afresh before each child, so the leaf level is
+    always current.  SC and the genie never prune.  Every leaf returns its
+    codeword bits.  The leaf rule here is SC: hard decision, 0 at frozen
+    leaves, exact path metric.
     """
 
     def __init__(self, lam0, frozen, list_size=1):
@@ -73,16 +82,15 @@ class _Walk:
         self.llr = [None] * (self.n + 1)
         self.llr[0] = lam0[:, None, :]
         self.uleft = [None] * max(self.n, 1)
-        self.hist = np.zeros((self.B, self.L, self.N), dtype=np.uint8)
+        self.pend = [None] * self.n  # (B, L) rows into the (B*L, width) buffer, or None
         self.pm = np.full((self.B, self.L), _BIG)
         self.pm[:, 0] = 0.0
+        self.u_hat = np.zeros((self.B, self.N), dtype=np.uint8)
         self._zero = np.zeros((self.B, 1, 1), dtype=np.uint8)
 
     def run(self):
         self._node(0, 0)
-        best = np.argmin(self.pm, axis=1)
-        rows = np.arange(self.B)
-        return self.hist[rows, best], self.pm[rows, best]
+        return self.u_hat, self.pm[:, 0]
 
     def _node(self, d, offset):
         if d == self.n:
@@ -91,10 +99,27 @@ class _Walk:
         h = (self.N >> d) // 2
         self.llr[d + 1] = soft_xor(lam[..., :h], lam[..., h:])
         self.uleft[d] = self._node(d + 1, offset)
-        lam = self.llr[d]  # reread: pruned while the left subtree ran
+        lam = self._take(self.llr, d)  # pruned while the left subtree ran
         self.llr[d + 1] = lam[..., h:] + (1.0 - 2.0 * self.uleft[d]) * lam[..., :h]
         cw_r = self._node(d + 1, offset + h)
-        return np.concatenate(np.broadcast_arrays(self.uleft[d] ^ cw_r, cw_r), axis=2)
+        u_l = self._take(self.uleft, d)  # pruned while the right subtree ran
+        return np.concatenate(np.broadcast_arrays(u_l ^ cw_r, cw_r), axis=2)
+
+    def _take(self, bufs, d):
+        """Take level d's buffer out of `bufs` for its last read, gathered
+        through the level's pending row map, which is cleared.  A level has
+        one live buffer at a time, and the stale copy is freed here."""
+        buf, bufs[d] = bufs[d], None
+        rows, self.pend[d] = self.pend[d], None
+        if rows is None or buf.shape[1] == 1:
+            return buf
+        return np.take(buf.reshape(self.B * self.L, -1), rows, axis=0)
+
+    def _prune(self, src):
+        """Make path src[b, j] of frame b its path j, at B*L cost per level."""
+        flat = np.arange(0, self.B * self.L, self.L)[:, None] + src
+        for d, rows in enumerate(self.pend):
+            self.pend[d] = flat if rows is None else np.take(rows, flat)
 
     def _leaf(self, offset):
         dm = self.llr[self.n][:, :, 0]
@@ -103,7 +128,7 @@ class _Walk:
             return self._zero
         bit = (dm < 0).astype(np.uint8)
         self.pm = self.pm + _softplus(-(1.0 - 2.0 * bit) * dm)
-        self.hist[:, :, offset] = bit
+        self.u_hat[:, offset] = bit[:, 0]
         return bit[:, :, None]
 
 
@@ -154,7 +179,29 @@ def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
 
 class _SclEngine(_Walk):
     """SCL leaf rule: every path forks at an information leaf and the L
-    best of the 2L extensions survive; frozen leaves use the SC rule."""
+    best of the 2L extensions survive; frozen leaves use the SC rule.
+
+    Each information leaf keeps the survivors' sort positions among the
+    2L candidates, in the smallest unsigned dtype that holds 2L - 1:
+    position >= L is the path's bit, position % L its parent path.  The
+    best path's bits are traced back through them once, at the end.
+    """
+
+    def __init__(self, lam0, frozen, list_size):
+        super().__init__(lam0, frozen, list_size)
+        self.back = []  # (info index, (B, L) sort positions) per information leaf
+        self.back_dtype = np.min_scalar_type(2 * list_size - 1)
+
+    def run(self):
+        self._node(0, 0)
+        rows = np.arange(self.B)
+        path = np.argmin(self.pm, axis=1)
+        best_pm = self.pm[rows, path]
+        for offset, order in reversed(self.back):
+            pos = order[rows, path]
+            self.u_hat[:, offset] = pos >= self.L
+            path = pos % self.L
+        return self.u_hat, best_pm
 
     def _leaf(self, offset):
         if self.frozen[offset]:
@@ -162,19 +209,10 @@ class _SclEngine(_Walk):
         dm = self.llr[self.n][:, :, 0]
         cand = np.concatenate([self.pm + _softplus(-dm), self.pm + _softplus(dm)], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
-        src = order % self.L
         self.pm = np.take_along_axis(cand, order, axis=1)
-        self._gather(src)
-        self.hist[:, :, offset] = (order >= self.L).astype(np.uint8)
-        return self.hist[:, :, offset : offset + 1]
-
-    def _gather(self, src):
-        rows = np.arange(self.B)[:, None]
-        for buf in (self.llr, self.uleft):
-            for d, arr in enumerate(buf):
-                if arr is not None and arr.shape[1] == self.L:
-                    buf[d] = arr[rows, src]
-        self.hist = self.hist[rows, src]
+        self._prune(order % self.L)
+        self.back.append((offset, order.astype(self.back_dtype)))
+        return (order >= self.L).astype(np.uint8)[:, :, None]
 
 
 def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):

@@ -18,8 +18,12 @@ class TestChannelLlr:
         assert decoder.channel_llr(np.array([0.5 + 9j]), 1.0)[0] == 1.0
 
     def test_bad_variance(self):
-        with pytest.raises(ValueError):
-            decoder.channel_llr(np.array([1.0]), 0.0)
+        for noise_var in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                decoder.channel_llr(np.array([1.0]), noise_var)
+
+    def test_infinite_variance_erases(self):
+        assert decoder.channel_llr(np.array([1.0, -1.0]), np.inf).tolist() == [0.0, 0.0]
 
 
 class TestSoftXor:
@@ -109,7 +113,71 @@ class TestScDecode:
         assert agree > 0.97
 
 
+class EagerScl(decoder._SclEngine):
+    """Reference list decoder that moves every copy at once: each prune
+    gathers every level buffer with a path axis and a (B, L, N) path
+    history, and the best row of that history is the output."""
+
+    def __init__(self, lam0, frozen, list_size):
+        super().__init__(lam0, frozen, list_size)
+        self.hist = np.zeros((self.B, self.L, self.N), dtype=np.uint8)
+
+    def run(self):
+        self._node(0, 0)
+        best = np.argmin(self.pm, axis=1)
+        rows = np.arange(self.B)
+        return self.hist[rows, best], self.pm[rows, best]
+
+    def _leaf(self, offset):
+        if self.frozen[offset]:
+            return decoder._Walk._leaf(self, offset)
+        dm = self.llr[self.n][:, :, 0]
+        cand = np.concatenate([self.pm + np.logaddexp(0.0, -dm),
+                               self.pm + np.logaddexp(0.0, dm)], axis=1)
+        order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
+        src = order % self.L
+        self.pm = np.take_along_axis(cand, order, axis=1)
+        rows = np.arange(self.B)[:, None]
+        for buf in (self.llr, self.uleft):
+            for d, arr in enumerate(buf):
+                if arr is not None and arr.shape[1] == self.L:
+                    buf[d] = arr[rows, src]
+        self.hist = self.hist[rows, src]
+        self.hist[:, :, offset] = (order >= self.L).astype(np.uint8)
+        return self.hist[:, :, offset : offset + 1]
+
+
+def lazy_vs_eager_cases():
+    """(name, LLRs in codeword order, frozen mask) over lengths, rates, and
+    LLRs with ties everywhere or clamped at +-LLR_MAX."""
+    rng = np.random.default_rng(17)
+    for N in (2, 4, 16, 64, 256):
+        masks = {"all-frozen": np.ones(N, dtype=bool), "all-info": np.zeros(N, dtype=bool)}
+        for K in sorted({1, N // 4, N // 2} - {0}):
+            masks[f"K{K}"] = random_code(rng, N, K).frozen_mask()
+        x = rng.integers(0, 2, (24, N))
+        llrs = {
+            "noisy": 2.0 * ((1.0 - 2.0 * x) + rng.standard_normal((24, N))),
+            "zero": np.zeros((24, N)),
+            "clamped": decoder.LLR_MAX * rng.choice([-1.0, 1.0], (24, N)),
+        }
+        for mname, frozen in masks.items():
+            for lname, llr in llrs.items():
+                yield f"N{N}-{mname}-{lname}", llr, frozen
+
+
 class TestSclDecode:
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 32])
+    def test_lazy_gathers_match_eager_copies(self, L):
+        """Lazy row maps and the back-pointer traceback give the same
+        decisions and metrics, bit for bit, as gathering every buffer and
+        the path history at each prune; L > 2^K is among the cases."""
+        for name, llr, frozen in lazy_vs_eager_cases():
+            u_hat, pm = decoder.scl_decode_batch(llr, frozen, L)
+            u_ref, pm_ref = EagerScl(llr[:, polar.bit_reversal(len(frozen))], frozen, L).run()
+            assert np.array_equal(u_hat, u_ref), name
+            assert np.array_equal(pm, pm_ref), name
+
     def test_list_one_equals_sc(self):
         rng = np.random.default_rng(6)
         code = random_code(rng, 64, 32)
@@ -169,6 +237,16 @@ class TestSclDecode:
             expected = np.sum(np.logaddexp(0.0, -(1.0 - 2.0 * u_hat) * dec), axis=1)
             assert np.allclose(pm, expected, rtol=1e-12, atol=1e-9), name
             assert np.all(u_hat[:, frozen] == 0), name
+
+    def test_back_pointers_are_narrow(self):
+        """Each information leaf keeps one (B, L) row of sort positions in
+        the smallest unsigned dtype that holds 2L - 1."""
+        frozen = np.zeros(16, dtype=bool)
+        for L, dtype in ((1, np.uint8), (128, np.uint8), (129, np.uint16)):
+            engine = decoder._SclEngine(np.ones((3, 16)), frozen, L)
+            engine.run()
+            assert len(engine.back) == 16
+            assert all(order.dtype == dtype and order.shape == (3, L) for _, order in engine.back)
 
     def test_metric_growth_is_monotone(self):
         """Path metrics only accumulate nonnegative penalties, so the best
@@ -310,6 +388,22 @@ class TestCcdDecode:
         llr = decoder.channel_llr(y[:, t], 0.81)
         u_hat, _ = decoder.scl_decode_batch(llr, relabeled.frozen_mask(), 8)
         assert np.array_equal(got, u_hat[:, relabeled.A])
+
+    @pytest.mark.parametrize("L", [1, 8])
+    def test_rows_do_not_depend_on_batch(self, L):
+        """A frame decodes to the same bits and metric alone, in a whole
+        batch, or in either of two uneven halves of it."""
+        rng = np.random.default_rng(18)
+        N, K, r = 64, 24, 2
+        code = self.shaped_code(rng, N, K, r)
+        info = rng.integers(0, 2, (37, K), dtype=np.uint8)
+        x = polar.encode(polar.assemble_source(info, code.A, N))
+        y = (1.0 - 2.0 * x) + 0.9 * rng.standard_normal((37, N))
+        whole = decoder.ccd_decode_batch(y, code, 0.81, L)
+        for parts in ([y[:11], y[11:]], [y[i : i + 1] for i in range(len(y))]):
+            split = [decoder.ccd_decode_batch(p, code, 0.81, L) for p in parts]
+            for got, ref in zip(zip(*split), whole):
+                assert np.array_equal(np.concatenate(got), ref)
 
     def test_config_shape_mismatch(self):
         rng = np.random.default_rng(13)
