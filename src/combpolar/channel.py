@@ -1,11 +1,16 @@
 """The link's channel: band-limited periodic interference, in-band-calibrated
 AWGN and the receiver comb filter, applied to a batch of frames.
 
-`calibrate_channel` turns a configuration and an SNR into a `LinkChannel`;
-`impair` applies it to a (B, samples) block of transmitted frames, drawing
-each frame's randomness from that frame's own generator.  Interference and
-comb are built in the frequency domain of the whole frame, so they are
-linear, zero-phase and deterministic given the generators.
+`calibrate_channel` turns a configuration and an SNR into a `LinkChannel`.
+Interference and comb are built in the frequency domain of the whole
+frame, so they are linear, zero-phase and deterministic given the
+generators.  `draw_frames` makes each frame's draws from that frame's own
+generator, in one order, for both ways of applying the channel:
+
+- `received_spectrum` acts on the frames' L-point spectra; the FER link
+  uses it between `modem.frame_spectrum` and `modem.sample_spectrum`.
+- `impair` acts on a (B, L) block of transmitted waveforms.  It is the
+  reference that `received_spectrum` is tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.fft
 
 from .spectral import tone_centers
 
@@ -99,34 +105,50 @@ def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
     return LinkChannel(sigma2, intf_scale, tone_mask, tone_basis, comb_keep)
 
 
+def draw_frames(ch: LinkChannel, n_samples: int, gens, keep_interference: bool = True):
+    """Each frame's channel randomness, in the one stream order of the link.
+
+    Frame k draws from gens[k]: first its interference (random tone phases,
+    or white noise to be masked to the tone bands), when interference is
+    on, then its noise.  Returns (interference, noise): (B, tones) phasors
+    or (B, n_samples) complex normals, or None when interference is off or
+    not kept (its draws are still made), and (B, n_samples) complex normals.
+    """
+    noise = np.empty((len(gens), n_samples), dtype=np.complex128)
+    sinusoid = ch.tone_basis is not None
+    width = len(ch.tone_basis) if sinusoid else n_samples
+    intf = None
+    if ch.intf_scale > 0:
+        # interference that is not kept is drawn into one scratch row
+        intf = np.empty((len(gens) if keep_interference else 1, width), dtype=np.complex128)
+    for k, g in enumerate(gens):
+        if intf is not None:
+            row = intf[k if keep_interference else 0]
+            if sinusoid:
+                row[:] = np.exp(1j * g.uniform(0.0, 2 * np.pi, width))
+            else:
+                row.real = g.standard_normal(width)
+                row.imag = g.standard_normal(width)
+        noise[k].real = g.standard_normal(n_samples)
+        noise[k].imag = g.standard_normal(n_samples)
+    return (intf if keep_interference else None), noise
+
+
 def impair(ch: LinkChannel, s: np.ndarray, gens) -> np.ndarray:
     """Add interference and noise to the (B, L) transmitted frames s, then
     apply the comb; returns the complex received samples.
 
-    Frame k draws from gens[k]: first its interference (random tone phases,
-    or white noise to be masked to the tone bands), when interference is
-    on, then its noise.
+    The waveform form of `received_spectrum`, kept as its reference; the
+    draws come from `draw_frames`.
     """
     b, L = s.shape
     if len(gens) != b:
         raise ValueError(f"{len(gens)} generators for {b} frames")
-    noise = np.empty((b, L), dtype=np.complex128)
-    sinusoid = ch.tone_basis is not None
-    if ch.intf_scale > 0:
-        intf = np.empty((b, len(ch.tone_basis) if sinusoid else L), dtype=np.complex128)
-    else:
-        intf = None
-    for k, g in enumerate(gens):
-        if intf is not None:
-            if sinusoid:
-                intf[k] = np.exp(1j * g.uniform(0.0, 2 * np.pi, intf.shape[1]))
-            else:
-                intf[k] = g.standard_normal(L) + 1j * g.standard_normal(L)
-        noise[k] = g.standard_normal(L) + 1j * g.standard_normal(L)
+    intf, noise = draw_frames(ch, L, gens)
 
     rx = s.astype(np.complex128)
     if intf is not None:
-        if sinusoid:
+        if ch.tone_basis is not None:
             shaped = intf @ ch.tone_basis
         else:
             shaped = np.fft.ifft(np.fft.fft(intf, axis=1) * ch.tone_mask[None, :], axis=1)
@@ -135,4 +157,39 @@ def impair(ch: LinkChannel, s: np.ndarray, gens) -> np.ndarray:
         rx = rx + np.sqrt(ch.noise_sigma2 / 2.0) * noise
     if ch.comb_keep is not None:
         rx = np.fft.ifft(np.fft.fft(rx, axis=1) * ch.comb_keep[None, :], axis=1)
+    return rx
+
+
+def received_spectrum(ch: LinkChannel, spectrum: np.ndarray, gens) -> np.ndarray:
+    """`impair` on the frames' L-point spectra: the (B, L) FFT of the
+    transmitted frames in, the FFT of impair's output out, from the same
+    draws.
+
+    Interference and noise enter as their spectra, and the comb is a mask.
+    When no tone-mask bin passes the comb (tone band inside the notch), the
+    interference is zero after the comb and is not transformed, though its
+    draws are still made.
+    """
+    b, L = spectrum.shape
+    if len(gens) != b:
+        raise ValueError(f"{len(gens)} generators for {b} frames")
+    notched = (ch.tone_mask is not None and ch.comb_keep is not None
+               and not np.any(ch.tone_mask & ch.comb_keep))
+    intf, noise = draw_frames(ch, L, gens, keep_interference=not notched)
+
+    if ch.noise_sigma2 > 0:
+        # the noise is not read again, so its buffer may hold its spectrum
+        rx = scipy.fft.fft(noise, axis=1, overwrite_x=True)
+        rx *= np.sqrt(ch.noise_sigma2 / 2.0)
+        rx += spectrum
+    else:
+        rx = np.array(spectrum, dtype=np.complex128)
+    if intf is not None:
+        if ch.tone_basis is not None:
+            shaped = intf @ np.fft.fft(ch.tone_basis, axis=1)
+        else:
+            shaped = np.fft.fft(intf, axis=1) * ch.tone_mask[None, :]
+        rx += ch.intf_scale * shaped
+    if ch.comb_keep is not None:
+        rx *= ch.comb_keep[None, :]
     return rx

@@ -5,6 +5,14 @@ convolve (full) with unit-energy SRRC taps.  Receive: matched filter and
 sample at symbol instants with explicit group-delay bookkeeping, so edge
 symbols see the same pulse energy as interior ones.  Both directions work
 on a whole batch of frames at once, one frame per row of the last axis.
+
+Each direction has two forms.  `modulate_symbols` and `matched_filter`
+work on waveforms; they are the reference, and `psd` uses the first.
+`frame_spectrum` and `sample_spectrum` give the same results on the
+frame's L-point FFT grid (L = (n + span) * sps), where pulse shaping and
+matched filtering are multiplications: the FER link builds each frame's
+transmit spectrum, the channel acts on it, and the matched-filter samples
+are read from the received spectrum by folding it onto n + span bins.
 """
 
 from __future__ import annotations
@@ -77,6 +85,42 @@ def modulate_symbols(symbols, spec: PulseSpec) -> np.ndarray:
     up[..., :: spec.sps] = symbols
     taps = srrc_taps(spec)
     return fftconvolve(up, taps.reshape((1,) * (up.ndim - 1) + (-1,)), mode="full", axes=-1)
+
+
+def frame_spectrum(symbols, spec: PulseSpec) -> np.ndarray:
+    """L-point FFT of modulate_symbols(symbols, spec), with L = (n + span)*sps,
+    along the last axis of the (..., n) symbols.
+
+    The full convolution is exactly L samples long, so it equals the
+    L-point circular one; the spectrum of the upsampled symbols is their
+    (n + span)-point spectrum tiled sps times.
+    """
+    symbols = np.asarray(symbols)
+    m = symbols.shape[-1] + spec.span_symbols
+    pulse = np.fft.fft(srrc_taps(spec), m * spec.sps).reshape(spec.sps, m)
+    spectrum = np.fft.fft(symbols, m, axis=-1)[..., None, :] * pulse
+    return spectrum.reshape(symbols.shape[:-1] + (m * spec.sps,))
+
+
+def sample_spectrum(spectrum, spec: PulseSpec, n_symbols: int) -> np.ndarray:
+    """matched_filter(np.fft.ifft(spectrum), spec, n_symbols), read from the
+    L-point spectra along the last axis, L = (n_symbols + span)*sps.
+
+    The samples sit at delay + sps*k with delay = span*sps, inside [delay,
+    L), where the L-point circular matched filter equals the linear one.
+    Sampling every sps-th point folds the spectrum onto m = L/sps bins, and
+    the delay, a whole number of symbols, shifts the m-point inverse FFT by
+    span.
+    """
+    spectrum = np.asarray(spectrum)
+    m = n_symbols + spec.span_symbols
+    if spectrum.shape[-1] != m * spec.sps:
+        raise ValueError(f"{spectrum.shape[-1]} bins, expected (n_symbols + span)*sps "
+                         f"= {m * spec.sps}")
+    mf = np.fft.fft(np.conj(srrc_taps(spec)[::-1]), m * spec.sps).reshape(spec.sps, m)
+    folded = np.einsum("...qm,qm->...m", spectrum.reshape(spectrum.shape[:-1] + (spec.sps, m)), mf)
+    y = np.fft.ifft(folded, axis=-1)
+    return y[..., spec.span_symbols:] / spec.sps
 
 
 def matched_filter(samples, spec: PulseSpec, n_symbols: int) -> np.ndarray:

@@ -11,12 +11,13 @@ being simulated, so FER comparisons between arms are paired.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkChannel, calibrate_channel, impair
+from .channel import LinkChannel, calibrate_channel, received_spectrum
 from .config import ConfigError, ExperimentConfig
 from .construction import (
     CRITERIA,
@@ -29,7 +30,7 @@ from .construction import (
 # sc_decode_batch and scl_decode_batch are not called here; perfbench/tracing.py
 # wraps them under these names
 from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
-from .modem import PulseSpec, bpsk_map, matched_filter, modulate_symbols
+from .modem import PulseSpec, bpsk_map, frame_spectrum, sample_spectrum
 from .polar import assemble_source, encode
 from .shaping import CodeConfig, index_set_text
 from .spectral import (
@@ -131,7 +132,10 @@ def synthesize_frames(link: LinkContext, frame_indices):
     Returns (info bits (B, K), received symbols (B, N)).  All randomness
     comes from per-frame generators, so frame index fi always sees the
     same information word and the same channel realization, whichever arm
-    or batch it lands in.
+    or batch it lands in.  The link runs on each frame's L-point spectrum
+    (`frame_spectrum`, `received_spectrum`, `sample_spectrum`) and matches
+    the waveform chain `modulate_symbols`, `impair`, `matched_filter` on
+    the same draws to rounding.
     """
     idx = [int(fi) for fi in frame_indices]
     code = link.code
@@ -139,9 +143,10 @@ def synthesize_frames(link: LinkContext, frame_indices):
     for k, fi in enumerate(idx):
         info[k] = _rng(link.master_seed, _INFO_STREAM, fi).integers(0, 2, code.K, dtype=np.uint8)
     x = encode(assemble_source(info, code.A, code.N))
-    s = modulate_symbols(bpsk_map(x), link.pulse)
-    rx = impair(link.channel, s, [_rng(link.master_seed, _CHANNEL_STREAM, fi) for fi in idx])
-    return info, matched_filter(rx, link.pulse, code.N)
+    tx = frame_spectrum(bpsk_map(x), link.pulse)
+    rx = received_spectrum(link.channel, tx,
+                           [_rng(link.master_seed, _CHANNEL_STREAM, fi) for fi in idx])
+    return info, sample_spectrum(rx, link.pulse, code.N)
 
 
 def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:
@@ -185,30 +190,33 @@ def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple:
 
 def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> list:
     """Run the configured arm over the SNR sweep; appends one CSV row per
-    point as it completes, so partial runs are usable."""
+    point as it completes, so partial runs are usable.  With threads > 1,
+    one worker pool serves the whole sweep."""
     code = build_code(cfg)
     records = []
-    fh = None
-    if out_path is not None:
-        fh = open(out_path, "w")
-        fh.write("# combpolar fer v1\n")
-        fh.write(f"# N={cfg.N} K={cfg.K} r={cfg.r} criterion={cfg.criterion} "
-                 f"decoder={cfg.decoder_mode} L={cfg.list_size} sir_db={cfg.sir_db} "
-                 f"comb={int(cfg.comb_enabled)} master_seed={cfg.master_seed}\n")
-        fh.write("snr_db,frames,frame_errors,fer,wilson_lo,wilson_hi,seed_lo,seed_hi\n")
-        fh.flush()
-    try:
+    with ExitStack() as stack:
+        pool = None
+        if cfg.threads > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads))
+        fh = None
+        if out_path is not None:
+            fh = stack.enter_context(open(out_path, "w"))
+            fh.write("# combpolar fer v1\n")
+            fh.write(f"# N={cfg.N} K={cfg.K} r={cfg.r} criterion={cfg.criterion} "
+                     f"decoder={cfg.decoder_mode} L={cfg.list_size} sir_db={cfg.sir_db} "
+                     f"comb={int(cfg.comb_enabled)} master_seed={cfg.master_seed}\n")
+            fh.write("snr_db,frames,frame_errors,fer,wilson_lo,wilson_hi,seed_lo,seed_hi\n")
+            fh.flush()
         for snr in cfg.snr_sweep_db:
             link = make_link(cfg, code, snr)
             errors = frames = 0
             while errors < cfg.min_frame_errors and frames < cfg.max_frames:
                 b = min(_SUPER_BATCH, cfg.max_frames - frames)
                 lo, hi = frames, frames + b
-                if cfg.threads > 1:
+                if pool is not None:
                     bounds = np.linspace(lo, hi, cfg.threads + 1).astype(int)
                     tasks = [(link, int(a), int(c)) for a, c in zip(bounds[:-1], bounds[1:]) if c > a]
-                    with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
-                        errors += sum(ex.map(_worker, tasks))
+                    errors += sum(pool.map(_worker, tasks))
                 else:
                     errors += int(np.count_nonzero(run_link_frames(link, range(lo, hi))))
                 frames += b
@@ -222,9 +230,6 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> lis
                 fh.flush()
             if log:
                 log(f"snr {snr:+.1f} dB: {errors}/{frames} errors, fer {fer:.3e}")
-    finally:
-        if fh is not None:
-            fh.close()
     return records
 
 

@@ -1,5 +1,7 @@
-"""The link's channel, exercised through the batched path every FER run uses:
-calibrate_channel for the levels, impair for a block of frames."""
+"""The link's channel: calibrate_channel for the levels, and impair, the
+waveform reference of the link, for a block of frames.  The FER link's
+spectral form, received_spectrum, is checked against impair in
+test_simulate.py."""
 
 import dataclasses
 

@@ -152,3 +152,36 @@ class TestDemodulate:
         samples = modulate_bits(np.zeros((2, 4), dtype=np.uint8), spec)
         with pytest.raises(ValueError, match="too short"):
             modem.matched_filter(samples, spec, 400)
+
+
+SPECTRAL_PULSES = (modem.PulseSpec(0.25, 16, 8), modem.PulseSpec(0.5, 8, 4),
+                   modem.PulseSpec(0.0, 4, 2))
+
+
+class TestSpectralForms:
+    """frame_spectrum and sample_spectrum against the waveform modem."""
+
+    @pytest.mark.parametrize("spec", SPECTRAL_PULSES)
+    def test_frame_spectrum_is_fft_of_waveform(self, spec):
+        bits = np.random.default_rng(10).integers(0, 2, (3, 64), dtype=np.uint8)
+        ref = np.fft.fft(modulate_bits(bits, spec), axis=-1)
+        got = modem.frame_spectrum(modem.bpsk_map(bits), spec)
+        assert got.shape == ref.shape == (3, (64 + spec.span_symbols) * spec.sps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("spec", SPECTRAL_PULSES)
+    def test_sample_spectrum_is_matched_filter(self, spec):
+        # any spectrum, not only a modulated one: complex white noise
+        rng = np.random.default_rng(11)
+        n = 64
+        shape = (3, (n + spec.span_symbols) * spec.sps)
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = modem.matched_filter(np.fft.ifft(spectrum, axis=-1), spec, n)
+        got = modem.sample_spectrum(spectrum, spec, n)
+        assert got.shape == ref.shape == (3, n)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_sample_spectrum_needs_the_frame_length(self):
+        spec = modem.PulseSpec(0.25, 8, 8)
+        with pytest.raises(ValueError, match="bins"):
+            modem.sample_spectrum(np.zeros((2, 72 * 8 + 1), dtype=complex), spec, 64)

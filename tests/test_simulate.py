@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from combpolar import selftest, shaping, simulate
+from combpolar import channel, modem, polar, selftest, shaping, simulate
 from combpolar.cli import main as cli_main
 from combpolar.config import ConfigError, ExperimentConfig, load_config
 
@@ -198,6 +199,90 @@ class TestLinkDeterminism:
         r2 = simulate.run_fer(tiny_cfg(threads=2), None)
         assert [(r.frames, r.frame_errors) for r in r1] == \
                [(r.frames, r.frame_errors) for r in r2]
+
+
+class TestSpectralLink:
+    """synthesize_frames runs the link on frame spectra; the waveform chain
+    modulate_symbols -> impair -> matched_filter on the same draws is its
+    reference."""
+
+    CASES = {
+        "reference": {},
+        "sinusoid": {"tone_model": "sinusoid"},
+        "no-comb": {"comb_enabled": False},
+        "sinusoid-no-comb": {"tone_model": "sinusoid", "comb_enabled": False},
+        "no-interference": {"sir_db": None},
+        "tone-band-wider-than-notch": {"tone_bandwidth_hz": 30.0, "notch_bandwidth_hz": 10.0},
+        "other-pulse": {"pulse": modem.PulseSpec(0.5, 8, 4)},
+    }
+
+    @pytest.mark.parametrize("snr_db", [-1.0, np.inf])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_waveform_chain(self, case, snr_db):
+        cfg = tiny_cfg(**self.CASES[case])
+        link = simulate.make_link(cfg, simulate.build_code(cfg), snr_db)
+        frames = range(5, 21)
+        info, y = simulate.synthesize_frames(link, frames)
+        x = polar.encode(polar.assemble_source(info, link.code.A, link.code.N))
+        gens = [simulate._rng(cfg.master_seed, simulate._CHANNEL_STREAM, fi) for fi in frames]
+        s = modem.modulate_symbols(modem.bpsk_map(x), cfg.pulse)
+        y_ref = modem.matched_filter(channel.impair(link.channel, s, gens), cfg.pulse, cfg.N)
+        assert y.shape == y_ref.shape == (16, cfg.N)
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * max(1.0, np.max(np.abs(y_ref)))
+
+    def test_interference_skip_runs_both_ways(self):
+        # the reference tone band fits the notch, so its interference is
+        # zero after the comb; a wider tone band leaks past it
+        def notched(**kw):
+            ch = channel.calibrate_channel(tiny_cfg(**kw), 0.0)
+            return not np.any(ch.tone_mask & ch.comb_keep)
+
+        assert notched(**self.CASES["reference"])
+        assert not notched(**self.CASES["tone-band-wider-than-notch"])
+
+
+class TestWorkerPool:
+    """run_fer builds one worker pool per call and leaves no worker behind."""
+
+    @pytest.fixture
+    def counted_pools(self, monkeypatch):
+        built = []
+
+        class Counted(simulate.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Counted)
+        # two super-batches per SNR point
+        monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
+        return built
+
+    def cfg(self):
+        return tiny_cfg(threads=2, snr_sweep_db=(0.0, 1.0), list_size=1,
+                        min_frame_errors=10**6, max_frames=32)
+
+    def test_one_pool_per_sweep(self, counted_pools):
+        recs = simulate.run_fer(self.cfg())
+        assert [r.frames for r in recs] == [32, 32]
+        assert len(counted_pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_pool_shut_down_when_sweep_raises(self, counted_pools, monkeypatch):
+        make_link = simulate.make_link
+        points = []
+
+        def failing(cfg, code, snr_db):
+            points.append(snr_db)
+            if len(points) == 2:
+                raise RuntimeError("injected failure")
+            return make_link(cfg, code, snr_db)
+
+        monkeypatch.setattr(simulate, "make_link", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            simulate.run_fer(self.cfg())
+        assert points == [0.0, 1.0] and len(counted_pools) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestStopRule:
