@@ -7,18 +7,10 @@ with the constrained construction/decoding that restores the lost
 sub-channel reliability, and a baseband link simulator.
 """
 
-from .channel import LinkChannel, calibrate_channel, impair, received_spectrum
+from .channel import LinkChannel, calibrate_channel
 from .construction import CRITERIA, estimate_symmetric_reliability, mcsc, select_code
 from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
-from .modem import (
-    PulseSpec,
-    bpsk_map,
-    frame_spectrum,
-    matched_filter,
-    modulate_symbols,
-    sample_spectrum,
-    srrc_taps,
-)
+from .modem import PulseSpec, bpsk_map, modulate_symbols, srrc_taps
 from .polar import assemble_source, bit_reversal, encode, generator_matrix, generator_row
 from .shaping import (
     CisSpec,

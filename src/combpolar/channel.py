@@ -1,16 +1,27 @@
-"""The link's channel: band-limited periodic interference, in-band-calibrated
-AWGN and the receiver comb filter, applied to a batch of frames.
+"""The link's channel, folded onto the bins that the matched filter reads.
 
-`calibrate_channel` turns a configuration and an SNR into a `LinkChannel`.
-Interference and comb are built in the frequency domain of the whole
-frame, so they are linear, zero-phase and deterministic given the
-generators.  `draw_frames` makes each frame's draws from that frame's own
-generator, in one order, for both ways of applying the channel:
+A frame of N symbols is L = (N + span) * sps samples.  Its channel is
+band-limited periodic interference, AWGN calibrated to the in-band SNR and
+SIR, and the receiver comb filter, all defined on the frame's L-point FFT
+grid, so they are linear and zero-phase.  Sampling the matched filter
+every sps samples folds that grid onto M = N + span bins, and
+`calibrate_channel` folds the whole link once per (config, SNR):
 
-- `received_spectrum` acts on the frames' L-point spectra; the FER link
-  uses it between `modem.frame_spectrum` and `modem.sample_spectrum`.
-- `impair` acts on a (B, L) block of transmitted waveforms.  It is the
-  reference that `received_spectrum` is tested against.
+- signal: the symbols' M-point spectrum times `gain`, the pulse, comb and
+  matched filter summed over the sps L-bins that fold onto each M-bin;
+- noise and noise-model interference: both are white before their masks,
+  so their L-point spectra are independent circular Gaussians, and each
+  M-bin sums a disjoint set of L-bins.  One complex normal per M-bin,
+  scaled by `noise_sd`, has exactly their folded distribution.  A bin the
+  comb removes has zero deviation;
+- sinusoid interference: one random phase per tone, times that tone's
+  folded response, a row of `tone_response`.
+
+`draw_channel` makes each frame's draws from that frame's generator in one
+order, the same for every arm, SIR and comb setting: the tone phases
+(sinusoid model only), then 2M standard normals.  `receive` turns a batch
+of symbol frames and their draws into matched-filter samples with one
+M-point FFT pair per frame.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.fft
 
+from .modem import pulse_spectrum
 from .spectral import tone_centers
 
 if TYPE_CHECKING:
@@ -34,11 +45,19 @@ def _band_mask(n: int, sample_rate: float, band) -> np.ndarray:
 
 
 def _tone_mask(n: int, sample_rate: float, centers, halfwidth: float) -> np.ndarray:
+    """FFT bins with |f - c| <= halfwidth for some center c.
+
+    Only the nearest center below and above each bin can pass: rounding is
+    monotone, so a farther center never gives a smaller |f - c|.
+    """
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    mask = np.zeros(n, dtype=bool)
-    for c in np.atleast_1d(centers):
-        mask |= np.abs(freqs - c) <= halfwidth
-    return mask
+    centers = np.sort(np.atleast_1d(centers))
+    if len(centers) == 0:
+        return np.zeros(n, dtype=bool)
+    i = np.searchsorted(centers, freqs)
+    below = centers[np.maximum(i - 1, 0)]
+    above = centers[np.minimum(i, len(centers) - 1)]
+    return (np.abs(freqs - below) <= halfwidth) | (np.abs(freqs - above) <= halfwidth)
 
 
 def frame_samples(cfg: ExperimentConfig) -> int:
@@ -55,19 +74,30 @@ def noise_tone_mask(cfg: ExperimentConfig) -> tuple:
     return mask, int(np.count_nonzero(mask & _band_mask(L, fs, cfg.band)))
 
 
+def comb_mask(cfg: ExperimentConfig) -> np.ndarray:
+    """The FFT bins of a frame that the comb passes; all of them without it."""
+    L, fs = frame_samples(cfg), cfg.sample_rate
+    if not cfg.comb_enabled:
+        return np.ones(L, dtype=bool)
+    centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
+    return ~_tone_mask(L, fs, centers, cfg.notch_bandwidth_hz / 2)
+
+
 @dataclass
 class LinkChannel:
-    """Calibrated impairments for frames of one link at one SNR."""
+    """One link's channel at one SNR on the M = N + span folded bins, with
+    the 1/sps of symbol sampling included."""
 
     noise_sigma2: float              # complex per-sample noise variance, 0 disables
     intf_scale: float                # 0 disables interference
-    tone_mask: np.ndarray | None     # noise tone model: kept FFT bins
-    tone_basis: np.ndarray | None    # sinusoid tone model: per-tone phasors
-    comb_keep: np.ndarray | None     # FFT bins the comb passes; None without comb
+    gain: np.ndarray                 # (M,) symbol spectrum to matched-filter spectrum
+    noise_sd: np.ndarray             # (M,) per-dimension deviation: noise + noise-model intf.
+    tones: int                       # tone phases drawn per frame: sinusoid model only
+    tone_response: np.ndarray | None  # (tones, M) per unit phasor; None without sinusoid intf.
 
 
 def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
-    """Noise and interference levels for cfg's frames at snr_db.
+    """Noise and interference levels for cfg's frames at snr_db, folded.
 
     Both ratios are set against the expected per-sample power N/L of a
     frame of N unit-energy pulses in L samples, and counted inside
@@ -75,121 +105,71 @@ def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
     interference there.  snr_db = inf disables noise; sir_db None or inf
     disables interference.
     """
-    L = frame_samples(cfg)
-    fs = cfg.sample_rate
+    L, fs, sps = frame_samples(cfg), cfg.sample_rate, cfg.pulse.sps
     band_bins = int(np.count_nonzero(_band_mask(L, fs, cfg.band)))
     p_sig = cfg.N / L
     if np.isinf(snr_db):
         sigma2 = 0.0
     else:
         sigma2 = p_sig / (10 ** (snr_db / 10) * band_bins / L)
-    tone_mask = None
-    tone_basis = None
+    centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
+    sinusoid = cfg.tone_model == "sinusoid"
+    pulse = pulse_spectrum(cfg.pulse, cfg.N)
+    # comb, matched filter (the pulse itself) and sampling, per L-bin as (sps, M)
+    through = pulse * comb_mask(cfg).reshape(pulse.shape) / sps
+    # E|bin|^2 of an L-point FFT of white noise with per-sample variance v is L*v
+    power = np.full(L, L * sigma2)
     intf_scale = 0.0
+    tone_response = None
     if cfg.sir_db is not None and not np.isinf(cfg.sir_db):
         sir_lin = 10 ** (cfg.sir_db / 10)
-        if cfg.tone_model == "sinusoid":
-            centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
-            t = np.arange(L) / fs
-            tone_basis = np.exp(2j * np.pi * np.outer(centers, t))
+        if sinusoid:
             n_in = int(np.count_nonzero((centers >= cfg.band[0]) & (centers <= cfg.band[1])))
             intf_scale = float(np.sqrt(p_sig / (sir_lin * n_in)))
+            t = np.arange(L) / fs
+            spectra = np.fft.fft(np.exp(2j * np.pi * np.outer(centers, t)), axis=1)
+            tone_response = intf_scale * np.einsum(
+                "jqm,qm->jm", spectra.reshape(len(centers), *pulse.shape), through)
         else:
             tone_mask, in_band = noise_tone_mask(cfg)
             # unit draw has per-sample variance 2 before masking
             intf_scale = float(np.sqrt(p_sig * L / (sir_lin * 2.0 * in_band)))
-    comb_keep = None
-    if cfg.comb_enabled:
-        centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
-        comb_keep = ~_tone_mask(L, fs, centers, cfg.notch_bandwidth_hz / 2)
-    return LinkChannel(sigma2, intf_scale, tone_mask, tone_basis, comb_keep)
+            power += (2.0 * L * intf_scale**2) * tone_mask
+    var = np.sum(power.reshape(pulse.shape) * np.abs(through) ** 2, axis=0)
+    return LinkChannel(sigma2, intf_scale, np.sum(pulse * through, axis=0),
+                       np.sqrt(var / 2.0), len(centers) if sinusoid else 0, tone_response)
 
 
-def draw_frames(ch: LinkChannel, n_samples: int, gens, keep_interference: bool = True):
-    """Each frame's channel randomness, in the one stream order of the link.
+def draw_channel(ch: LinkChannel, gens) -> tuple:
+    """Each frame's channel draws, frame k from gens[k]: its tone phases
+    (ch.tones of them), then 2M standard normals.
 
-    Frame k draws from gens[k]: first its interference (random tone phases,
-    or white noise to be masked to the tone bands), when interference is
-    on, then its noise.  Returns (interference, noise): (B, tones) phasors
-    or (B, n_samples) complex normals, or None when interference is off or
-    not kept (its draws are still made), and (B, n_samples) complex normals.
+    Whether interference or noise is on changes only the scales the draws
+    meet in `receive`, never the draws, so what a generator yields next
+    does not depend on the SIR or the comb.  Returns ((B, tones) unit
+    phasors, (B, 2, M) normals: real parts in row 0, imaginary in row 1).
     """
-    noise = np.empty((len(gens), n_samples), dtype=np.complex128)
-    sinusoid = ch.tone_basis is not None
-    width = len(ch.tone_basis) if sinusoid else n_samples
-    intf = None
-    if ch.intf_scale > 0:
-        # interference that is not kept is drawn into one scratch row
-        intf = np.empty((len(gens) if keep_interference else 1, width), dtype=np.complex128)
+    angles = np.empty((len(gens), ch.tones))
+    z = np.empty((len(gens), 2, len(ch.gain)))
     for k, g in enumerate(gens):
-        if intf is not None:
-            row = intf[k if keep_interference else 0]
-            if sinusoid:
-                row[:] = np.exp(1j * g.uniform(0.0, 2 * np.pi, width))
-            else:
-                row.real = g.standard_normal(width)
-                row.imag = g.standard_normal(width)
-        noise[k].real = g.standard_normal(n_samples)
-        noise[k].imag = g.standard_normal(n_samples)
-    return (intf if keep_interference else None), noise
+        if ch.tones:
+            angles[k] = g.uniform(0.0, 2 * np.pi, ch.tones)
+        g.standard_normal(out=z[k])
+    return np.exp(1j * angles), z
 
 
-def impair(ch: LinkChannel, s: np.ndarray, gens) -> np.ndarray:
-    """Add interference and noise to the (B, L) transmitted frames s, then
-    apply the comb; returns the complex received samples.
-
-    The waveform form of `received_spectrum`, kept as its reference; the
-    draws come from `draw_frames`.
+def receive(ch: LinkChannel, symbols: np.ndarray, phasors: np.ndarray,
+            z: np.ndarray) -> np.ndarray:
+    """Matched-filter samples of the (B, N) symbol frames through the channel
+    with the draws of `draw_channel`:
+    IFFT_M(FFT_M(symbols) * gain + noise_sd * (z1 + i z2) + phasors @ tone_response)
+    from bin span on, span = M - N being the two filters' delay in symbols.
     """
-    b, L = s.shape
-    if len(gens) != b:
-        raise ValueError(f"{len(gens)} generators for {b} frames")
-    intf, noise = draw_frames(ch, L, gens)
-
-    rx = s.astype(np.complex128)
-    if intf is not None:
-        if ch.tone_basis is not None:
-            shaped = intf @ ch.tone_basis
-        else:
-            shaped = np.fft.ifft(np.fft.fft(intf, axis=1) * ch.tone_mask[None, :], axis=1)
-        rx = rx + ch.intf_scale * shaped
-    if ch.noise_sigma2 > 0:
-        rx = rx + np.sqrt(ch.noise_sigma2 / 2.0) * noise
-    if ch.comb_keep is not None:
-        rx = np.fft.ifft(np.fft.fft(rx, axis=1) * ch.comb_keep[None, :], axis=1)
-    return rx
-
-
-def received_spectrum(ch: LinkChannel, spectrum: np.ndarray, gens) -> np.ndarray:
-    """`impair` on the frames' L-point spectra: the (B, L) FFT of the
-    transmitted frames in, the FFT of impair's output out, from the same
-    draws.
-
-    Interference and noise enter as their spectra, and the comb is a mask.
-    When no tone-mask bin passes the comb (tone band inside the notch), the
-    interference is zero after the comb and is not transformed, though its
-    draws are still made.
-    """
-    b, L = spectrum.shape
-    if len(gens) != b:
-        raise ValueError(f"{len(gens)} generators for {b} frames")
-    notched = (ch.tone_mask is not None and ch.comb_keep is not None
-               and not np.any(ch.tone_mask & ch.comb_keep))
-    intf, noise = draw_frames(ch, L, gens, keep_interference=not notched)
-
-    if ch.noise_sigma2 > 0:
-        # the noise is not read again, so its buffer may hold its spectrum
-        rx = scipy.fft.fft(noise, axis=1, overwrite_x=True)
-        rx *= np.sqrt(ch.noise_sigma2 / 2.0)
-        rx += spectrum
-    else:
-        rx = np.array(spectrum, dtype=np.complex128)
-    if intf is not None:
-        if ch.tone_basis is not None:
-            shaped = intf @ np.fft.fft(ch.tone_basis, axis=1)
-        else:
-            shaped = np.fft.fft(intf, axis=1) * ch.tone_mask[None, :]
-        rx += ch.intf_scale * shaped
-    if ch.comb_keep is not None:
-        rx *= ch.comb_keep[None, :]
-    return rx
+    m = len(ch.gain)
+    spectrum = np.fft.fft(symbols, m, axis=-1)
+    spectrum *= ch.gain
+    spectrum.real += ch.noise_sd * z[:, 0]
+    spectrum.imag += ch.noise_sd * z[:, 1]
+    if ch.tone_response is not None:
+        spectrum += phasors @ ch.tone_response
+    return np.fft.ifft(spectrum, axis=-1)[:, m - symbols.shape[-1]:]

@@ -73,8 +73,9 @@ MAX_THREADS = 256
 MAX_FRAME_SAMPLES = 1 << 20
 # sizes whose buffers grow with the config: SCL keeps (512, L, N) path
 # buffers (about 1 GiB at the ceiling), the sinusoid tone model a complex
-# (tones, frame samples) phasor basis (128 MiB), and the Welch tier the
-# whole PSD signal with its segments (about 85 bytes per sample)
+# (tones, frame samples) phasor basis that each link folds (128 MiB), and
+# the Welch tier the whole PSD signal with its segments (about 85 bytes
+# per sample)
 MAX_LIST_SYMBOLS = 1 << 16
 MAX_TONE_PHASORS = 1 << 23
 MAX_PSD_SAMPLES = 1 << 23

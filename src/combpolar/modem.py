@@ -1,18 +1,15 @@
 """BPSK with square-root raised-cosine pulse shaping.
 
 Transmit: map bits to +/-1, upsample by the per-symbol sample count and
-convolve (full) with unit-energy SRRC taps.  Receive: matched filter and
-sample at symbol instants with explicit group-delay bookkeeping, so edge
-symbols see the same pulse energy as interior ones.  Both directions work
-on a whole batch of frames at once, one frame per row of the last axis.
+convolve (full) with unit-energy SRRC taps (`modulate_symbols`, which
+`psd` uses).  A frame of n symbols is then L = (n + span) * sps samples.
 
-Each direction has two forms.  `modulate_symbols` and `matched_filter`
-work on waveforms; they are the reference, and `psd` uses the first.
-`frame_spectrum` and `sample_spectrum` give the same results on the
-frame's L-point FFT grid (L = (n + span) * sps), where pulse shaping and
-matched filtering are multiplications: the FER link builds each frame's
-transmit spectrum, the channel acts on it, and the matched-filter samples
-are read from the received spectrum by folding it onto n + span bins.
+The FER link never forms that waveform.  Pulse shaping, the channel and
+the matched filter are all linear, and sampling the matched filter's
+output every sps samples folds the frame's L-point spectrum onto
+m = n + span bins.  `pulse_spectrum` gives the L-point spectrum of the
+taps laid out as (sps, m), the form in which `channel.calibrate_channel`
+folds pulse, comb and matched filter into one m-point response.
 """
 
 from __future__ import annotations
@@ -87,61 +84,14 @@ def modulate_symbols(symbols, spec: PulseSpec) -> np.ndarray:
     return fftconvolve(up, taps.reshape((1,) * (up.ndim - 1) + (-1,)), mode="full", axes=-1)
 
 
-def frame_spectrum(symbols, spec: PulseSpec) -> np.ndarray:
-    """L-point FFT of modulate_symbols(symbols, spec), with L = (n + span)*sps,
-    along the last axis of the (..., n) symbols.
+def pulse_spectrum(spec: PulseSpec, n_symbols: int) -> np.ndarray:
+    """L-point FFT of the SRRC taps, L = (n_symbols + span) * sps, as an
+    (sps, n_symbols + span) array: row q holds bins q*m .. (q+1)*m - 1.
 
-    The full convolution is exactly L samples long, so it equals the
-    L-point circular one; the spectrum of the upsampled symbols is their
-    (n + span)-point spectrum tiled sps times.
+    The taps are real and symmetric, so this is also the spectrum of the
+    matched filter conj(taps[::-1]).  A frame's transmit spectrum is its
+    m-point symbol spectrum times each row, and sampling the matched
+    filter sums the rows.
     """
-    symbols = np.asarray(symbols)
-    m = symbols.shape[-1] + spec.span_symbols
-    pulse = np.fft.fft(srrc_taps(spec), m * spec.sps).reshape(spec.sps, m)
-    spectrum = np.fft.fft(symbols, m, axis=-1)[..., None, :] * pulse
-    return spectrum.reshape(symbols.shape[:-1] + (m * spec.sps,))
-
-
-def sample_spectrum(spectrum, spec: PulseSpec, n_symbols: int) -> np.ndarray:
-    """matched_filter(np.fft.ifft(spectrum), spec, n_symbols), read from the
-    L-point spectra along the last axis, L = (n_symbols + span)*sps.
-
-    The samples sit at delay + sps*k with delay = span*sps, inside [delay,
-    L), where the L-point circular matched filter equals the linear one.
-    Sampling every sps-th point folds the spectrum onto m = L/sps bins, and
-    the delay, a whole number of symbols, shifts the m-point inverse FFT by
-    span.
-    """
-    spectrum = np.asarray(spectrum)
     m = n_symbols + spec.span_symbols
-    if spectrum.shape[-1] != m * spec.sps:
-        raise ValueError(f"{spectrum.shape[-1]} bins, expected (n_symbols + span)*sps "
-                         f"= {m * spec.sps}")
-    mf = np.fft.fft(np.conj(srrc_taps(spec)[::-1]), m * spec.sps).reshape(spec.sps, m)
-    folded = np.einsum("...qm,qm->...m", spectrum.reshape(spectrum.shape[:-1] + (spec.sps, m)), mf)
-    y = np.fft.ifft(folded, axis=-1)
-    return y[..., spec.span_symbols:] / spec.sps
-
-
-def matched_filter(samples, spec: PulseSpec, n_symbols: int) -> np.ndarray:
-    """Matched-filter sample sequences along the last axis and take n_symbols
-    symbols from each.
-
-    For clean modulated frames the output is q(x_n) plus residual ISI from
-    tap truncation.  Measured peak ISI at roll-off 0.25: about 2e-2 for
-    span 8, 4e-3 for span 16, 1e-3 for span 32 -- far below channel noise
-    at any operating SNR of interest.
-    """
-    x = np.asarray(samples)
-    min_len = (n_symbols - 1) * spec.sps + 1
-    if x.shape[-1] < min_len:
-        raise ValueError(
-            f"signal too short: {x.shape[-1]} samples < {min_len} needed for "
-            f"{n_symbols} symbols"
-        )
-    taps = srrc_taps(spec)
-    mf = fftconvolve(x, np.conj(taps[::-1]).reshape((1,) * (x.ndim - 1) + (-1,)),
-                     mode="full", axes=-1)
-    # one filter delay from the transmit pulse, one from the matched filter
-    delay = len(taps) - 1
-    return mf[..., delay + spec.sps * np.arange(n_symbols)]
+    return np.fft.fft(srrc_taps(spec), m * spec.sps).reshape(spec.sps, m)

@@ -4,8 +4,10 @@ sweeps, PSD/null-depth runs and capacity tables.
 Reproducibility contract: every random draw comes from a generator seeded
 by (master_seed, stream, frame index), so a (config, master_seed) pair
 determines every output byte, independent of batch size or worker count.
-The channel stream does not depend on which arm (code/decoder flavor) is
-being simulated, so FER comparisons between arms are paired.
+Each FER frame draws from one generator, its channel first and then its
+information bits; the channel draws do not depend on which arm
+(code/decoder flavor) is being simulated, so FER comparisons between arms
+are paired.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkChannel, calibrate_channel, received_spectrum
+from .channel import LinkChannel, calibrate_channel, draw_channel, receive
 from .config import ConfigError, ExperimentConfig
 from .construction import (
     CRITERIA,
@@ -30,7 +32,7 @@ from .construction import (
 # sc_decode_batch and scl_decode_batch are not called here; perfbench/tracing.py
 # wraps them under these names
 from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
-from .modem import PulseSpec, bpsk_map, frame_spectrum, sample_spectrum
+from .modem import bpsk_map
 from .polar import assemble_source, encode
 from .shaping import CodeConfig, index_set_text
 from .spectral import (
@@ -41,7 +43,8 @@ from .spectral import (
     welch_psd,
 )
 
-_INFO_STREAM, _CHANNEL_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 0, 1, 2, 3
+# stream keys; key 0 is retired, so the construction and PSD streams keep theirs
+_FRAME_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 1, 2, 3
 _SUPER_BATCH = 512
 NOTCH_DEPTH_THRESHOLD_DB = 25.0  # Welch notch depth that nulldepth.csv counts as a pass
 
@@ -104,7 +107,6 @@ class LinkContext:
 
     code: CodeConfig             # decoder-side code: r=None for plain decoding
     list_size: int
-    pulse: PulseSpec
     channel: LinkChannel
     symbol_noise_var: float      # per-dimension symbol noise after matched filter
     master_seed: int
@@ -119,7 +121,6 @@ def make_link(cfg: ExperimentConfig, code: CodeConfig, snr_db: float) -> LinkCon
     return LinkContext(
         code=code,
         list_size=cfg.list_size,
-        pulse=cfg.pulse,
         channel=channel,
         symbol_noise_var=sigma2 / 2.0 if sigma2 > 0 else 1e-12,
         master_seed=cfg.master_seed,
@@ -129,24 +130,21 @@ def make_link(cfg: ExperimentConfig, code: CodeConfig, snr_db: float) -> LinkCon
 def synthesize_frames(link: LinkContext, frame_indices):
     """Transmit + channel for the given frame indices.
 
-    Returns (info bits (B, K), received symbols (B, N)).  All randomness
-    comes from per-frame generators, so frame index fi always sees the
-    same information word and the same channel realization, whichever arm
-    or batch it lands in.  The link runs on each frame's L-point spectrum
-    (`frame_spectrum`, `received_spectrum`, `sample_spectrum`) and matches
-    the waveform chain `modulate_symbols`, `impair`, `matched_filter` on
-    the same draws to rounding.
+    Returns (info bits (B, K), received symbols (B, N)).  Frame fi draws
+    from its own generator, first its channel (`draw_channel`, the same
+    draws for every arm) and then its K information bits, so it always
+    sees the same information word and channel realization, whichever arm
+    or batch it lands in.  The link runs on the M = N + span bins the
+    matched filter reads (`receive`): one M-point FFT pair per frame.
     """
-    idx = [int(fi) for fi in frame_indices]
     code = link.code
-    info = np.empty((len(idx), code.K), dtype=np.uint8)
-    for k, fi in enumerate(idx):
-        info[k] = _rng(link.master_seed, _INFO_STREAM, fi).integers(0, 2, code.K, dtype=np.uint8)
+    gens = [_rng(link.master_seed, _FRAME_STREAM, int(fi)) for fi in frame_indices]
+    draws = draw_channel(link.channel, gens)
+    info = np.empty((len(gens), code.K), dtype=np.uint8)
+    for k, g in enumerate(gens):
+        info[k] = g.integers(0, 2, code.K, dtype=np.uint8)
     x = encode(assemble_source(info, code.A, code.N))
-    tx = frame_spectrum(bpsk_map(x), link.pulse)
-    rx = received_spectrum(link.channel, tx,
-                           [_rng(link.master_seed, _CHANNEL_STREAM, fi) for fi in idx])
-    return info, sample_spectrum(rx, link.pulse, code.N)
+    return info, receive(link.channel, bpsk_map(x), *draws)
 
 
 def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:

@@ -1,13 +1,14 @@
-"""The link's channel: calibrate_channel for the levels, and impair, the
-waveform reference of the link, for a block of frames.  The FER link's
-spectral form, received_spectrum, is checked against impair in
-test_simulate.py."""
+"""The link's channel levels from calibrate_channel, checked on the waveform
+reference of the link (`link_reference.impair`, which adds them to a block
+of transmitted frames).  The folded FER link is checked against that
+reference in test_simulate.py."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+import link_reference
 from combpolar import channel, modem, polar, shaping
 from combpolar.config import ConfigError, ExperimentConfig, load_config
 
@@ -24,7 +25,7 @@ def tx_frames(cfg, n_frames, seed=0):
 
 def received(cfg, snr_db, s, seed=0):
     gens = [np.random.default_rng([seed, k]) for k in range(len(s))]
-    return channel.impair(channel.calibrate_channel(cfg, snr_db), s, gens)
+    return link_reference.impair(link_reference.waveform_channel(cfg, snr_db), s, gens)
 
 
 def power_in(x, cfg, lo, hi):
@@ -124,7 +125,7 @@ class TestPeriodicInterference:
         # every frame's interference is one random-phase tone of equal
         # amplitude at each grid center
         cfg = link_cfg(tone_model="sinusoid", comb_enabled=False)
-        ch = channel.calibrate_channel(cfg, np.inf)
+        ch = link_reference.waveform_channel(cfg, np.inf)
         s = tx_frames(cfg, 3, seed=4)
         intf = received(cfg, np.inf, s, seed=4) - s
         coef = np.linalg.lstsq(ch.tone_basis.T, intf.T, rcond=None)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import link_reference
 from combpolar import modem, polar, shaping
 
 
@@ -109,14 +110,30 @@ class TestModulate:
         assert abs(np.sum(samples**2) / 4096 - 1.0) < 0.02
 
 
+    @pytest.mark.parametrize("spec", (modem.PulseSpec(0.25, 16, 8), modem.PulseSpec(0.5, 8, 4),
+                                      modem.PulseSpec(0.0, 4, 2)))
+    def test_pulse_spectrum_folds_the_waveform_spectrum(self, spec):
+        # the L-point FFT of a modulated frame is its (n + span)-point symbol
+        # spectrum times each row of pulse_spectrum, row after row
+        bits = np.random.default_rng(10).integers(0, 2, (3, 64), dtype=np.uint8)
+        ref = np.fft.fft(modulate_bits(bits, spec), axis=-1)
+        pulse = modem.pulse_spectrum(spec, 64)
+        assert pulse.shape == (spec.sps, 64 + spec.span_symbols)
+        got = np.fft.fft(modem.bpsk_map(bits), pulse.shape[1])[:, None, :] * pulse
+        assert np.max(np.abs(got.reshape(ref.shape) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the taps are symmetric, so the matched filter has the same spectrum
+        taps = modem.srrc_taps(spec)
+        assert np.array_equal(pulse.ravel(), np.fft.fft(np.conj(taps[::-1]), pulse.size))
+
+
 class TestDemodulate:
-    """The matched filter and symbol sampler of the link."""
+    """The matched filter and symbol sampler of the waveform reference link."""
 
     def test_noiseless_round_trip_hard_decisions(self):
         rng = np.random.default_rng(6)
         spec = modem.PulseSpec(0.25, 8, 8)
         bits = rng.integers(0, 2, (4, 256), dtype=np.uint8)
-        y = modem.matched_filter(modulate_bits(bits, spec), spec, 256)
+        y = link_reference.matched_filter(modulate_bits(bits, spec), spec, 256)
         assert np.array_equal(np.sign(np.real(y)), modem.bpsk_map(bits))
 
     def test_isi_levels(self):
@@ -124,7 +141,7 @@ class TestDemodulate:
         bits = rng.integers(0, 2, (4, 256), dtype=np.uint8)
         for span, bound in ((8, 2.5e-2), (16, 5e-3), (32, 1.1e-3)):
             spec = modem.PulseSpec(0.25, span, 8)
-            y = modem.matched_filter(modulate_bits(bits, spec), spec, 256)
+            y = link_reference.matched_filter(modulate_bits(bits, spec), spec, 256)
             assert np.max(np.abs(np.real(y) - modem.bpsk_map(bits))) < bound
 
     def test_linearity_in_scale(self):
@@ -132,8 +149,8 @@ class TestDemodulate:
         spec = modem.PulseSpec(0.25, 8, 8)
         bits = rng.integers(0, 2, 64, dtype=np.uint8)
         samples = modulate_bits(bits, spec)
-        y1 = modem.matched_filter(samples, spec, 64)
-        y2 = modem.matched_filter(2.5 * samples, spec, 64)
+        y1 = link_reference.matched_filter(samples, spec, 64)
+        y2 = link_reference.matched_filter(2.5 * samples, spec, 64)
         assert np.allclose(y2, 2.5 * y1)
 
     def test_noise_variance_preserved(self):
@@ -143,7 +160,7 @@ class TestDemodulate:
         v = 0.7
         shape = (10, 8000)
         noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(v / 2)
-        y = modem.matched_filter(noise, spec, 900)
+        y = link_reference.matched_filter(noise, spec, 900)
         assert y.shape == (10, 900)
         assert abs(np.var(y) / v - 1.0) < 0.05
 
@@ -151,37 +168,4 @@ class TestDemodulate:
         spec = modem.PulseSpec(0.25, 8, 8)
         samples = modulate_bits(np.zeros((2, 4), dtype=np.uint8), spec)
         with pytest.raises(ValueError, match="too short"):
-            modem.matched_filter(samples, spec, 400)
-
-
-SPECTRAL_PULSES = (modem.PulseSpec(0.25, 16, 8), modem.PulseSpec(0.5, 8, 4),
-                   modem.PulseSpec(0.0, 4, 2))
-
-
-class TestSpectralForms:
-    """frame_spectrum and sample_spectrum against the waveform modem."""
-
-    @pytest.mark.parametrize("spec", SPECTRAL_PULSES)
-    def test_frame_spectrum_is_fft_of_waveform(self, spec):
-        bits = np.random.default_rng(10).integers(0, 2, (3, 64), dtype=np.uint8)
-        ref = np.fft.fft(modulate_bits(bits, spec), axis=-1)
-        got = modem.frame_spectrum(modem.bpsk_map(bits), spec)
-        assert got.shape == ref.shape == (3, (64 + spec.span_symbols) * spec.sps)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-    @pytest.mark.parametrize("spec", SPECTRAL_PULSES)
-    def test_sample_spectrum_is_matched_filter(self, spec):
-        # any spectrum, not only a modulated one: complex white noise
-        rng = np.random.default_rng(11)
-        n = 64
-        shape = (3, (n + spec.span_symbols) * spec.sps)
-        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = modem.matched_filter(np.fft.ifft(spectrum, axis=-1), spec, n)
-        got = modem.sample_spectrum(spectrum, spec, n)
-        assert got.shape == ref.shape == (3, n)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-    def test_sample_spectrum_needs_the_frame_length(self):
-        spec = modem.PulseSpec(0.25, 8, 8)
-        with pytest.raises(ValueError, match="bins"):
-            modem.sample_spectrum(np.zeros((2, 72 * 8 + 1), dtype=complex), spec, 64)
+            link_reference.matched_filter(samples, spec, 400)

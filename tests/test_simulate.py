@@ -2,13 +2,20 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import link_reference
 from combpolar import channel, modem, polar, selftest, shaping, simulate
 from combpolar.cli import main as cli_main
 from combpolar.config import ConfigError, ExperimentConfig, load_config
+from combpolar.decoder import ccd_decode_batch
+from combpolar.spectral import tone_centers
+
+REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
 
 
 def tiny_cfg(**kw):
@@ -181,11 +188,11 @@ class TestLinkDeterminism:
         change to the channel, modem or decoders that moves a single
         decision shows here."""
         pinned = {
-            (4, "noise"): {"cp": [203, 174], "csp-nonc": [19, 0], "csp-c": [23, 3]},
-            (32, "noise"): {"cp": [204, 173], "csp-nonc": [20, 0], "csp-c": [21, 3]},
-            (4, "sinusoid"): {"cp": [247, 246], "csp-nonc": [231, 228], "csp-c": [217, 210]},
-            (1, "noise"): {"cp": [203, 188], "csp-nonc": [40, 4], "csp-c": [38, 7]},
-            (1, "sinusoid"): {"cp": [249, 248], "csp-nonc": [239, 234], "csp-c": [217, 214]},
+            (4, "noise"): {"cp": [209, 176], "csp-nonc": [26, 3], "csp-c": [16, 1]},
+            (32, "noise"): {"cp": [210, 174], "csp-nonc": [27, 3], "csp-c": [15, 1]},
+            (4, "sinusoid"): {"cp": [249, 248], "csp-nonc": [229, 225], "csp-c": [222, 217]},
+            (1, "noise"): {"cp": [215, 183], "csp-nonc": [49, 2], "csp-c": [30, 0]},
+            (1, "sinusoid"): {"cp": [249, 250], "csp-nonc": [238, 235], "csp-c": [224, 218]},
         }
         for (list_size, model), want in pinned.items():
             res = simulate.run_fer_arms(tiny_cfg(snr_sweep_db=(-5.0, -3.0), tone_model=model,
@@ -201,10 +208,25 @@ class TestLinkDeterminism:
                [(r.frames, r.frame_errors) for r in r2]
 
 
+def folded_covariance(ch, n_symbols):
+    """E[y y^H] of the folded link's noise plus noise-model interference.
+
+    y = IFFT_M(noise_sd * (z1 + i z2))[span:] with independent bins of
+    E|bin m|^2 = 2 noise_sd[m]^2, so the covariance is circulant:
+    E[y_n conj(y_n')] = IFFT_M(2 noise_sd^2)[(n - n') mod M] / M.
+    """
+    m = len(ch.noise_sd)
+    c = np.fft.ifft(2.0 * ch.noise_sd**2) / m
+    return c[np.subtract.outer(np.arange(n_symbols), np.arange(n_symbols)) % m]
+
+
 class TestSpectralLink:
-    """synthesize_frames runs the link on frame spectra; the waveform chain
-    modulate_symbols -> impair -> matched_filter on the same draws is its
-    reference."""
+    """synthesize_frames runs the link on the M = N + span bins that the
+    matched filter reads; the waveform chain of link_reference
+    (modulate_symbols -> impair -> matched_filter) is its reference.  The
+    symbols, and the sinusoid interference from the same tone phases, must
+    match to rounding.  Noise and noise-model interference are other draws
+    than the reference's, so they must match in distribution."""
 
     CASES = {
         "reference": {},
@@ -216,29 +238,122 @@ class TestSpectralLink:
         "other-pulse": {"pulse": modem.PulseSpec(0.5, 8, 4)},
     }
 
+    @staticmethod
+    def noiseless(link):
+        """The same link without its noise and noise-model interference."""
+        ch = dataclasses.replace(link.channel, noise_sd=np.zeros_like(link.channel.noise_sd))
+        return dataclasses.replace(link, channel=ch)
+
     @pytest.mark.parametrize("snr_db", [-1.0, np.inf])
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_waveform_chain(self, case, snr_db):
         cfg = tiny_cfg(**self.CASES[case])
         link = simulate.make_link(cfg, simulate.build_code(cfg), snr_db)
+        wch = link_reference.waveform_channel(cfg, snr_db)
         frames = range(5, 21)
-        info, y = simulate.synthesize_frames(link, frames)
+        info, y = simulate.synthesize_frames(self.noiseless(link), frames)
         x = polar.encode(polar.assemble_source(info, link.code.A, link.code.N))
-        gens = [simulate._rng(cfg.master_seed, simulate._CHANNEL_STREAM, fi) for fi in frames]
         s = modem.modulate_symbols(modem.bpsk_map(x), cfg.pulse)
-        y_ref = modem.matched_filter(channel.impair(link.channel, s, gens), cfg.pulse, cfg.N)
+        gens = link_reference.frame_generators(cfg.master_seed, frames)
+        phasors = link_reference.draw_waveform(wch, gens, s.shape[1])[0]
+        y_ref = link_reference.matched_filter(link_reference.apply_waveform(wch, s, phasors),
+                                              cfg.pulse, cfg.N)
         assert y.shape == y_ref.shape == (16, cfg.N)
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * max(1.0, np.max(np.abs(y_ref)))
+        # the rest, in closed form from the folded deviations against unit
+        # impulses through the waveform chain
+        cov_ref = link_reference.waveform_covariance(cfg, wch)
+        cov = folded_covariance(link.channel, cfg.N)
+        assert np.max(np.abs(cov - cov_ref)) <= 1e-12 * max(1.0, np.max(np.abs(cov_ref)))
 
-    def test_interference_skip_runs_both_ways(self):
-        # the reference tone band fits the notch, so its interference is
-        # zero after the comb; a wider tone band leaks past it
-        def notched(**kw):
-            ch = channel.calibrate_channel(tiny_cfg(**kw), 0.0)
-            return not np.any(ch.tone_mask & ch.comb_keep)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_noise_sample_moments(self, case):
+        # the draws themselves, on 10240 frames at -1 dB: zero mean, the
+        # waveform chain's covariance and no pseudo-covariance, each entry
+        # within 6 standard errors
+        cfg = tiny_cfg(**self.CASES[case])
+        link = simulate.make_link(cfg, simulate.build_code(cfg), -1.0)
+        frames = range(10240)
+        r = simulate.synthesize_frames(link, frames)[1]
+        r -= simulate.synthesize_frames(self.noiseless(link), frames)[1]
+        cov = link_reference.waveform_covariance(cfg, link_reference.waveform_channel(cfg, -1.0))
+        power = np.diag(cov).real
+        se = np.sqrt(np.outer(power, power) / len(r))
+        assert np.all(np.abs(r.mean(axis=0)) <= 6 * np.sqrt(power / len(r)))
+        assert np.all(np.abs(r.T @ r.conj() / len(r) - cov) <= 6 * se)
+        assert np.all(np.abs(r.T @ r / len(r)) <= 6 * se)
 
-        assert notched(**self.CASES["reference"])
-        assert not notched(**self.CASES["tone-band-wider-than-notch"])
+    def test_interference_the_comb_removes_adds_nothing(self):
+        # the reference tone band lies inside the notch, so the folded
+        # deviations are those without interference, bit for bit; a wider
+        # tone band leaks past the notch
+        def sd(cfg, **kw):
+            return channel.calibrate_channel(dataclasses.replace(cfg, **kw), 0.0).noise_sd
+
+        for cfg in (load_config(REFERENCE_CONFIG), tiny_cfg(**self.CASES["reference"])):
+            assert cfg.sir_db == -20.0
+            assert np.array_equal(sd(cfg), sd(cfg, sir_db=None))
+        wide = tiny_cfg(**self.CASES["tone-band-wider-than-notch"])
+        assert np.any(sd(wide) > sd(wide, sir_db=None))
+
+    @pytest.mark.parametrize("model", ["noise", "sinusoid"])
+    def test_channel_draws_do_not_depend_on_sir_or_comb(self, model):
+        # every frame makes the same channel draws, so its information bits
+        # (drawn next from the same generator) stay paired
+        code = simulate.build_code(tiny_cfg())
+        states, infos = [], []
+        for sir_db in (-20.0, 10.0, None):
+            for comb in (True, False):
+                for snr_db in (-1.0, np.inf):
+                    cfg = tiny_cfg(tone_model=model, sir_db=sir_db, comb_enabled=comb)
+                    link = simulate.make_link(cfg, code, snr_db)
+                    gens = link_reference.frame_generators(cfg.master_seed, range(3))
+                    channel.draw_channel(link.channel, gens)
+                    states.append([g.bit_generator.state for g in gens])
+                    infos.append(simulate.synthesize_frames(link, range(3))[0])
+        assert all(state == states[0] for state in states)
+        assert all(np.array_equal(info, infos[0]) for info in infos)
+
+    def test_tone_masks_equal_the_loop(self):
+        configs = [load_config(REFERENCE_CONFIG)] + [tiny_cfg(**kw) for kw in self.CASES.values()]
+        for cfg in configs:
+            L, fs = channel.frame_samples(cfg), cfg.sample_rate
+            centers = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, fs / 2)
+            tones = link_reference.tone_mask_loop(L, fs, centers, cfg.tone_bandwidth_hz / 2)
+            notches = link_reference.tone_mask_loop(L, fs, centers, cfg.notch_bandwidth_hz / 2)
+            assert np.array_equal(channel.noise_tone_mask(cfg)[0], tones)
+            assert np.array_equal(channel.comb_mask(cfg), ~notches if cfg.comb_enabled
+                                  else np.ones(L, dtype=bool))
+
+    def test_pickled_link_size(self):
+        # what a pool task carries: the folded M-vectors, and under the
+        # sinusoid model the (tones x M) response, not L-point masks or phasors
+        cfg = load_config(REFERENCE_CONFIG)
+        code = simulate.build_code(cfg)
+        for model, bound in (("noise", 16_000), ("sinusoid", 600_000)):
+            link = simulate.make_link(dataclasses.replace(cfg, tone_model=model), code, -1.0)
+            assert len(pickle.dumps(link)) <= bound, model
+
+    def test_fer_matches_waveform_chain(self):
+        # SC on the reference config at -1 dB and its master_seed 1, 10240
+        # frames per arm: overlapping z = 3 Wilson intervals on every arm
+        frames, batch = 10240, 256
+        base = load_config(REFERENCE_CONFIG, {"decoder": {"list_size": 1}})
+        assert base.master_seed == 1
+        for arm in ("cp", "csp-nonc", "csp-c"):
+            cfg = base.for_arm(arm)
+            link = simulate.make_link(cfg, simulate.build_code(cfg), -1.0)
+            folded = waveform = 0
+            for lo in range(0, frames, batch):
+                idx = range(lo, lo + batch)
+                folded += int(np.count_nonzero(simulate.run_link_frames(link, idx)))
+                info, y = link_reference.waveform_frames(cfg, link, -1.0, idx)
+                info_hat = ccd_decode_batch(y, link.code, link.symbol_noise_var, 1)[0]
+                waveform += int(np.count_nonzero(np.any(info_hat != info, axis=1)))
+            lo_f, hi_f = simulate.wilson_interval(folded, frames, z=3.0)
+            lo_w, hi_w = simulate.wilson_interval(waveform, frames, z=3.0)
+            print(f"{arm}: folded {folded}, waveform {waveform} of {frames}")
+            assert lo_f <= hi_w and lo_w <= hi_f, (arm, folded, waveform)
 
 
 class TestWorkerPool:
