@@ -71,7 +71,7 @@ class ConfigError(ValueError):
 # fixed limits, so a config loads the same way on every machine
 MAX_THREADS = 256
 MAX_FRAME_SAMPLES = 1 << 20
-# sizes whose buffers grow with the config: SCL keeps (512, L, N) path
+# sizes whose buffers grow with the config: SCL keeps (N, 512, L) path
 # buffers (about 1 GiB at the ceiling), the sinusoid tone model a complex
 # (tones, frame samples) phasor basis that each link folds (128 MiB), and
 # the Welch tier the whole PSD signal with its segments (about 85 bytes

@@ -133,6 +133,8 @@ def monte_carlo_symmetric_capacity(
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
+    if trials < 1 or batch < 1:
+        raise ValueError(f"trials and batch must be >= 1, got {trials} and {batch}")
     sum1 = np.zeros(N)
     sum2 = np.zeros(N)
     done = 0

@@ -12,6 +12,15 @@ All use the exact log-domain check-node update (soft XOR) and the exact
 path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
 codebook the best path is maximum-likelihood.  Every decoder works on a
 (B, N) batch of frames.
+
+Inside the walk every buffer is laid out (width, B, paths): tree width
+first, then the frames, then the list paths.  The LLRs enter once as the
+bit-reversed transpose.  With frames on the contiguous axis, every ufunc
+runs over at least B elements per call, also at the deep tree levels,
+whose width is 1, 2 or 4 (the layout of software polar decoders that
+put frames in the SIMD lanes: Le Gal, Leroux and Jego, IEEE TSP 2015).
+The layout moves no bit: every ufunc sees the same operands in the same
+order.
 """
 
 from __future__ import annotations
@@ -61,32 +70,37 @@ def channel_llr(y, noise_var: float) -> np.ndarray:
 class _Walk:
     """Depth-first successive-cancellation walk over compact per-level buffers.
 
-    Each tree level d keeps only the active node's LLRs llr[d] and the
-    left-child partial sums uleft[d], shaped (B, paths, width).  A buffer
-    keeps a path axis of size 1 (broadcasting) while it does not depend on
-    the path, and is never gathered.  A list prune (`_prune`) moves no
-    buffer: it composes each level's pending (B, L) row map, and a level
-    buffer is gathered through that map only where the walk reads it again
-    (`_take`): llr[d] before the right child, uleft[d] at the combine.
-    llr[d+1] is computed afresh before each child, so the leaf level is
-    always current.  SC and the genie never prune.  Every leaf returns its
-    codeword bits.  The leaf rule here is SC: hard decision, 0 at frozen
-    leaves, exact path metric.
+    The (B, N) codeword-order LLRs enter once as the bit-reversed (leaf
+    order) transpose, llr[0] of shape (N, B, 1).  Each tree level d keeps
+    only the active node's LLRs llr[d] and the left-child partial sums
+    uleft[d], shaped (width, B, paths), so the frames lie on the
+    contiguous axis and a deep level's few LLRs per frame still make one
+    long vector.  A buffer keeps a path axis of size 1 (broadcasting)
+    while it does not depend on the path, and is never gathered.  A list
+    prune (`_prune`) moves no buffer: it composes each level's pending
+    (B, L) row map, and a level buffer is gathered through that map only
+    where the walk reads it again (`_take`): llr[d] before the right
+    child, uleft[d] at the combine.  llr[d+1] is computed afresh before
+    each child, so the leaf level is always current.  SC and the genie
+    never prune.  Every leaf returns its codeword bits, (1, B, paths).
+    Subclasses read the leaf through `leaf_llrs` and move paths through
+    `rows` and `gather`, so the layout stays inside this class.  The leaf
+    rule here is SC: hard decision, 0 at frozen leaves, exact path metric.
     """
 
-    def __init__(self, lam0, frozen, list_size=1):
-        self.B, self.N = lam0.shape
+    def __init__(self, llrs, frozen, list_size=1):
+        self.B, self.N = llrs.shape
         self.n = self.N.bit_length() - 1
         self.L = list_size
         self.frozen = frozen
         self.llr = [None] * (self.n + 1)
-        self.llr[0] = lam0[:, None, :]
+        self.llr[0] = llrs.T[bit_reversal(self.N)][:, :, None]  # leaf order, (N, B, 1)
         self.uleft = [None] * max(self.n, 1)
-        self.pend = [None] * self.n  # (B, L) rows into the (B*L, width) buffer, or None
+        self.pend = [None] * self.n  # (B, L) rows into a buffer's B*L (frame, path) pairs, or None
         self.pm = np.full((self.B, self.L), _BIG)
         self.pm[:, 0] = 0.0
         self.u_hat = np.zeros((self.B, self.N), dtype=np.uint8)
-        self._zero = np.zeros((self.B, 1, 1), dtype=np.uint8)
+        self._zero = np.zeros((1, self.B, 1), dtype=np.uint8)
 
     def run(self):
         self._node(0, 0)
@@ -97,13 +111,28 @@ class _Walk:
             return self._leaf(offset)
         lam = self.llr[d]
         h = (self.N >> d) // 2
-        self.llr[d + 1] = soft_xor(lam[..., :h], lam[..., h:])
+        self.llr[d + 1] = soft_xor(lam[:h], lam[h:])
         self.uleft[d] = self._node(d + 1, offset)
         lam = self._take(self.llr, d)  # pruned while the left subtree ran
-        self.llr[d + 1] = lam[..., h:] + (1.0 - 2.0 * self.uleft[d]) * lam[..., :h]
+        self.llr[d + 1] = lam[h:] + (1.0 - 2.0 * self.uleft[d]) * lam[:h]
         cw_r = self._node(d + 1, offset + h)
         u_l = self._take(self.uleft, d)  # pruned while the right subtree ran
-        return np.concatenate(np.broadcast_arrays(u_l ^ cw_r, cw_r), axis=2)
+        return np.concatenate(np.broadcast_arrays(u_l ^ cw_r, cw_r), axis=0)
+
+    def leaf_llrs(self):
+        """The current leaf's LLRs, (B, paths)."""
+        return self.llr[self.n][0]
+
+    def rows(self, src):
+        """(B, L) rows that make path src[b, j] of frame b its path j."""
+        return np.arange(0, self.B * self.L, self.L)[:, None] + src
+
+    def gather(self, buf, rows):
+        """A level buffer with its (frame, path) pairs gathered through (B, L)
+        rows; a buffer that does not depend on the path comes back as is."""
+        if buf.shape[2] == 1:
+            return buf
+        return np.take(buf.reshape(len(buf), self.B * self.L), rows, axis=1)
 
     def _take(self, bufs, d):
         """Take level d's buffer out of `bufs` for its last read, gathered
@@ -111,37 +140,35 @@ class _Walk:
         one live buffer at a time, and the stale copy is freed here."""
         buf, bufs[d] = bufs[d], None
         rows, self.pend[d] = self.pend[d], None
-        if rows is None or buf.shape[1] == 1:
-            return buf
-        return np.take(buf.reshape(self.B * self.L, -1), rows, axis=0)
+        return buf if rows is None else self.gather(buf, rows)
 
     def _prune(self, src):
         """Make path src[b, j] of frame b its path j, at B*L cost per level."""
-        flat = np.arange(0, self.B * self.L, self.L)[:, None] + src
+        flat = self.rows(src)
         for d, rows in enumerate(self.pend):
             self.pend[d] = flat if rows is None else np.take(rows, flat)
 
     def _leaf(self, offset):
-        dm = self.llr[self.n][:, :, 0]
+        dm = self.leaf_llrs()
         if self.frozen[offset]:
             self.pm = self.pm + _softplus(-dm)
             return self._zero
         bit = (dm < 0).astype(np.uint8)
         self.pm = self.pm + _softplus(-(1.0 - 2.0 * bit) * dm)
         self.u_hat[:, offset] = bit[:, 0]
-        return bit[:, :, None]
+        return bit[None]
 
 
 def _decoder_inputs(llrs, frozen_mask=None):
-    """Checked (B, N) float LLRs in the walk's leaf (bit-reversed) order, and
-    the boolean frozen mask of length N when one is given."""
+    """Checked (B, N) float LLRs in codeword order, and the boolean frozen
+    mask of length N when one is given."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     N = llrs.shape[1]
     _check_power_of_two(N)
     frozen = None if frozen_mask is None else np.asarray(frozen_mask, dtype=bool)
     if frozen is not None and len(frozen) != N:
         raise ValueError(f"frozen mask length {len(frozen)} != N = {N}")
-    return llrs[:, bit_reversal(N)], frozen
+    return llrs, frozen
 
 
 def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
@@ -152,29 +179,34 @@ def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
 class _GenieWalk(_Walk):
     """Genie leaf rule: record the leaf LLR, feed back the true bit."""
 
-    def __init__(self, lam0, u_true):
-        super().__init__(lam0, None)
-        self.u = u_true
-        self.dec = np.empty((self.B, self.N))
+    def __init__(self, llrs, u_true):
+        super().__init__(llrs, None)
+        self.u = np.ascontiguousarray(u_true.T)[:, None, :, None]  # leaf i's bits (1, B, 1)
+        self.dec = np.empty((self.N, self.B))  # leaf i's LLRs in row i
 
     def run(self):
         self._node(0, 0)
-        return self.dec
+        return np.ascontiguousarray(self.dec.T)
 
     def _leaf(self, offset):
-        self.dec[:, offset] = self.llr[self.n][:, 0, 0]
-        return self.u[:, offset, None, None]
+        self.dec[offset] = self.leaf_llrs()[:, 0]
+        return self.u[offset]
 
 
 def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Per-index SC decision LLRs given the true preceding source bits.
 
-    llrs is (B, N) in codeword order; u_true is the (B, N) source batch.
-    Output column i is the LLR the decoder would see for source bit i if
-    all previous decisions were correct.
+    llrs is (B, N) in codeword order; u_true is the (B, N) source batch,
+    one word per frame (any other shape raises ValueError).  Output
+    column i is the LLR the decoder would see for source bit i if all
+    previous decisions were correct.
     """
-    lam, _ = _decoder_inputs(llrs)
-    return _GenieWalk(lam, np.atleast_2d(np.asarray(u_true, dtype=np.uint8))).run()
+    llrs, _ = _decoder_inputs(llrs)
+    u_true = np.atleast_2d(np.asarray(u_true, dtype=np.uint8))
+    if u_true.shape != llrs.shape:
+        raise ValueError(f"true source bits have shape {u_true.shape}, "
+                         f"the LLRs {llrs.shape}")
+    return _GenieWalk(llrs, u_true).run()
 
 
 class _SclEngine(_Walk):
@@ -187,8 +219,8 @@ class _SclEngine(_Walk):
     best path's bits are traced back through them once, at the end.
     """
 
-    def __init__(self, lam0, frozen, list_size):
-        super().__init__(lam0, frozen, list_size)
+    def __init__(self, llrs, frozen, list_size):
+        super().__init__(llrs, frozen, list_size)
         self.back = []  # (info index, (B, L) sort positions) per information leaf
         self.back_dtype = np.min_scalar_type(2 * list_size - 1)
 
@@ -206,13 +238,13 @@ class _SclEngine(_Walk):
     def _leaf(self, offset):
         if self.frozen[offset]:
             return super()._leaf(offset)
-        dm = self.llr[self.n][:, :, 0]
+        dm = self.leaf_llrs()
         cand = np.concatenate([self.pm + _softplus(-dm), self.pm + _softplus(dm)], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
         self.pm = np.take_along_axis(cand, order, axis=1)
         self._prune(order % self.L)
         self.back.append((offset, order.astype(self.back_dtype)))
-        return (order >= self.L).astype(np.uint8)[:, :, None]
+        return (order >= self.L).astype(np.uint8)[None]
 
 
 def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):

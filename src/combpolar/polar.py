@@ -63,12 +63,12 @@ def encode(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     N = u.shape[-1]
     m = _check_power_of_two(N)
-    v = u.astype(np.uint8).copy()
-    # supersets transform: v_j = XOR of u_i over i whose support covers j
+    v = u.astype(np.uint8)  # a copy; splitting its last axis below gives views
+    # supersets transform: v_j = XOR of u_i over i whose support covers j;
+    # stage d pairs j with j + 2^d for every j whose bit d is 0
     for d in range(m):
-        step = 1 << d
-        idx = np.nonzero((np.arange(N) & step) == 0)[0]
-        v[..., idx] ^= v[..., idx + step]
+        pairs = v.reshape(u.shape[:-1] + (N >> (d + 1), 2, 1 << d))
+        pairs[..., 0, :] ^= pairs[..., 1, :]
     return v[..., bit_reversal(N)]
 
 

@@ -148,6 +148,16 @@ class TestMonteCarloEstimator:
         top_mc = set(np.argsort(-mc)[:4].tolist())
         assert top_ga == top_mc
 
+    @pytest.mark.parametrize("trials, batch", [(0, 4096), (-3, 4096), (100, 0), (100, -1)])
+    def test_bad_trials_or_batch_rejected_before_drawing(self, trials, batch):
+        """trials = 0 would divide by zero and batch = 0 would never finish;
+        both raise before the generator is touched."""
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            construction.monte_carlo_symmetric_capacity(8, 1.0, trials, rng, batch=batch)
+        assert rng.bit_generator.state == state
+
 
 class TestSelection:
     def test_full_set(self):

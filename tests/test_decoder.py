@@ -98,6 +98,14 @@ class TestScDecode:
                 w1 = oracles.subchannel_probability(y, u[0, :i], i, 1, nv)
                 assert abs(dec[0, i] - np.log(w0 / w1)) < 1e-8
 
+    def test_genie_needs_true_bits_of_the_llrs_shape(self):
+        """One source word per LLR frame: a single row is not broadcast to
+        every frame, and a wrong frame count or length is refused up front."""
+        llr = np.random.default_rng(19).standard_normal((3, 8))
+        for shape in ((1, 8), (2, 8), (3, 4)):
+            with pytest.raises(ValueError, match="shape"):
+                decoder.genie_decision_llrs(llr, np.zeros(shape, dtype=np.uint8))
+
     def test_ml_agreement_when_unambiguous(self):
         rng = np.random.default_rng(5)
         code = random_code(rng, 8, 4)
@@ -115,11 +123,12 @@ class TestScDecode:
 
 class EagerScl(decoder._SclEngine):
     """Reference list decoder that moves every copy at once: each prune
-    gathers every level buffer with a path axis and a (B, L, N) path
-    history, and the best row of that history is the output."""
+    gathers every level buffer with a path axis (through the walk's own
+    `gather`, which leaves path-independent buffers alone) and a (B, L, N)
+    path history, and the best row of that history is the output."""
 
-    def __init__(self, lam0, frozen, list_size):
-        super().__init__(lam0, frozen, list_size)
+    def __init__(self, llrs, frozen, list_size):
+        super().__init__(llrs, frozen, list_size)
         self.hist = np.zeros((self.B, self.L, self.N), dtype=np.uint8)
 
     def run(self):
@@ -131,20 +140,20 @@ class EagerScl(decoder._SclEngine):
     def _leaf(self, offset):
         if self.frozen[offset]:
             return decoder._Walk._leaf(self, offset)
-        dm = self.llr[self.n][:, :, 0]
+        dm = self.leaf_llrs()
         cand = np.concatenate([self.pm + np.logaddexp(0.0, -dm),
                                self.pm + np.logaddexp(0.0, dm)], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
         src = order % self.L
         self.pm = np.take_along_axis(cand, order, axis=1)
-        rows = np.arange(self.B)[:, None]
+        rows = self.rows(src)
         for buf in (self.llr, self.uleft):
             for d, arr in enumerate(buf):
-                if arr is not None and arr.shape[1] == self.L:
-                    buf[d] = arr[rows, src]
-        self.hist = self.hist[rows, src]
+                if arr is not None:
+                    buf[d] = self.gather(arr, rows)
+        self.hist = self.hist[np.arange(self.B)[:, None], src]
         self.hist[:, :, offset] = (order >= self.L).astype(np.uint8)
-        return self.hist[:, :, offset : offset + 1]
+        return self.hist[None, :, :, offset]
 
 
 def lazy_vs_eager_cases():
@@ -174,7 +183,7 @@ class TestSclDecode:
         the path history at each prune; L > 2^K is among the cases."""
         for name, llr, frozen in lazy_vs_eager_cases():
             u_hat, pm = decoder.scl_decode_batch(llr, frozen, L)
-            u_ref, pm_ref = EagerScl(llr[:, polar.bit_reversal(len(frozen))], frozen, L).run()
+            u_ref, pm_ref = EagerScl(llr, frozen, L).run()
             assert np.array_equal(u_hat, u_ref), name
             assert np.array_equal(pm, pm_ref), name
 
@@ -266,9 +275,7 @@ class TestSclDecode:
                 mins.append(float(np.min(self.pm)))
                 return out
 
-        from combpolar.polar import bit_reversal
-
-        engine = Traced(llr[None, bit_reversal(32)], code.frozen_mask(), 4)
+        engine = Traced(llr[None, :], code.frozen_mask(), 4)
         _, pm = engine.run()
         assert len(mins) == 32
         assert all(b >= a - 1e-12 for a, b in zip(mins, mins[1:]))
@@ -286,7 +293,7 @@ class TestSclDecode:
         class Traced(decoder._SclEngine):
             def _leaf(self, offset):
                 if not self.frozen[offset]:
-                    dm = self.llr[self.n][:, :, 0]
+                    dm = self.leaf_llrs()
                     cand = np.sort(np.concatenate(
                         [self.pm + np.logaddexp(0, -dm), self.pm + np.logaddexp(0, dm)],
                         axis=1), axis=1)[:, : self.L]
@@ -295,9 +302,7 @@ class TestSclDecode:
                     return out
                 return super()._leaf(offset)
 
-        from combpolar.polar import bit_reversal
-
-        Traced(llr[None, bit_reversal(16)], code.frozen_mask(), 4).run()
+        Traced(llr[None, :], code.frozen_mask(), 4).run()
         assert len(checks) == 8 and all(checks)
 
     def test_bad_list_size(self):
@@ -404,6 +409,21 @@ class TestCcdDecode:
             split = [decoder.ccd_decode_batch(p, code, 0.81, L) for p in parts]
             for got, ref in zip(zip(*split), whole):
                 assert np.array_equal(np.concatenate(got), ref)
+
+    def test_genie_rows_do_not_depend_on_batch(self):
+        """Frames share vectors along the walk's contiguous axis, yet a
+        frame's genie decision LLRs are the same alone, in a whole batch,
+        or in either of two uneven halves of it."""
+        rng = np.random.default_rng(20)
+        N = 64
+        u = rng.integers(0, 2, (37, N), dtype=np.uint8)
+        y = (1.0 - 2.0 * polar.encode(u)) + 0.9 * rng.standard_normal((37, N))
+        llr = decoder.channel_llr(y, 0.81)
+        whole = decoder.genie_decision_llrs(llr, u)
+        for cuts in ([11], range(1, 37)):
+            split = [decoder.genie_decision_llrs(lp, up)
+                     for lp, up in zip(np.split(llr, cuts), np.split(u, cuts))]
+            assert np.array_equal(np.concatenate(split), whole)
 
     def test_config_shape_mismatch(self):
         rng = np.random.default_rng(13)

@@ -94,9 +94,12 @@ class TestEncode:
         rng = np.random.default_rng(0)
         for N in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
             G = polar.generator_matrix(N).astype(np.int64)
-            u = rng.integers(0, 2, (100, N), dtype=np.uint8)
-            ref = (u.astype(np.int64) @ G) % 2
-            assert np.array_equal(polar.encode(u), ref.astype(np.uint8))
+            for shape in ((100, N), (3, 5, N)):
+                u = rng.integers(0, 2, shape, dtype=np.uint8)
+                before = u.copy()
+                ref = (u.astype(np.int64) @ G) % 2
+                assert np.array_equal(polar.encode(u), ref.astype(np.uint8))
+                assert np.array_equal(u, before)  # the input is not written
 
     def test_involution_exhaustive_small(self):
         for N in (2, 4, 8, 16):
