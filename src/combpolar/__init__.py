@@ -24,7 +24,6 @@ from .shaping import (
 from .spectral import (
     PsdEstimate,
     covering_order,
-    g_window,
     null_depth,
     null_set,
     tone_centers,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: construct, fer, psd, mcsc, selftest.  Exit codes: 0 success,
-1 usage or configuration error, 2 self-test failure, 3 I/O error.
+Subcommands: construct, fer, psd, mcsc, selftest.  Each accepts only the
+flags it reads.  Exit codes: 0 success, 1 usage or configuration error,
+2 self-test failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,24 +14,36 @@ import sys
 from .config import ConfigError, load_config
 
 
-def _add_common(p: argparse.ArgumentParser):
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line to `main`, which reports it in one line
+    and exits 1 (argparse itself prints the usage and exits 2, the
+    self-test failure code)."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", default=None, help="JSON experiment config")
     p.add_argument("--seed", metavar="U64", type=int, default=None, help="override master seed")
     p.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    p.add_argument("--threads", metavar="N", type=int, default=None, help="worker processes")
 
 
 def _load(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.threads is not None:
+    if getattr(args, "threads", None) is not None:
         overrides["threads"] = args.threads
     return load_config(args.config, overrides)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="combpolar",
         description="Comb-shaping polar codes: construction, FER sweeps, "
         "PSD reports, capacity tables, self test.",
@@ -41,11 +54,24 @@ def main(argv=None) -> int:
         ("fer", "run the frame-error-rate sweep for the configured arm"),
         ("psd", "average the codeword PSD and report notch depths"),
         ("mcsc", "minimum constrained sub-channel capacity table"),
-        ("selftest", "run the small-instance oracle suites"),
     ):
-        _add_common(sub.add_parser(name, help=desc))
+        p = sub.add_parser(name, help=desc)
+        _add_config_flags(p)
+        if name == "fer":
+            p.add_argument("--threads", metavar="N", type=int, default=None,
+                           help="worker processes")
+    sub.add_parser("selftest", help="run the small-instance oracle suites")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    if args.command == "selftest":
+        from .selftest import run_selftest
+
+        return 0 if run_selftest(log=print) else 2
+
     try:
         cfg = _load(args)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
@@ -67,25 +93,15 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.command == "psd":
             res = simulate.run_psd(cfg, args.out)
-            if res["tier"] == "welch":
-                worst = float(min(res["depths"]))
-                print(f"wrote {os.path.join(args.out, 'psd.csv')} and nulldepth.csv")
-                print(f"shallowest target-frequency depth: {worst:.1f} dB")
-            else:
-                print(f"wrote {os.path.join(args.out, 'nulldepth.csv')}")
-                print(f"worst relative magnitude at null bins: "
-                      f"{res['worst_relative_magnitude']:.3e}")
+            worst = float(min(res["depths"]))
+            print(f"wrote {os.path.join(args.out, 'psd.csv')} and nulldepth.csv")
+            print(f"shallowest target-frequency depth: {worst:.1f} dB")
         elif args.command == "mcsc":
             path = os.path.join(args.out, "mcsc.csv")
             rows = simulate.run_mcsc(cfg, path)
             print(f"wrote {path}")
             for rate, crit, v in rows:
                 print(f"  rate {rate:<7} {crit:<16} mcsc {v:.4f}")
-        elif args.command == "selftest":
-            from .selftest import run_selftest
-
-            ok = run_selftest(log=print)
-            return 0 if ok else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,6 @@ _FIELDS = {
     "master_seed": ("master_seed", int),
     "welch": {"segment": ("welch_segment", int), "overlap": ("welch_overlap", float),
               "window": ("welch_window", str), "frames": ("psd_frames", int)},
-    "psd_tier": ("psd_tier", str),
     "threads": ("threads", int),
 }
 
@@ -50,7 +49,6 @@ _CHOICES = {
     "decoder_mode": ("ccd", "plain"),
     "construction_method": ("gaussian-approximation", "monte-carlo-genie"),
     "tone_model": ("noise", "sinusoid"),
-    "psd_tier": ("welch", "exact"),
 }
 
 
@@ -74,8 +72,7 @@ MAX_FRAME_SAMPLES = 1 << 20
 # sizes whose buffers grow with the config: SCL keeps (N, 512, L) path
 # buffers (about 1 GiB at the ceiling), the sinusoid tone model a complex
 # (tones, frame samples) phasor basis that each link folds (128 MiB), and
-# the Welch tier the whole PSD signal with its segments (about 85 bytes
-# per sample)
+# psd the whole Welch signal with its segments (about 85 bytes per sample)
 MAX_LIST_SYMBOLS = 1 << 16
 MAX_TONE_PHASORS = 1 << 23
 MAX_PSD_SAMPLES = 1 << 23
@@ -110,7 +107,6 @@ class ExperimentConfig:
     welch_overlap: float = 0.5
     welch_window: str = "hann"
     psd_frames: int = 200
-    psd_tier: str = "welch"  # or "exact"
     threads: int = 1
 
     @property
@@ -217,22 +213,21 @@ class ExperimentConfig:
             get_window(self.welch_window, 16)  # checks the name only
         except (TypeError, ValueError):
             raise ConfigError(f"unknown welch.window {self.welch_window!r}") from None
-        if self.psd_tier == "welch":
-            psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
-            if self.welch_segment > psd_samples:
-                raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
-                                  f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
-            if psd_samples > MAX_PSD_SAMPLES:
-                raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
-                                  f"PSD signal, over {MAX_PSD_SAMPLES}")
-            # notch depths are read off the Welch grid, spaced as np.fft.fftfreq spaces it
-            seg = self.welch_segment
-            step = 1.0 / (seg * (1.0 / self.sample_rate))
-            lo, hi = -(seg // 2) * step, (seg - 1) // 2 * step
-            targets = tone_centers(fun, self.tone_offset_hz, half)
-            if targets[0] < lo or targets[-1] > hi:
-                raise ConfigError(f"a {seg}-point welch.segment spans [{lo:g}, {hi:g}] Hz, "
-                                  f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
+        psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
+        if self.welch_segment > psd_samples:
+            raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
+                              f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
+        if psd_samples > MAX_PSD_SAMPLES:
+            raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
+                              f"PSD signal, over {MAX_PSD_SAMPLES}")
+        # notch depths are read off the Welch grid, spaced as np.fft.fftfreq spaces it
+        seg = self.welch_segment
+        step = 1.0 / (seg * (1.0 / self.sample_rate))
+        lo, hi = -(seg // 2) * step, (seg - 1) // 2 * step
+        targets = tone_centers(fun, self.tone_offset_hz, half)
+        if targets[0] < lo or targets[-1] > hi:
+            raise ConfigError(f"a {seg}-point welch.segment spans [{lo:g}, {hi:g}] Hz, "
+                              f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
         # last, so an order the message names passes every other check
         try:  # K against the candidate set of the selection rule
             select_code(np.zeros(self.N), self.K, self.r, self.criterion)

@@ -25,6 +25,7 @@ from .shaping import (
     receive_permutation,
 )
 from .simulate import build_code, make_link, run_link_frames
+from .spectral import exact_null_bins, exact_spectrum_magnitude
 
 
 def check_conjugation(map_fn=half_to_cis, sizes=(4, 8, 16, 32)) -> tuple:
@@ -67,6 +68,28 @@ def check_row_periodicity(sizes=(8, 64, 256)) -> tuple:
                 if not is_locally_periodic(G[i], 1 << (m - r - 1), 2):
                     return False, f"row {i} not periodic at N={N} r={r}"
     return True, f"all shaping rows periodic for N in {sizes}"
+
+
+def check_exact_nulls(sizes=(16, 64, 256, 1024), draws=10, sps=4, seed=2) -> tuple:
+    """The spectral side of shaping: a codeword whose information bits lie
+    in the order-r shaping set has a rectangular-pulse spectrum that is
+    zero at every predicted null bin.  Draws `draws` source words per size
+    and order, each with a random number of random information bits."""
+    rng = np.random.default_rng(seed)
+    worst, count = 0.0, 0
+    for N in sizes:
+        for r in range(N.bit_length() - 1):
+            lam = cis(CisSpec(N, r))
+            bins = exact_null_bins(N, r, sps)
+            for _ in range(draws):
+                K = int(rng.integers(1, N // 2 + 1))
+                u = np.zeros(N, dtype=np.uint8)
+                u[rng.choice(lam, K, replace=False)] = rng.integers(0, 2, K)
+                mag = exact_spectrum_magnitude(encode(u), sps)
+                worst = max(worst, float(mag[bins].max() / mag.max()))
+                count += 1
+    return worst < 1e-9, (f"worst relative magnitude at predicted nulls {worst:.2e} "
+                          f"over {count} draws")
 
 
 def check_map_bijection(sizes=(4, 16, 64, 256)) -> tuple:
@@ -170,6 +193,7 @@ def check_noiseless_roundtrip(frames: int = 50, design_snr_db: float = 0.0) -> t
 SELFTEST_CHECKS = (
     ("generator-conjugation", check_conjugation),
     ("shaping-row-periodicity", check_row_periodicity),
+    ("exact-spectral-nulls", check_exact_nulls),
     ("map-bijection-order", check_map_bijection),
     ("constrained-capacity-match", check_capacity_match),
     ("transition-probability-oracle", check_transition_oracle),

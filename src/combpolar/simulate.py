@@ -35,13 +35,7 @@ from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
 from .modem import bpsk_map
 from .polar import assemble_source, encode
 from .shaping import CodeConfig, index_set_text
-from .spectral import (
-    exact_null_bins,
-    exact_spectrum_magnitude,
-    null_depth,
-    tone_centers,
-    welch_psd,
-)
+from .spectral import null_depth, tone_centers, welch_psd
 
 # stream keys; key 0 is retired, so the construction and PSD streams keep theirs
 _FRAME_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 1, 2, 3
@@ -252,38 +246,20 @@ def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
 def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Average the PSD of random frames and report notch depths at the
     interference target frequencies.  Writes psd.csv and nulldepth.csv."""
-    if cfg.psd_tier == "exact" and cfg.r is None:
-        raise ConfigError("the exact psd tier needs a shaped code (set code.r)")
     os.makedirs(out_dir, exist_ok=True)
     rng = _rng(cfg.master_seed, _PSD_STREAM)
     code = build_code(cfg)
     flat_edge = (1.0 - cfg.pulse.rolloff) * cfg.symbol_rate / 2.0
     band_edge = (1.0 + cfg.pulse.rolloff) * cfg.symbol_rate / 2.0
     targets = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, band_edge)
-
-    if cfg.psd_tier == "exact":
-        worst = 0.0
-        bins = exact_null_bins(cfg.N, cfg.r, cfg.pulse.sps)
-        for _ in range(cfg.psd_frames):
-            info = rng.integers(0, 2, cfg.K, dtype=np.uint8)
-            x = encode(assemble_source(info, code.A, cfg.N))
-            mag = exact_spectrum_magnitude(x, cfg.pulse.sps)
-            worst = max(worst, float(mag[bins].max() / mag.max()))
-        path = os.path.join(out_dir, "nulldepth.csv")
-        with open(path, "w") as fh:
-            fh.write("# combpolar psd exact v1\n")
-            fh.write("worst_relative_magnitude,pass\n")
-            fh.write(f"{worst:.3e},{int(worst < 1e-9)}\n")
-        return {"tier": "exact", "worst_relative_magnitude": worst}
-
-    syms = []
-    for _ in range(cfg.psd_frames):
-        info = rng.integers(0, 2, cfg.K, dtype=np.uint8)
-        syms.append(bpsk_map(encode(assemble_source(info, code.A, cfg.N))))
+    # one draw per frame, in frame order, then one (frames, N) encode
+    info = np.stack([rng.integers(0, 2, cfg.K, dtype=np.uint8)
+                     for _ in range(cfg.psd_frames)])
+    syms = bpsk_map(encode(assemble_source(info, code.A, cfg.N)))
     # looked up when called, so a wrapper installed on the modem module sees it
     from .modem import modulate_symbols
 
-    samples = modulate_symbols(np.concatenate(syms), cfg.pulse)
+    samples = modulate_symbols(syms.ravel(), cfg.pulse)
     est = welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment,
                     overlap=cfg.welch_overlap, window=cfg.welch_window)
     depths = null_depth(est, targets, (-flat_edge, flat_edge))
@@ -299,6 +275,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
         fh.write("freq_hz,depth_db,pass\n")
         for f, d in zip(targets, depths):
             fh.write(f"{f:.2f},{d:.3f},{int(d >= NOTCH_DEPTH_THRESHOLD_DB)}\n")
+    # "tier" names the estimator the depths come from; the benchmark's design check reads it
     return {"tier": "welch", "targets": targets, "depths": depths}
 
 

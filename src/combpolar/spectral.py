@@ -1,13 +1,14 @@
-"""Spectral analysis: the repetition window function, Welch PSD estimation,
-the interference tone grid, the predicted null grid of a comb-shaped
-signal and the shaping order whose nulls cover the tones, and notch-depth
-reports.
+"""Spectral analysis: Welch PSD estimation, the interference tone grid,
+the predicted null grid of a comb-shaped signal and the shaping order
+whose nulls cover the tones, notch-depth reports, and exact-FFT nulls.
 
-Two verification tiers are supported.  The exact tier uses a rectangular
-pulse and a frame length that puts every predicted null exactly on an FFT
-bin, where the transform magnitude is zero to machine precision.  The
-estimation tier uses the real pulse plus Welch averaging, where nulls have
-finite measured depth set by the analysis resolution.
+`psd` measures the configured link: the real pulse plus Welch averaging,
+where nulls have finite measured depth set by the analysis resolution.
+The shaping theorem itself is checked apart from any pulse: with a
+rectangular pulse and a frame length that puts every predicted null
+exactly on an FFT bin (`exact_spectrum_magnitude`, `exact_null_bins`),
+the transform magnitude there is zero to machine precision, which the
+self test's exact-null check asserts.
 """
 
 from __future__ import annotations
@@ -17,27 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sp_signal
-
-
-def g_window(M: int, T: float, f) -> np.ndarray | complex:
-    """Sum of M unit phasors spaced T seconds: the repetition window.
-
-    Closed form sin(pi*M*T*f)/sin(pi*T*f) * exp(-1j*(M-1)*pi*T*f), with the
-    removable singularity g = M at multiples of 1/T.
-    """
-    if M < 2:
-        raise ValueError(f"repetition count must be >= 2, got {M}")
-    if T <= 0:
-        raise ValueError(f"repetition interval must be positive, got {T}")
-    f_arr = np.asarray(f, dtype=np.float64)
-    x = T * f_arr
-    on_grid = np.isclose(x, np.round(x), atol=1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.sin(np.pi * M * x) / np.sin(np.pi * x)
-    out = mag * np.exp(-1j * (M - 1) * np.pi * x)
-    # at f = k/T every phasor equals 1, so the sum is exactly M
-    out = np.where(on_grid, complex(M), out)
-    return out if f_arr.ndim else complex(out)
 
 
 def tone_centers(fundamental_hz: float, offset_hz: float, f_max: float) -> np.ndarray:

@@ -31,23 +31,9 @@ def test_criterion_1_structural_exactness():
 
 
 def test_criterion_2_exact_spectral_nulls():
-    rng = np.random.default_rng(20)
-    worst = 0.0
-    draws = 0
-    for N in (64, 256):
-        m = N.bit_length() - 1
-        for r in range(m):
-            lam = shaping.cis(shaping.CisSpec(N, r))
-            bins = spectral.exact_null_bins(N, r, 4)
-            for _ in range(20):
-                K = int(rng.integers(1, N // 2 + 1))
-                u = np.zeros(N, dtype=np.uint8)
-                u[rng.choice(lam, K, replace=False)] = rng.integers(0, 2, K)
-                mag = spectral.exact_spectrum_magnitude(polar.encode(u), 4)
-                worst = max(worst, float(mag[bins].max() / mag.max()))
-                draws += 1
-    _report(2, worst < 1e-9,
-            f"worst relative magnitude at predicted nulls {worst:.2e} over {draws} draws")
+    # every shaped codeword, N in {64, 256}, all orders, 20 draws each
+    ok, detail = selftest.check_exact_nulls(sizes=(64, 256), draws=20, sps=4, seed=20)
+    _report(2, ok, detail)
 
 
 def test_criterion_3_psd_notch_depths():

@@ -430,22 +430,24 @@ class TestPsdRuns:
         flat = np.abs(out2["targets"]) <= 0.75 * conv.symbol_rate / 2
         assert max(out2["depths"][flat]) < 6.0
 
-    def test_exact_tier(self, tmp_path):
-        cfg = tiny_cfg(psd_tier="exact", psd_frames=20)
-        out = simulate.run_psd(cfg, str(tmp_path))
-        assert out["worst_relative_magnitude"] < 1e-9
+    def test_frames_are_the_per_frame_draws(self, tmp_path, monkeypatch):
+        # the (frames, N) encode carries the bits of one draw and one encode per frame
+        cfg = tiny_cfg(psd_frames=5, welch_segment=1024)
+        seen = []
+        modulate = modem.modulate_symbols
 
-    def test_exact_tier_draws_configured_frames(self, tmp_path, monkeypatch):
-        calls = []
-        spectrum = simulate.exact_spectrum_magnitude
+        def spy(symbols, pulse):
+            seen.append(np.array(symbols))
+            return modulate(symbols, pulse)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return spectrum(*args, **kwargs)
-
-        monkeypatch.setattr(simulate, "exact_spectrum_magnitude", counted)
-        simulate.run_psd(tiny_cfg(psd_tier="exact", psd_frames=3), str(tmp_path))
-        assert len(calls) == 3
+        monkeypatch.setattr(modem, "modulate_symbols", spy)
+        simulate.run_psd(cfg, str(tmp_path))
+        rng = simulate._rng(cfg.master_seed, simulate._PSD_STREAM)
+        code = simulate.build_code(cfg)
+        expect = [modem.bpsk_map(polar.encode(polar.assemble_source(
+            rng.integers(0, 2, cfg.K, dtype=np.uint8), code.A, cfg.N)))
+            for _ in range(cfg.psd_frames)]
+        assert len(seen) == 1 and np.array_equal(seen[0], np.concatenate(expect))
 
 
 class TestMcscRun:
@@ -498,6 +500,12 @@ class TestSelftestNegativeControl:
         ok, _ = selftest.check_conjugation()
         assert ok
 
+    def test_unshaped_codewords_break_the_nulls(self, monkeypatch):
+        # information bits drawn from all N indices leave no exact null
+        monkeypatch.setattr(selftest, "cis", lambda spec: np.arange(spec.N))
+        ok, detail = selftest.check_exact_nulls()
+        assert not ok, detail
+
 
 class TestCli:
     def test_selftest_exit_zero(self, capsys):
@@ -506,14 +514,17 @@ class TestCli:
         assert [line.split(":")[0] for line in lines] == [
             "[PASS] generator-conjugation",
             "[PASS] shaping-row-periodicity",
+            "[PASS] exact-spectral-nulls",
             "[PASS] map-bijection-order",
             "[PASS] constrained-capacity-match",
             "[PASS] transition-probability-oracle",
             "[PASS] scl-vs-ml",
             "[PASS] noiseless-roundtrip",
         ]
-        assert lines[5].endswith(": 2000/2000 frames decision-identical")
-        assert lines[6].endswith(": 0 errors over 150 noiseless frames")
+        assert lines[2].endswith(": worst relative magnitude at predicted nulls 0.00e+00 "
+                                 "over 280 draws")
+        assert lines[6].endswith(": 2000/2000 frames decision-identical")
+        assert lines[7].endswith(": 0 errors over 150 noiseless frames")
 
     def test_selftest_failure_exit_two(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -539,6 +550,25 @@ class TestCli:
         assert lines[0] == "# combpolar fer v1"
         assert lines[2].startswith("snr_db,frames")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["fer", "--bogus"],
+        ["fer", "--threads", "abc"],
+        [],
+        # each subcommand takes only the flags it reads
+        ["construct", "--threads", "2"],
+        ["selftest", "--config", "x"],
+    ])
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fer", "--help"])
+        assert exc.value.code == 0
+        assert "--threads" in capsys.readouterr().out
 
     def test_bad_config_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,32 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from combpolar import modem, polar, shaping, spectral
-
-
-class TestGWindow:
-    def test_dc_value(self):
-        for M in (2, 3, 7):
-            assert spectral.g_window(M, 0.5, 0.0) == M
-
-    def test_half_grid_null(self):
-        assert abs(spectral.g_window(2, 1.0, 0.5)) < 1e-12
-
-    def test_closed_form_matches_direct_sum(self):
-        rng = np.random.default_rng(0)
-        for M, T in ((2, 1.0), (3, 0.013), (8, 2.5)):
-            f = rng.uniform(-5 / T, 5 / T, 1000)
-            direct = np.sum(
-                np.exp(-2j * np.pi * np.outer(f, T * np.arange(M))), axis=1
-            )
-            closed = spectral.g_window(M, T, f)
-            assert np.max(np.abs(closed - direct)) < 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            spectral.g_window(1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            spectral.g_window(2, 0.0, 0.0)
+from combpolar import polar, selftest, spectral
 
 
 class TestNullSet:
@@ -148,31 +123,9 @@ class TestNullDepth:
 
 
 class TestExactTier:
-    def test_factorization_of_repeated_signal(self):
-        # FFT of sum of M shifted copies = FFT of one copy times the window
-        rng = np.random.default_rng(4)
-        M, D, total = 3, 64, 512
-        s0 = np.zeros(total, dtype=complex)
-        s0[:100] = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        s = sum(np.roll(s0, m * D) for m in range(M))
-        fs = 1000.0
-        freqs = np.fft.fftfreq(total, 1 / fs)
-        ref = np.fft.fft(s0) * spectral.g_window(M, D / fs, freqs)
-        assert np.max(np.abs(np.fft.fft(s) - ref)) < 1e-9
-
     def test_shaped_codeword_nulls_machine_precision(self):
-        rng = np.random.default_rng(5)
-        for N in (64, 256):
-            m = N.bit_length() - 1
-            for r in range(m):
-                lam = shaping.cis(shaping.CisSpec(N, r))
-                bins = spectral.exact_null_bins(N, r, 4)
-                for _ in range(5):
-                    K = int(rng.integers(1, N // 2 + 1))
-                    u = np.zeros(N, dtype=np.uint8)
-                    u[rng.choice(lam, K, replace=False)] = rng.integers(0, 2, K)
-                    mag = spectral.exact_spectrum_magnitude(polar.encode(u), 4)
-                    assert mag[bins].max() / mag.max() < 1e-9
+        ok, detail = selftest.check_exact_nulls(sizes=(64, 256), draws=5, seed=5)
+        assert ok, detail
 
     def test_null_bins_match_null_set(self):
         N, r, sps, Rs = 256, 3, 8, 800.0
