@@ -33,8 +33,7 @@ _FIELDS = {
                 "tone_offset_hz": ("tone_offset_hz", float), "tone_model": ("tone_model", str)},
     "comb_filter": {"enabled": ("comb_enabled", bool),
                     "notch_bandwidth_hz": ("notch_bandwidth_hz", float)},
-    "construction": {"method": ("construction_method", str),
-                     "design_snr_db": ("design_snr_db", float),
+    "construction": {"design_snr_db": ("design_snr_db", float),
                      "trials": ("construction_trials", int)},
     "snr_sweep_db": ("snr_sweep_db", list),
     "stop": {"min_frame_errors": ("min_frame_errors", int), "max_frames": ("max_frames", int)},
@@ -47,7 +46,6 @@ _FIELDS = {
 _CHOICES = {
     "criterion": CRITERIA,
     "decoder_mode": ("ccd", "plain"),
-    "construction_method": ("gaussian-approximation", "monte-carlo-genie"),
     "tone_model": ("noise", "sinusoid"),
 }
 
@@ -96,7 +94,6 @@ class ExperimentConfig:
     tone_model: str = "noise"
     comb_enabled: bool = True
     notch_bandwidth_hz: float = 20.0
-    construction_method: str = "gaussian-approximation"
     design_snr_db: float = 0.0
     construction_trials: int = 200_000
     snr_sweep_db: tuple = (-2.0, -1.0, 0.0, 1.0, 2.0)

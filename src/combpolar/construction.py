@@ -155,28 +155,12 @@ def monte_carlo_symmetric_capacity(
 
 
 def estimate_symmetric_reliability(
-    N: int,
-    snr_db: float,
-    method: str = "gaussian-approximation",
-    trials: int = 200_000,
-    rng=None,
-    rolloff: float = DEFAULT_ROLLOFF,
+    N: int, snr_db: float, rolloff: float = DEFAULT_ROLLOFF
 ) -> np.ndarray:
-    """Per-index symmetric capacity in [0, 1], an (N,) array.
-
-    method is "gaussian-approximation" (deterministic) or
-    "monte-carlo-genie" (genie-aided estimate from `trials` source words,
-    clipped to [0, 1]).
-    """
+    """Per-index symmetric capacity in [0, 1], an (N,) array, from the
+    Gaussian approximation (deterministic)."""
     noise_var = snr_db_to_noise_var(snr_db, rolloff)
-    if method == "gaussian-approximation":
-        return _capacity_from_mean_llr(gaussian_approximation_means(N, noise_var))
-    if method == "monte-carlo-genie":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        mean, _ = monte_carlo_symmetric_capacity(N, noise_var, trials, rng)
-        return np.clip(mean, 0.0, 1.0)
-    raise ValueError(f"unknown reliability method {method!r}")
+    return _capacity_from_mean_llr(gaussian_approximation_means(N, noise_var))
 
 
 # --------------------------------------------------------------------------

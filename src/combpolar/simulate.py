@@ -55,14 +55,9 @@ def _rng(master_seed: int, stream: int, index: int = 0):
 
 def build_profile(cfg: ExperimentConfig) -> np.ndarray:
     """The configured per-index symmetric capacity, an (N,) array."""
-    return estimate_symmetric_reliability(
-        cfg.N,
-        cfg.design_snr_db,
-        method=cfg.construction_method,
-        trials=cfg.construction_trials,
-        rng=_rng(cfg.master_seed, _CONSTRUCTION_STREAM),
-        rolloff=cfg.pulse.rolloff,
-    )
+    # rolloff by keyword: perfbench/tracing.py reads a third positional argument
+    # as the estimator's name and files the call under it
+    return estimate_symmetric_reliability(cfg.N, cfg.design_snr_db, rolloff=cfg.pulse.rolloff)
 
 
 def build_code(cfg: ExperimentConfig, capacity: np.ndarray | None = None) -> CodeConfig:
@@ -81,7 +76,7 @@ def construct_report(cfg: ExperimentConfig, out_path: str) -> dict:
     with open(out_path, "w") as fh:
         fh.write("# combpolar construct v1\n")
         fh.write(f"# N={cfg.N} K={cfg.K} r={cfg.r} criterion={cfg.criterion} "
-                 f"method={cfg.construction_method} design_snr_db={cfg.design_snr_db}\n")
+                 f"method=gaussian-approximation design_snr_db={cfg.design_snr_db}\n")
         fh.write(f"# A={index_set_text(code.A)}\n")
         fh.write(f"# A_dec={index_set_text(code.A_dec)}\n")
         fh.write(f"# mcsc={m:.6f}\n")
@@ -102,7 +97,9 @@ class LinkContext:
     code: CodeConfig             # decoder-side code: r=None for plain decoding
     list_size: int
     channel: LinkChannel
-    symbol_noise_var: float      # per-dimension symbol noise after matched filter
+    # sigma^2 / 2, the white per-dimension noise level the LLRs assume; the
+    # noise left after the comb is lower
+    symbol_noise_var: float
     master_seed: int
 
 
@@ -187,9 +184,9 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> lis
     code = build_code(cfg)
     records = []
     with ExitStack() as stack:
-        pool = None
+        run = map
         if cfg.threads > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads))
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads)).map
         fh = None
         if out_path is not None:
             fh = stack.enter_context(open(out_path, "w"))
@@ -204,13 +201,9 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> lis
             errors = frames = 0
             while errors < cfg.min_frame_errors and frames < cfg.max_frames:
                 b = min(_SUPER_BATCH, cfg.max_frames - frames)
-                lo, hi = frames, frames + b
-                if pool is not None:
-                    bounds = np.linspace(lo, hi, cfg.threads + 1).astype(int)
-                    tasks = [(link, int(a), int(c)) for a, c in zip(bounds[:-1], bounds[1:]) if c > a]
-                    errors += sum(pool.map(_worker, tasks))
-                else:
-                    errors += int(np.count_nonzero(run_link_frames(link, range(lo, hi))))
+                bounds = np.linspace(frames, frames + b, cfg.threads + 1).astype(int)
+                tasks = [(link, int(a), int(c)) for a, c in zip(bounds[:-1], bounds[1:]) if c > a]
+                errors += sum(run(_worker, tasks))
                 frames += b
             fer = errors / frames
             w_lo, w_hi = wilson_interval(errors, frames)

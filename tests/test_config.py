@@ -28,11 +28,12 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
     ("fer", {"stop": {"min_frame_errors": 0}}, "stop.min_frame_errors"),
     ("fer", {"decoder": {"list_size": 0}}, "decoder.list_size"),
     ("fer", {"decoder": {"list_size": None}}, "decoder.list_size must be an integer"),
-    ("construct", {"construction": {"method": "bogus"}}, "construction method"),
+    # a config written for the removed estimator choice fails loudly
+    ("construct", {"construction": {"method": "gaussian-approximation"}},
+     "config error: unknown config key 'construction'.'method'"),
     ("construct", {"code": {"K": 0}}, "code.K"),
     ("construct", {"code": {"N": 100}}, "power of two"),
-    ("mcsc", {"construction": {"method": "monte-carlo-genie", "trials": 0}},
-     "construction.trials"),
+    ("mcsc", {"construction": {"trials": 0}}, "construction.trials"),
     ("fer", {"snr_sweep_db": 5}, "snr_sweep_db must be a list"),
     ("fer", {"snr_sweep_db": []}, "at least one SNR"),
     ("fer", {"master_seed": -1}, "master_seed"),
@@ -127,7 +128,6 @@ FIELDS = {
     "channel.tone_model": ["noise", "sinusoid", "square"],
     "comb_filter.enabled": [True, False, 1, "no"],
     "comb_filter.notch_bandwidth_hz": [1.0, 10.0, 49.0, 0.0, -5.0, 1e300],
-    "construction.method": ["gaussian-approximation", "monte-carlo-genie", "bogus"],
     "construction.design_snr_db": [-5.0, 20.0, 300.0, 301.0, -1e4, math.inf],
     "construction.trials": [1, 50, 0, -3, 2.5],
     "snr_sweep_db": [[0.0], [math.inf], [-3.0, 3.0], [], [math.nan], [-math.inf], [1e4],

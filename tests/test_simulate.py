@@ -373,14 +373,15 @@ class TestWorkerPool:
         monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
         return built
 
-    def cfg(self):
-        return tiny_cfg(threads=2, snr_sweep_db=(0.0, 1.0), list_size=1,
+    def cfg(self, threads=2):
+        return tiny_cfg(threads=threads, snr_sweep_db=(0.0, 1.0), list_size=1,
                         min_frame_errors=10**6, max_frames=32)
 
-    def test_one_pool_per_sweep(self, counted_pools):
-        recs = simulate.run_fer(self.cfg())
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_sweep(self, counted_pools, threads, pools):
+        recs = simulate.run_fer(self.cfg(threads))
         assert [r.frames for r in recs] == [32, 32]
-        assert len(counted_pools) == 1
+        assert len(counted_pools) == pools
         assert multiprocessing.active_children() == []
 
     def test_pool_shut_down_when_sweep_raises(self, counted_pools, monkeypatch):
@@ -480,6 +481,19 @@ class TestConstructReport:
         lam = shaping.cis(shaping.CisSpec(64, 1))
         assert np.all(np.isin(out["A"], lam))
         assert 0.0 <= out["mcsc"] <= 1.0
+
+    def test_bytes_ignore_seed_and_trials(self, tmp_path):
+        # the Gaussian approximation draws nothing and reads no trial count
+        texts = set()
+        for seed in (1, 7):
+            for trials in (1, 200000):
+                cfg = load_config(REFERENCE_CONFIG, {"master_seed": seed,
+                                                     "construction": {"trials": trials}})
+                path = tmp_path / f"construct_{seed}_{trials}.csv"
+                simulate.construct_report(cfg, str(path))
+                texts.add(path.read_bytes())
+        assert len(texts) == 1
+        assert b" method=gaussian-approximation " in texts.pop()
 
 
 class TestSelftestNegativeControl:
