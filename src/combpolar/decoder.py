@@ -13,6 +13,27 @@ path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
 codebook the best path is maximum-likelihood.  Every decoder works on a
 (B, N) batch of frames.
 
+`sc_decode_batch` and `scl_decode_batch` walk with a node plan, built
+once per frozen mask: a subtree whose frozen pattern fixes the answer is
+decoded whole from its input LLRs a, and its leaves are never visited.
+By the bijection argument a subtree codeword x costs
+sum ln(1 + exp(-(1-2x)a)), the sum of its leaf metrics.
+- Rate-0 (all frozen): x = 0 (Alamdar-Yazdi and Kschischang, IEEE Commun.
+  Lett. 2011).
+- REP (all frozen but the last leaf): the one bit's LLR is the sum of a
+  in the walk's own pairwise order, so it equals the leaf LLR bit for
+  bit; under SCL the node is one fork with candidates x = 0 and x = 1
+  (Sarkis et al., IEEE JSAC 2014).
+- Rate-1 (no frozen leaf): x = hard decision of a, under SC and SCL(1).
+SPC nodes and Rate-1 under a list stay off: Wagner's rule and the
+min(L - 1, w) forks of a list Rate-1 node change decisions against the
+leaf walk.  Any other engine (the genie, an engine built directly)
+walks leaf by leaf, the reference the node walk is checked against.
+The two make the same decisions except on a tie, which the leaf walk
+settles by bit 0 and a node by its own sums: a decision LLR of exactly
+0, as when a long soft-XOR chain underflows, or list candidates equal
+to rounding.
+
 Inside the walk every buffer is laid out (width, B, paths): tree width
 first, then the frames, then the list paths.  The LLRs enter once as the
 bit-reversed transpose.  With frames on the contiguous axis, every ufunc
@@ -25,14 +46,18 @@ order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .shaping import CodeConfig, receive_permutation
-from .polar import _check_power_of_two, bit_reversal
+from .polar import _check_power_of_two, bit_reversal, transform
 
 LLR_MAX = 40.0
 
 _BIG = 1e300  # metric sentinel for not-yet-active list slots
+
+RATE0, REP, RATE1 = 1, 2, 3  # node kinds of a plan; 0 walks on
 
 
 def _softplus(z):
@@ -44,11 +69,20 @@ def soft_xor(a, b):
 
     Stable form: sign(a)sign(b)min(|a|,|b|) plus correction terms in
     ln((1+e^{a+b})/(e^a+e^b)); the exponents |a+b| and |a-b| are
-    nonnegative, so nothing overflows.
+    nonnegative, so nothing overflows.  The operations run in the order
+    of that formula, into three buffers of the call's own.
     """
-    s = np.sign(a) * np.sign(b)
-    mn = np.minimum(np.abs(a), np.abs(b))
-    return s * mn + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    shape = np.broadcast(a, b).shape
+    out, t, mn = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(np.sign(a, out=out), np.sign(b, out=t), out=out)
+    np.minimum(np.abs(a, out=t), np.abs(b, out=mn), out=mn)
+    out *= mn
+    for c in (np.add(a, b, out=t), np.subtract(a, b, out=mn)):  # ln(1 + e^-|c|)
+        np.log1p(np.exp(np.negative(np.abs(c, out=c), out=c), out=c), out=c)
+    out += t
+    out -= mn
+    return out
 
 
 def channel_llr(y, noise_var: float) -> np.ndarray:
@@ -61,6 +95,37 @@ def channel_llr(y, noise_var: float) -> np.ndarray:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
     llr = 2.0 * np.real(np.asarray(y)) / noise_var
     return np.clip(llr, -LLR_MAX, LLR_MAX)
+
+
+def _fold(a):
+    """Sum over the width axis in the walk's own pairwise order, s[h:] + s[:h]
+    per level: the update a right child gets when its left sibling is 0."""
+    while len(a) > 1:
+        h = len(a) // 2
+        a = a[h:] + a[:h]
+    return a[0]
+
+
+def node_plan(frozen, list_size: int) -> tuple:
+    """The node kind (0, RATE0, REP or RATE1) of each of the 2^d nodes at
+    every tree level d < n, node k covering leaves [k w, (k + 1) w) with
+    w = N / 2^d; RATE1 only at list size 1 (SC).  Read top down, the
+    first planned node on a branch is decoded whole."""
+    return _node_plan(np.asarray(frozen, dtype=bool).tobytes(), list_size == 1)
+
+
+@lru_cache(maxsize=32)
+def _node_plan(mask: bytes, rate1: bool) -> tuple:
+    frozen = np.frombuffer(mask, dtype=bool)
+    plan = []
+    for d in range(len(frozen).bit_length() - 1):
+        nodes = frozen.reshape(1 << d, -1)
+        kind = np.where(nodes[:, :-1].all(axis=1) & ~nodes[:, -1], REP, 0)
+        kind[nodes.all(axis=1)] = RATE0
+        if rate1:
+            kind[~nodes.any(axis=1)] = RATE1
+        plan.append(tuple(kind.tolist()))
+    return tuple(plan)
 
 
 # --------------------------------------------------------------------------
@@ -82,13 +147,15 @@ class _Walk:
     where the walk reads it again (`_take`): llr[d] before the right
     child, uleft[d] at the combine.  llr[d+1] is computed afresh before
     each child, so the leaf level is always current.  SC and the genie
-    never prune.  Every leaf returns its codeword bits, (1, B, paths).
-    Subclasses read the leaf through `leaf_llrs` and move paths through
-    `rows` and `gather`, so the layout stays inside this class.  The leaf
-    rule here is SC: hard decision, 0 at frozen leaves, exact path metric.
+    never prune.  Every leaf returns its codeword bits, (1, B, paths), and
+    so does a node of a `node_plan`, decoded whole from its input LLRs,
+    (width, B, paths).  Subclasses read the leaf through `leaf_llrs` and
+    move paths through `rows` and `gather`, so the layout stays inside this
+    class.  The rules here are SC: hard decision, 0 at frozen leaves, exact
+    path metric.
     """
 
-    def __init__(self, llrs, frozen, list_size=1):
+    def __init__(self, llrs, frozen, list_size=1, plan=None):
         self.B, self.N = llrs.shape
         self.n = self.N.bit_length() - 1
         self.L = list_size
@@ -101,6 +168,7 @@ class _Walk:
         self.pm[:, 0] = 0.0
         self.u_hat = np.zeros((self.B, self.N), dtype=np.uint8)
         self._zero = np.zeros((1, self.B, 1), dtype=np.uint8)
+        self.plan = plan
 
     def run(self):
         self._node(0, 0)
@@ -110,6 +178,12 @@ class _Walk:
         if d == self.n:
             return self._leaf(offset)
         lam = self.llr[d]
+        kind = self.plan[d][offset >> (self.n - d)] if self.plan else 0
+        if kind:
+            self.llr[d] = None  # read only here
+            if kind == RATE0:
+                return self._rate0(lam)
+            return self._rep(lam, d, offset) if kind == REP else self._rate1(lam, offset)
         h = (self.N >> d) // 2
         self.llr[d + 1] = soft_xor(lam[:h], lam[h:])
         self.uleft[d] = self._node(d + 1, offset)
@@ -142,10 +216,12 @@ class _Walk:
         rows, self.pend[d] = self.pend[d], None
         return buf if rows is None else self.gather(buf, rows)
 
-    def _prune(self, src):
-        """Make path src[b, j] of frame b its path j, at B*L cost per level."""
+    def _prune(self, src, levels):
+        """Make path src[b, j] of frame b its path j, at B*L cost per level,
+        for the levels above the pruning node, the only ones read again."""
         flat = self.rows(src)
-        for d, rows in enumerate(self.pend):
+        for d in range(levels):
+            rows = self.pend[d]
             self.pend[d] = flat if rows is None else np.take(rows, flat)
 
     def _leaf(self, offset):
@@ -157,6 +233,22 @@ class _Walk:
         self.pm = self.pm + _softplus(-(1.0 - 2.0 * bit) * dm)
         self.u_hat[:, offset] = bit[:, 0]
         return bit[None]
+
+    def _rate0(self, lam):
+        self.pm = self.pm + _fold(_softplus(-lam))
+        return np.broadcast_to(self._zero, (len(lam), self.B, 1))
+
+    def _rep(self, lam, d, offset):
+        bit = (_fold(lam) < 0).astype(np.uint8)  # the last leaf's LLR, bit for bit
+        self.pm = self.pm + _fold(_softplus(-(1.0 - 2.0 * bit) * lam))
+        self.u_hat[:, offset + len(lam) - 1] = bit[:, 0]
+        return np.broadcast_to(bit, lam.shape)
+
+    def _rate1(self, lam, offset):
+        x = (lam < 0).astype(np.uint8)
+        self.pm = self.pm + _fold(_softplus(-np.abs(lam)))
+        self.u_hat[:, offset : offset + len(lam)] = transform(x[:, :, 0].T)  # x F^m = u
+        return x
 
 
 def _decoder_inputs(llrs, frozen_mask=None):
@@ -173,7 +265,8 @@ def _decoder_inputs(llrs, frozen_mask=None):
 
 def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
     """SC-decode a (B, N) batch; returns (source bits (B, N), metrics (B,))."""
-    return _Walk(*_decoder_inputs(llrs, frozen_mask)).run()
+    llrs, frozen = _decoder_inputs(llrs, frozen_mask)
+    return _Walk(llrs, frozen, plan=node_plan(frozen, 1)).run()
 
 
 class _GenieWalk(_Walk):
@@ -211,16 +304,19 @@ def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
 
 class _SclEngine(_Walk):
     """SCL leaf rule: every path forks at an information leaf and the L
-    best of the 2L extensions survive; frozen leaves use the SC rule.
+    best of the 2L extensions survive; frozen leaves use the SC rule.  A
+    REP node forks once, on its last leaf; Rate-0 nodes use the SC rule,
+    and so do Rate-1 nodes, planned at L = 1 only, where SC's decision is
+    the fork's.
 
-    Each information leaf keeps the survivors' sort positions among the
-    2L candidates, in the smallest unsigned dtype that holds 2L - 1:
+    Each fork keeps the survivors' sort positions among the 2L
+    candidates, in the smallest unsigned dtype that holds 2L - 1:
     position >= L is the path's bit, position % L its parent path.  The
     best path's bits are traced back through them once, at the end.
     """
 
-    def __init__(self, llrs, frozen, list_size):
-        super().__init__(llrs, frozen, list_size)
+    def __init__(self, llrs, frozen, list_size, plan=None):
+        super().__init__(llrs, frozen, list_size, plan)
         self.back = []  # (info index, (B, L) sort positions) per information leaf
         self.back_dtype = np.min_scalar_type(2 * list_size - 1)
 
@@ -239,12 +335,22 @@ class _SclEngine(_Walk):
         if self.frozen[offset]:
             return super()._leaf(offset)
         dm = self.leaf_llrs()
-        cand = np.concatenate([self.pm + _softplus(-dm), self.pm + _softplus(dm)], axis=1)
+        return self._fork(_softplus(-dm), _softplus(dm), offset, self.n)[None]
+
+    def _rep(self, lam, d, offset):
+        w = len(lam)
+        bits = self._fork(_fold(_softplus(-lam)), _fold(_softplus(lam)), offset + w - 1, d)
+        return np.broadcast_to(bits, (w, self.B, self.L))
+
+    def _fork(self, cost0, cost1, offset, levels):
+        """Extend every path by bit `offset` at costs (B, paths) for 0 and
+        1, keep the L best, and return the survivors' bits (B, L)."""
+        cand = np.concatenate([self.pm + cost0, self.pm + cost1], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
         self.pm = np.take_along_axis(cand, order, axis=1)
-        self._prune(order % self.L)
+        self._prune(order % self.L, levels)
         self.back.append((offset, order.astype(self.back_dtype)))
-        return (order >= self.L).astype(np.uint8)[None]
+        return (order >= self.L).astype(np.uint8)
 
 
 def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):
@@ -256,7 +362,8 @@ def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
-    return _SclEngine(*_decoder_inputs(llrs, frozen_mask), list_size).run()
+    llrs, frozen = _decoder_inputs(llrs, frozen_mask)
+    return _SclEngine(llrs, frozen, list_size, node_plan(frozen, list_size)).run()
 
 
 # --------------------------------------------------------------------------

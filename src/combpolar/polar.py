@@ -53,12 +53,10 @@ def generator_matrix(N: int) -> np.ndarray:
     return np.stack([generator_row(i, m) for i in range(N)])
 
 
-def encode(u: np.ndarray) -> np.ndarray:
-    """Encode a source word: x = u G_N over GF(2), in O(N log N).
+def transform(u: np.ndarray) -> np.ndarray:
+    """u F^m over GF(2) along the last axis, in natural order, in O(N log N).
 
-    The butterfly computes u F^m in natural order; the bit-reversal factor
-    is applied as a final gather.  The transform is an involution, so
-    encode(encode(u)) == u.
+    An involution: transform(transform(u)) == u.
     """
     u = np.asarray(u)
     N = u.shape[-1]
@@ -69,7 +67,18 @@ def encode(u: np.ndarray) -> np.ndarray:
     for d in range(m):
         pairs = v.reshape(u.shape[:-1] + (N >> (d + 1), 2, 1 << d))
         pairs[..., 0, :] ^= pairs[..., 1, :]
-    return v[..., bit_reversal(N)]
+    return v
+
+
+def encode(u: np.ndarray) -> np.ndarray:
+    """Encode a source word: x = u G_N over GF(2), in O(N log N).
+
+    `transform` computes u F^m in natural order; the bit-reversal factor
+    is applied as a final gather.  The encoder is an involution, so
+    encode(encode(u)) == u.
+    """
+    u = np.asarray(u)
+    return transform(u)[..., bit_reversal(u.shape[-1])]
 
 
 def assemble_source(info_bits: np.ndarray, A: np.ndarray, N: int) -> np.ndarray:

@@ -1,7 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from combpolar import decoder, oracles, polar, shaping
+from combpolar import decoder, oracles, polar, shaping, simulate
+from combpolar.config import load_config
+
+REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
 
 
 class TestChannelLlr:
@@ -175,14 +182,142 @@ def lazy_vs_eager_cases():
                 yield f"N{N}-{mname}-{lname}", llr, frozen
 
 
+class LeafWalkTies(decoder._SclEngine):
+    """The plan-free list walk, noting each frame where it chose on a tie:
+    the L-th and (L+1)-th best extensions at a fork, or at the end the
+    best two paths, within 1e-12 relative.  A node sums the leaf metrics
+    in another order, so a tie may resolve the other way there."""
+
+    def __init__(self, llrs, frozen, list_size):
+        super().__init__(llrs, frozen, list_size)
+        self.tied = np.zeros(self.B, dtype=bool)
+
+    def _note(self, metrics, k):
+        m = np.sort(metrics, axis=1)
+        if m.shape[1] > k:
+            live = m[:, k - 1] < decoder._BIG / 2
+            self.tied |= live & (m[:, k] - m[:, k - 1] <= 1e-12 * m[:, k])
+
+    def _leaf(self, offset):
+        if not self.frozen[offset]:
+            dm = self.leaf_llrs()
+            self._note(np.concatenate([self.pm + np.logaddexp(0.0, -dm),
+                                       self.pm + np.logaddexp(0.0, dm)], axis=1), self.L)
+        return super()._leaf(offset)
+
+    def run(self):
+        out = super().run()
+        self._note(self.pm, 1)
+        return out
+
+
+def assert_same_decisions(llr, frozen, L, case, ties=False):
+    """The public decoder at list size L (and SC at L = 1) makes the leaf
+    walk's decisions on every frame, or, with `ties`, on every frame the
+    leaf walk did not decide on a tie; metrics of equal decisions within
+    1e-12 relative."""
+    leaf = LeafWalkTies(llr, frozen, L) if ties else decoder._SclEngine(llr, frozen, L)
+    walks = [(f"scl{L}", decoder.scl_decode_batch(llr, frozen, L), leaf.run())]
+    if L == 1:
+        walks.append(("sc", decoder.sc_decode_batch(llr, frozen), decoder._Walk(llr, frozen).run()))
+    for name, (u_hat, pm), (u_ref, pm_ref) in walks:
+        same = np.all(u_hat == u_ref, axis=1)
+        assert np.all(same | leaf.tied) if ties else np.all(same), (case, name)
+        np.testing.assert_allclose(pm[same], pm_ref[same], rtol=1e-12, atol=0,
+                                   err_msg=f"{case} {name}")
+
+
+@pytest.fixture(scope="module")
+def reference_link_llrs():
+    """2048 frames of each arm of configs/reference.json at -1 dB, as the
+    decoder reads them: (arm, LLRs after the receive permutation, frozen
+    mask of the decoder-side set)."""
+    base = load_config(REFERENCE_CONFIG)
+    out = []
+    for arm in ("cp", "csp-nonc", "csp-c"):
+        cfg = base.for_arm(arm)
+        link = simulate.make_link(cfg, simulate.build_code(cfg), -1.0)
+        _, y = simulate.synthesize_frames(link, range(2048))
+        code = link.code
+        if code.r is not None:
+            y = y[:, shaping.receive_permutation(code.spec)]
+        out.append((arm, decoder.channel_llr(y, link.symbol_noise_var),
+                    code.frozen_mask(decoder_side=True)))
+    return out
+
+
+def walk_cover(plan, n):
+    """(first leaf, width, kind) of every node the walk decodes whole and
+    of every leaf it still visits (kind 0), reading the plan top down."""
+    out = []
+
+    def visit(d, k):
+        kind = plan[d][k] if d < n else 0
+        if d == n or kind:
+            out.append((k << (n - d), 1 << (n - d), kind))
+        else:
+            visit(d + 1, 2 * k)
+            visit(d + 1, 2 * k + 1)
+
+    visit(0, 0)
+    return out
+
+
+def expected_kind(m, L):
+    """A node's kind from its slice m of the frozen mask at list size L."""
+    if m.all():
+        return decoder.RATE0
+    if m[:-1].all():
+        return decoder.REP
+    return decoder.RATE1 if L == 1 and not m.any() else 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), L=st.sampled_from([1, 2, 3, 8]), data=st.data())
+def test_node_plan_covers_each_leaf_once(n, L, data):
+    """Every node's kind is its slice of the mask, Rate-1 at L = 1 only;
+    the nodes the walk decodes whole and the leaves it still visits cover
+    [0, N) once; no SPC node (only its first leaf frozen) is planned."""
+    N = 1 << n
+    frozen = np.array(data.draw(st.lists(st.booleans(), min_size=N, max_size=N)))
+    plan = decoder.node_plan(frozen, L)
+    assert len(plan) == n
+    for d, kinds in enumerate(plan):
+        w = N >> d
+        assert list(kinds) == [expected_kind(frozen[k * w : (k + 1) * w], L)
+                               for k in range(1 << d)]
+    cover = walk_cover(plan, n)
+    leaves = np.concatenate([np.arange(start, start + w) for start, w, _ in cover])
+    assert np.array_equal(leaves, np.arange(N))
+    for start, w, _ in cover:
+        m = frozen[start : start + w]
+        assert not (w >= 4 and m[0] and not m[1:].any())
+
+
 class TestSclDecode:
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 32])
+    def test_nodes_match_leaf_walk(self, L, reference_link_llrs):
+        """SC and SCL with the node plan make the leaf walk's decisions,
+        metrics within 1e-12 relative, on 2048 reference-link frames per
+        arm at -1 dB, and on every lazy-vs-eager case (all-zero and clamped
+        LLRs, all-frozen and all-info masks) except where the leaf walk
+        decided on a tie, its two sides within 1e-12 relative: zero or
+        clamped LLRs cancelling to a decision LLR of 0, or a long soft-XOR
+        chain underflowing to 0.  The leaf walk settles a tie by bit 0, a
+        node by its own sums."""
+        for arm, llr, frozen in reference_link_llrs:
+            assert_same_decisions(llr, frozen, L, arm)
+        for name, llr, frozen in lazy_vs_eager_cases():
+            assert_same_decisions(llr, frozen, L, name, ties=True)
+
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 32])
     def test_lazy_gathers_match_eager_copies(self, L):
         """Lazy row maps and the back-pointer traceback give the same
         decisions and metrics, bit for bit, as gathering every buffer and
-        the path history at each prune; L > 2^K is among the cases."""
+        the path history at each prune; L > 2^K is among the cases.  Both
+        engines walk leaf by leaf (no node plan)."""
         for name, llr, frozen in lazy_vs_eager_cases():
-            u_hat, pm = decoder.scl_decode_batch(llr, frozen, L)
+            u_hat, pm = decoder._SclEngine(llr, frozen, L).run()
             u_ref, pm_ref = EagerScl(llr, frozen, L).run()
             assert np.array_equal(u_hat, u_ref), name
             assert np.array_equal(pm, pm_ref), name
