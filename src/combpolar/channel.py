@@ -7,21 +7,29 @@ grid, so they are linear and zero-phase.  Sampling the matched filter
 every sps samples folds that grid onto M = N + span bins, and
 `calibrate_channel` folds the whole link once per (config, SNR):
 
-- signal: the symbols' M-point spectrum times `gain`, the pulse, comb and
-  matched filter summed over the sps L-bins that fold onto each M-bin;
+- signal: the symbols' M-point spectrum times the pulse, comb and matched
+  filter summed over the sps L-bins that fold onto each M-bin;
 - noise and noise-model interference: both are white before their masks,
   so their L-point spectra are independent circular Gaussians, and each
-  M-bin sums a disjoint set of L-bins.  One complex normal per M-bin,
-  scaled by `noise_sd`, has exactly their folded distribution.  A bin the
-  comb removes has zero deviation;
+  M-bin sums a disjoint set of L-bins: one circular normal per M-bin.  A
+  bin the comb removes has zero deviation;
 - sinusoid interference: one random phase per tone, times that tone's
-  folded response, a row of `tone_response`.
+  folded response.
 
-`draw_channel` makes each frame's draws from that frame's generator in one
+The BPSK decoder reads only the real part of the matched-filter samples
+(the sufficient statistic in circular noise), and the real part of an
+inverse FFT is the inverse FFT of the spectrum's Hermitian part,
+(X[m] + conj(X[-m])) / 2.  So the link is kept on the M // 2 + 1 `rfft`
+bins of that Hermitian part: a half `gain`; a noise whose real and
+imaginary parts are M independent real normals in all (DC and, for even M,
+Nyquist are real), scaled by `noise_sd`; and a (2 * tones, M // 2 + 1)
+`tone_response` against each tone's [cos, sin] of its phase.
+
+`draw_channel` makes a block of frames' draws from one generator in one
 order, the same for every arm, SIR and comb setting: the tone phases
-(sinusoid model only), then 2M standard normals.  `receive` turns a batch
-of symbol frames and their draws into matched-filter samples with one
-M-point FFT pair per frame.
+(sinusoid model only), then M standard normals per frame.  `receive`
+turns a batch of symbol frames and their draws into the real
+matched-filter samples with one `rfft`/`irfft` pair per frame.
 """
 
 from __future__ import annotations
@@ -83,17 +91,28 @@ def comb_mask(cfg: ExperimentConfig) -> np.ndarray:
     return ~_tone_mask(L, fs, centers, cfg.notch_bandwidth_hz / 2)
 
 
+def _hermitian_half(x: np.ndarray) -> np.ndarray:
+    """(X[m] + conj(X[-m])) / 2 of M-bin spectra, on their M // 2 + 1 rfft bins."""
+    m = x.shape[-1]
+    k = np.arange(m // 2 + 1)
+    return (x[..., k] + np.conj(x[..., -k % m])) / 2.0
+
+
 @dataclass
 class LinkChannel:
-    """One link's channel at one SNR on the M = N + span folded bins, with
-    the 1/sps of symbol sampling included."""
+    """One link's channel at one SNR, on the rfft bins of the M = N + span
+    folded bins, with the 1/sps of symbol sampling included."""
 
     noise_sigma2: float              # complex per-sample noise variance, 0 disables
     intf_scale: float                # 0 disables interference
-    gain: np.ndarray                 # (M,) symbol spectrum to matched-filter spectrum
-    noise_sd: np.ndarray             # (M,) per-dimension deviation: noise + noise-model intf.
+    gain: np.ndarray                 # (M//2+1,) symbol rfft to matched-filter rfft
+    # (M,) deviations of the M real normals: noise + noise-model intf.  The
+    # first M//2+1 scale the bins' real parts, the rest the imaginary parts
+    # of bins 1 .. M - M//2 - 1 (DC and, for even M, Nyquist have none)
+    noise_sd: np.ndarray
     tones: int                       # tone phases drawn per frame: sinusoid model only
-    tone_response: np.ndarray | None  # (tones, M) per unit phasor; None without sinusoid intf.
+    # (2*tones, M//2+1) per [cos, sin] of each tone's phase; None without sinusoid intf.
+    tone_response: np.ndarray | None
 
 
 def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
@@ -135,41 +154,49 @@ def calibrate_channel(cfg: ExperimentConfig, snr_db: float) -> LinkChannel:
             # unit draw has per-sample variance 2 before masking
             intf_scale = float(np.sqrt(p_sig * L / (sir_lin * 2.0 * in_band)))
             power += (2.0 * L * intf_scale**2) * tone_mask
+    # E|bin|^2 per M-bin, and that of its Hermitian part, split evenly over
+    # the real and imaginary part except at DC and Nyquist, which are real
     var = np.sum(power.reshape(pulse.shape) * np.abs(through) ** 2, axis=0)
-    return LinkChannel(sigma2, intf_scale, np.sum(pulse * through, axis=0),
-                       np.sqrt(var / 2.0), len(centers) if sinusoid else 0, tone_response)
+    herm = _hermitian_half(var).real / 2.0
+    n_imag = len(var) - len(herm)  # bins 1 .. n_imag have an imaginary part
+    interior = herm[1:n_imag + 1] / 2.0
+    real_var = np.concatenate([herm[:1], interior, herm[n_imag + 1:]])
+    if tone_response is not None:
+        tone_response = np.concatenate([_hermitian_half(tone_response),
+                                        _hermitian_half(1j * tone_response)])
+    return LinkChannel(sigma2, intf_scale, _hermitian_half(np.sum(pulse * through, axis=0)),
+                       np.sqrt(np.concatenate([real_var, interior])),
+                       len(centers) if sinusoid else 0, tone_response)
 
 
-def draw_channel(ch: LinkChannel, gens) -> tuple:
-    """Each frame's channel draws, frame k from gens[k]: its tone phases
-    (ch.tones of them), then 2M standard normals.
+def draw_channel(ch: LinkChannel, gen, frames: int) -> tuple:
+    """`frames` frames' channel draws from one generator: a (frames, tones)
+    block of tone phases (none without the sinusoid model), then a
+    (frames, M) block of standard normals.
 
     Whether interference or noise is on changes only the scales the draws
-    meet in `receive`, never the draws, so what a generator yields next
-    does not depend on the SIR or the comb.  Returns ((B, tones) unit
-    phasors, (B, 2, M) normals: real parts in row 0, imaginary in row 1).
+    meet in `receive`, never the draws, so what the generator yields next
+    does not depend on the SIR or the comb.  Returns ((frames, 2 * tones)
+    [cos, sin] of the phases, (frames, M) normals).
     """
-    angles = np.empty((len(gens), ch.tones))
-    z = np.empty((len(gens), 2, len(ch.gain)))
-    for k, g in enumerate(gens):
-        if ch.tones:
-            angles[k] = g.uniform(0.0, 2 * np.pi, ch.tones)
-        g.standard_normal(out=z[k])
-    return np.exp(1j * angles), z
+    angles = gen.uniform(0.0, 2 * np.pi, (frames, ch.tones))
+    z = gen.standard_normal((frames, len(ch.noise_sd)))
+    return np.concatenate([np.cos(angles), np.sin(angles)], axis=1), z
 
 
-def receive(ch: LinkChannel, symbols: np.ndarray, phasors: np.ndarray,
+def receive(ch: LinkChannel, symbols: np.ndarray, phases: np.ndarray,
             z: np.ndarray) -> np.ndarray:
-    """Matched-filter samples of the (B, N) symbol frames through the channel
-    with the draws of `draw_channel`:
-    IFFT_M(FFT_M(symbols) * gain + noise_sd * (z1 + i z2) + phasors @ tone_response)
-    from bin span on, span = M - N being the two filters' delay in symbols.
+    """Real matched-filter samples of the (B, N) symbol frames through the
+    channel with the draws of `draw_channel`:
+    IRFFT_M(RFFT_M(symbols) * gain + noise + phases @ tone_response)
+    from sample span on, span = M - N being the two filters' delay in
+    symbols; noise is noise_sd * z laid out as `LinkChannel.noise_sd` says.
     """
-    m = len(ch.gain)
-    spectrum = np.fft.fft(symbols, m, axis=-1)
+    m, h = len(ch.noise_sd), len(ch.gain)
+    spectrum = np.fft.rfft(symbols, m, axis=-1)
     spectrum *= ch.gain
-    spectrum.real += ch.noise_sd * z[:, 0]
-    spectrum.imag += ch.noise_sd * z[:, 1]
+    spectrum.real += ch.noise_sd[:h] * z[:, :h]
+    spectrum.imag[:, 1:m - h + 1] += ch.noise_sd[h:] * z[:, h:]
     if ch.tone_response is not None:
-        spectrum += phasors @ ch.tone_response
-    return np.fft.ifft(spectrum, axis=-1)[:, m - symbols.shape[-1]:]
+        spectrum += phases @ ch.tone_response
+    return np.fft.irfft(spectrum, m, axis=-1)[:, m - symbols.shape[-1]:]

@@ -2,12 +2,16 @@
 sweeps, PSD/null-depth runs and capacity tables.
 
 Reproducibility contract: every random draw comes from a generator seeded
-by (master_seed, stream, frame index), so a (config, master_seed) pair
+by (master_seed, stream, index), so a (config, master_seed) pair
 determines every output byte, independent of batch size or worker count.
-Each FER frame draws from one generator, its channel first and then its
-information bits; the channel draws do not depend on which arm
+FER frames draw in blocks of 64: block k covers frames [64k, 64k + 64)
+and draws from the generator of index k, for all 64 frames at once, the
+tone phases (sinusoid model only), then M = N + span real normals per
+frame, then the information bits; frame f takes row f mod 64.  A block is
+always drawn whole, so no frame's draws depend on `stop.max_frames`, the
+batch split or `--threads`.  The channel draws do not depend on which arm
 (code/decoder flavor) is being simulated, so FER comparisons between arms
-are paired.
+are paired.  The link's output, the matched-filter samples, is real.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .spectral import null_depth, tone_centers, welch_psd
 # stream keys; key 0 is retired, so the construction and PSD streams keep theirs
 _FRAME_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 1, 2, 3
 _SUPER_BATCH = 512
+_BLOCK = 64  # FER frames per generator
 NOTCH_DEPTH_THRESHOLD_DB = 25.0  # Welch notch depth that nulldepth.csv counts as a pass
 
 
@@ -118,24 +123,35 @@ def make_link(cfg: ExperimentConfig, code: CodeConfig, snr_db: float) -> LinkCon
     )
 
 
+def _draw_block(link: LinkContext, k: int) -> tuple:
+    """Block k's draws for its 64 frames: channel ((64, 2 * tones) phases,
+    (64, M) normals), then (64, K) information bits."""
+    gen = _rng(link.master_seed, _FRAME_STREAM, k)
+    phases, z = draw_channel(link.channel, gen, _BLOCK)
+    return phases, z, gen.integers(0, 2, (_BLOCK, link.code.K), dtype=np.uint8)
+
+
 def synthesize_frames(link: LinkContext, frame_indices):
     """Transmit + channel for the given frame indices.
 
-    Returns (info bits (B, K), received symbols (B, N)).  Frame fi draws
-    from its own generator, first its channel (`draw_channel`, the same
-    draws for every arm) and then its K information bits, so it always
-    sees the same information word and channel realization, whichever arm
-    or batch it lands in.  The link runs on the M = N + span bins the
-    matched filter reads (`receive`): one M-point FFT pair per frame.
+    Returns (info bits (B, K), real received symbols (B, N)).  Each block
+    of 64 frames that holds an index is drawn whole (`_draw_block`: the
+    channel, the same draws for every arm, then the information bits), and
+    frame f takes row f mod 64, so it always sees the same information
+    word and channel realization, whichever arm or batch it lands in.  The
+    link runs on the rfft bins of the M = N + span bins the matched filter
+    reads (`receive`): one rfft/irfft pair per frame.
     """
-    code = link.code
-    gens = [_rng(link.master_seed, _FRAME_STREAM, int(fi)) for fi in frame_indices]
-    draws = draw_channel(link.channel, gens)
-    info = np.empty((len(gens), code.K), dtype=np.uint8)
-    for k, g in enumerate(gens):
-        info[k] = g.integers(0, 2, code.K, dtype=np.uint8)
+    code, ch = link.code, link.channel
+    block, row = np.divmod(np.asarray(frame_indices, dtype=np.int64), _BLOCK)
+    phases = np.empty((len(row), 2 * ch.tones))
+    z = np.empty((len(row), len(ch.noise_sd)))
+    info = np.empty((len(row), code.K), dtype=np.uint8)
+    for k in np.unique(block):
+        at = block == k
+        phases[at], z[at], info[at] = (d[row[at]] for d in _draw_block(link, int(k)))
     x = encode(assemble_source(info, code.A, code.N))
-    return info, receive(link.channel, bpsk_map(x), *draws)
+    return info, receive(ch, bpsk_map(x), phases, z)
 
 
 def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:
@@ -143,6 +159,15 @@ def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:
     info, y = synthesize_frames(link, frame_indices)
     info_hat, _, _ = ccd_decode_batch(y, link.code, link.symbol_noise_var, link.list_size)
     return np.any(info_hat != info, axis=1)
+
+
+def _block_split(lo: int, hi: int, parts: int) -> list:
+    """[lo, hi) as at most `parts` ranges of about as many draw blocks
+    each, cut only on block boundaries, so no block is drawn twice."""
+    first, last = lo // _BLOCK, -(-hi // _BLOCK)
+    edges = np.unique(np.clip(np.arange(first, last + 1) * _BLOCK, lo, hi))
+    cuts = edges[np.linspace(0, len(edges) - 1, parts + 1).astype(int)]
+    return [(int(a), int(c)) for a, c in zip(cuts[:-1], cuts[1:]) if c > a]
 
 
 def _worker(args):
@@ -177,11 +202,13 @@ def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> list:
+def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None,
+            capacity: np.ndarray | None = None) -> list:
     """Run the configured arm over the SNR sweep; appends one CSV row per
     point as it completes, so partial runs are usable.  With threads > 1,
-    one worker pool serves the whole sweep."""
-    code = build_code(cfg)
+    one worker pool serves the whole sweep.  `capacity`, when given, is
+    cfg's `build_profile`, so the code is selected without rebuilding it."""
+    code = build_code(cfg, capacity)
     records = []
     with ExitStack() as stack:
         run = map
@@ -201,8 +228,7 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> lis
             errors = frames = 0
             while errors < cfg.min_frame_errors and frames < cfg.max_frames:
                 b = min(_SUPER_BATCH, cfg.max_frames - frames)
-                bounds = np.linspace(frames, frames + b, cfg.threads + 1).astype(int)
-                tasks = [(link, int(a), int(c)) for a, c in zip(bounds[:-1], bounds[1:]) if c > a]
+                tasks = [(link, a, c) for a, c in _block_split(frames, frames + b, cfg.threads)]
                 errors += sum(run(_worker, tasks))
                 frames += b
             fer = errors / frames
@@ -220,15 +246,20 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> lis
 
 def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
                  out_dir: str | None = None, log=None) -> dict:
-    """Run several arms under identical per-frame channel realizations."""
+    """Run several arms under identical per-frame channel realizations.
+
+    The arms differ only in the code's shaping order, criterion and
+    decoder, not in N, the design SNR or the roll-off, so they share one
+    capacity profile, built once here."""
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+    capacity = build_profile(cfg)
     results = {}
     for arm in arms:
         out = None if out_dir is None else os.path.join(out_dir, f"fer_{arm}.csv")
         if log:
             log(f"--- arm {arm}")
-        results[arm] = run_fer(cfg.for_arm(arm), out, log=log)
+        results[arm] = run_fer(cfg.for_arm(arm), out, log=log, capacity=capacity)
     return results
 
 

@@ -9,9 +9,13 @@ the per-center loop `tone_mask_loop`, its tone phasors from the sinusoid
 model's definition, and only its levels (noise variance and interference
 scale) from `calibrate_channel`.
 
-Per frame, the draws come from that frame's generator in the link's
-order: the tone phases first (sinusoid model, always), so the reference
-and the link see the same phases; then, unlike the link, the L-point
+The link's output is real; the reference keeps the complex samples, whose
+real part is the link's.  Its draws follow the link's block rule
+(`block_draws`): block k of 64 frames draws from the generator of index k
+the tone phases (sinusoid model, always), so the reference and the link
+see the same phases; the link's M real normals per frame, which the
+reference skips; and the information bits, the same as the link's.  Then,
+unlike the link, the block's generator goes on to the L-point
 interference normals (noise model, when interference is on) and the
 L-point noise normals.
 """
@@ -127,24 +131,44 @@ def impair(wch: WaveformChannel, s: np.ndarray, gens) -> np.ndarray:
     return apply_waveform(wch, s, *draw_waveform(wch, gens, s.shape[1]))
 
 
-def frame_generators(master_seed: int, frame_indices) -> list:
-    """The per-frame generators of `simulate.synthesize_frames`."""
-    return [simulate._rng(master_seed, simulate._FRAME_STREAM, int(fi)) for fi in frame_indices]
+def _waveform_block(cfg, wch: WaveformChannel, master_seed: int, k: int) -> tuple:
+    """Block k's draws for its 64 frames, in the order of `block_draws`."""
+    gen = simulate._rng(master_seed, simulate._FRAME_STREAM, k)
+    tones = 0 if wch.tone_basis is None else len(wch.tone_basis)
+    L, m = channel.frame_samples(cfg), cfg.N + cfg.pulse.span_symbols
+    phasors = np.exp(1j * gen.uniform(0.0, 2 * np.pi, (64, tones)))
+    gen.standard_normal((64, m))
+    info = gen.integers(0, 2, (64, cfg.K), dtype=np.uint8)
+    intf = None
+    if wch.tone_mask is not None:
+        intf = gen.standard_normal((64, L)) + 1j * gen.standard_normal((64, L))
+    noise = gen.standard_normal((64, L)) + 1j * gen.standard_normal((64, L))
+    return phasors, intf, noise, info
+
+
+def block_draws(cfg, wch: WaveformChannel, master_seed: int, frame_indices) -> tuple:
+    """Each frame's draws by the block rule of `simulate.synthesize_frames`:
+    frame f takes row f mod 64 of block f // 64.  Returns (B, tones)
+    phasors, (B, L) complex interference normals or None, (B, L) complex
+    noise normals and (B, K) information bits."""
+    blocks, rows = {}, []
+    for fi in frame_indices:
+        k, row = divmod(int(fi), 64)
+        if k not in blocks:
+            blocks[k] = _waveform_block(cfg, wch, master_seed, k)
+        rows.append([None if d is None else d[row] for d in blocks[k]])
+    return tuple(None if col[0] is None else np.stack(col) for col in zip(*rows))
 
 
 def waveform_frames(cfg, link, snr_db: float, frame_indices) -> tuple:
-    """`simulate.synthesize_frames` through the waveform chain: each frame's
-    generator gives its channel draws, then its information bits.  Returns
-    (info bits, received symbols)."""
+    """`simulate.synthesize_frames` through the waveform chain, on the
+    link's information bits and tone phases (`block_draws`).  Returns
+    (info bits, complex received symbols)."""
     wch = waveform_channel(cfg, snr_db)
-    gens = frame_generators(link.master_seed, frame_indices)
-    draws = draw_waveform(wch, gens, channel.frame_samples(cfg))
-    info = np.empty((len(gens), link.code.K), dtype=np.uint8)
-    for k, g in enumerate(gens):
-        info[k] = g.integers(0, 2, link.code.K, dtype=np.uint8)
+    phasors, intf, noise, info = block_draws(cfg, wch, link.master_seed, frame_indices)
     x = polar.encode(polar.assemble_source(info, link.code.A, link.code.N))
     s = modem.modulate_symbols(modem.bpsk_map(x), cfg.pulse)
-    return info, matched_filter(apply_waveform(wch, s, *draws), cfg.pulse, cfg.N)
+    return info, matched_filter(apply_waveform(wch, s, phasors, intf, noise), cfg.pulse, cfg.N)
 
 
 def waveform_covariance(cfg, wch: WaveformChannel) -> np.ndarray:

@@ -144,15 +144,52 @@ class TestLinkDeterminism:
         assert np.array_equal(e1, e2)
 
     def test_batch_split_invariant(self):
+        # a split off the 64-frame block boundaries, over three blocks
         cfg = tiny_cfg()
         code = simulate.build_code(cfg)
         link = simulate.make_link(cfg, code, 0.0)
-        whole = simulate.run_link_frames(link, range(48))
+        whole = simulate.run_link_frames(link, range(150))
         parts = np.concatenate([
             simulate.run_link_frames(link, range(0, 17)),
-            simulate.run_link_frames(link, range(17, 48)),
+            simulate.run_link_frames(link, range(17, 150)),
         ])
         assert np.array_equal(whole, parts)
+
+    def test_frames_do_not_depend_on_the_cap(self):
+        # a final partial block is drawn whole: the first 100 frames are the
+        # same whether the run stops at 100 or 256 frames
+        cfg = tiny_cfg(min_frame_errors=10**6)
+        link = simulate.make_link(cfg, simulate.build_code(cfg), 0.0)
+        info, y = simulate.synthesize_frames(link, range(256))
+        info_100, y_100 = simulate.synthesize_frames(link, range(100))
+        assert np.array_equal(info_100, info[:100]) and np.array_equal(y_100, y[:100])
+        flags = simulate.run_link_frames(link, range(256))
+        for cap in (100, 256):
+            rec = simulate.run_fer(dataclasses.replace(cfg, max_frames=cap))[0]
+            assert (rec.frames, rec.frame_errors) == (cap, np.count_nonzero(flags[:cap]))
+
+    def test_any_index_order(self):
+        # frames from several blocks, in any order and repeated, are the rows
+        # of one run over the blocks; no frames give empty arrays
+        cfg = tiny_cfg(tone_model="sinusoid")
+        link = simulate.make_link(cfg, simulate.build_code(cfg), 0.0)
+        info, y = simulate.synthesize_frames(link, range(192))
+        picked = [130, 3, 64, 63, 3, 191]
+        info_p, y_p = simulate.synthesize_frames(link, picked)
+        assert np.array_equal(info_p, info[picked]) and np.array_equal(y_p, y[picked])
+        info_0, y_0 = simulate.synthesize_frames(link, [])
+        assert info_0.shape == (0, cfg.K) and y_0.shape == (0, cfg.N)
+
+    @pytest.mark.parametrize("lo, hi, parts, want", [
+        (0, 512, 2, [(0, 256), (256, 512)]),
+        (0, 200, 2, [(0, 128), (128, 200)]),
+        (0, 200, 1, [(0, 200)]),
+        (16, 32, 2, [(16, 32)]),
+        (48, 200, 3, [(48, 64), (64, 128), (128, 200)]),
+        (0, 128, 4, [(0, 64), (64, 128)]),
+    ])
+    def test_tasks_cut_on_block_boundaries(self, lo, hi, parts, want):
+        assert simulate._block_split(lo, hi, parts) == want
 
     def test_channel_identical_across_arms(self):
         """Common random numbers: the channel contribution to the received
@@ -188,11 +225,11 @@ class TestLinkDeterminism:
         change to the channel, modem or decoders that moves a single
         decision shows here."""
         pinned = {
-            (4, "noise"): {"cp": [209, 176], "csp-nonc": [26, 3], "csp-c": [16, 1]},
-            (32, "noise"): {"cp": [210, 174], "csp-nonc": [27, 3], "csp-c": [15, 1]},
-            (4, "sinusoid"): {"cp": [249, 248], "csp-nonc": [229, 225], "csp-c": [222, 217]},
-            (1, "noise"): {"cp": [215, 183], "csp-nonc": [49, 2], "csp-c": [30, 0]},
-            (1, "sinusoid"): {"cp": [249, 250], "csp-nonc": [238, 235], "csp-c": [224, 218]},
+            (4, "noise"): {"cp": [200, 157], "csp-nonc": [22, 4], "csp-c": [14, 0]},
+            (32, "noise"): {"cp": [200, 157], "csp-nonc": [22, 4], "csp-c": [13, 0]},
+            (4, "sinusoid"): {"cp": [249, 247], "csp-nonc": [231, 226], "csp-c": [230, 225]},
+            (1, "noise"): {"cp": [196, 168], "csp-nonc": [41, 6], "csp-c": [32, 3]},
+            (1, "sinusoid"): {"cp": [248, 248], "csp-nonc": [243, 236], "csp-c": [229, 226]},
         }
         for (list_size, model), want in pinned.items():
             res = simulate.run_fer_arms(tiny_cfg(snr_sweep_db=(-5.0, -3.0), tone_model=model,
@@ -207,26 +244,70 @@ class TestLinkDeterminism:
         assert [(r.frames, r.frame_errors) for r in r1] == \
                [(r.frames, r.frame_errors) for r in r2]
 
+    def test_threads_do_not_change_bytes_off_block_boundary(self, tmp_path):
+        # 200 frames: two workers split them on a block boundary, 128 + 72
+        paths = []
+        for threads in (1, 2):
+            cfg = tiny_cfg(threads=threads, min_frame_errors=10**6, max_frames=200,
+                           snr_sweep_db=(-2.0, 0.0))
+            paths.append(tmp_path / f"t{threads}.csv")
+            recs = simulate.run_fer(cfg, str(paths[-1]))
+            assert [r.frames for r in recs] == [200, 200]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_arms_share_one_profile(self, tmp_path, monkeypatch):
+        # run_fer_arms builds the capacity profile once for all arms, and
+        # each arm's CSV is the one it writes when run on its own
+        cfg = tiny_cfg(snr_sweep_db=(-1.0,), max_frames=128)
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        for arm in ("cp", "csp-nonc", "csp-c"):
+            simulate.run_fer(cfg.for_arm(arm), str(alone / f"fer_{arm}.csv"))
+        calls = []
+        build_profile = simulate.build_profile
+
+        def counted(c):
+            calls.append(c)
+            return build_profile(c)
+
+        monkeypatch.setattr(simulate, "build_profile", counted)
+        simulate.run_fer_arms(cfg, out_dir=str(tmp_path / "arms"))
+        assert len(calls) == 1
+        for arm in ("cp", "csp-nonc", "csp-c"):
+            name = f"fer_{arm}.csv"
+            assert (tmp_path / "arms" / name).read_bytes() == (alone / name).read_bytes(), arm
+
 
 def folded_covariance(ch, n_symbols):
-    """E[y y^H] of the folded link's noise plus noise-model interference.
+    """E[y y^T] of the folded link's real noise plus noise-model interference.
 
-    y = IFFT_M(noise_sd * (z1 + i z2))[span:] with independent bins of
-    E|bin m|^2 = 2 noise_sd[m]^2, so the covariance is circulant:
-    E[y_n conj(y_n')] = IFFT_M(2 noise_sd^2)[(n - n') mod M] / M.
+    y = IRFFT_M(H)[span:], where bin m of H has independent real and
+    imaginary parts of deviations noise_sd (laid out as the LinkChannel
+    says), so the covariance is circulant:
+    E[y_n y_n'] = IRFFT_M(E|H|^2)[(n - n') mod M] / M.
     """
-    m = len(ch.noise_sd)
-    c = np.fft.ifft(2.0 * ch.noise_sd**2) / m
+    m, h = len(ch.noise_sd), len(ch.gain)
+    power = ch.noise_sd[:h] ** 2
+    power[1:m - h + 1] += ch.noise_sd[h:] ** 2
+    c = np.fft.irfft(power, m) / m
     return c[np.subtract.outer(np.arange(n_symbols), np.arange(n_symbols)) % m]
 
 
+def real_part_covariance(cfg, wch):
+    """E[Re(y) Re(y)^T] of the waveform chain's noise plus noise-model
+    interference: the noise is circular, so half the real part of E[y y^H]."""
+    return link_reference.waveform_covariance(cfg, wch).real / 2.0
+
+
 class TestSpectralLink:
-    """synthesize_frames runs the link on the M = N + span bins that the
-    matched filter reads; the waveform chain of link_reference
-    (modulate_symbols -> impair -> matched_filter) is its reference.  The
-    symbols, and the sinusoid interference from the same tone phases, must
-    match to rounding.  Noise and noise-model interference are other draws
-    than the reference's, so they must match in distribution."""
+    """synthesize_frames runs the link on the rfft bins of the M = N + span
+    bins that the matched filter reads, and returns the real part of the
+    matched-filter samples; the waveform chain of link_reference
+    (modulate_symbols -> impair -> matched_filter) is its reference, whose
+    real part it must be.  The symbols, and the sinusoid interference from
+    the same tone phases, must match to rounding.  Noise and noise-model
+    interference are other draws than the reference's, so they must match
+    in distribution."""
 
     CASES = {
         "reference": {},
@@ -236,6 +317,8 @@ class TestSpectralLink:
         "no-interference": {"sir_db": None},
         "tone-band-wider-than-notch": {"tone_bandwidth_hz": 30.0, "notch_bandwidth_hz": 10.0},
         "other-pulse": {"pulse": modem.PulseSpec(0.5, 8, 4)},
+        # M = N + span odd: no Nyquist bin
+        "odd-span": {"pulse": modem.PulseSpec(0.25, 7, 8)},
     }
 
     @staticmethod
@@ -250,38 +333,39 @@ class TestSpectralLink:
         cfg = tiny_cfg(**self.CASES[case])
         link = simulate.make_link(cfg, simulate.build_code(cfg), snr_db)
         wch = link_reference.waveform_channel(cfg, snr_db)
-        frames = range(5, 21)
+        frames = range(56, 72)  # across the first block boundary
         info, y = simulate.synthesize_frames(self.noiseless(link), frames)
         x = polar.encode(polar.assemble_source(info, link.code.A, link.code.N))
         s = modem.modulate_symbols(modem.bpsk_map(x), cfg.pulse)
-        gens = link_reference.frame_generators(cfg.master_seed, frames)
-        phasors = link_reference.draw_waveform(wch, gens, s.shape[1])[0]
+        phasors, _, _, info_ref = link_reference.block_draws(cfg, wch, cfg.master_seed, frames)
         y_ref = link_reference.matched_filter(link_reference.apply_waveform(wch, s, phasors),
-                                              cfg.pulse, cfg.N)
-        assert y.shape == y_ref.shape == (16, cfg.N)
+                                              cfg.pulse, cfg.N).real
+        assert np.array_equal(info, info_ref)
+        assert y.dtype == np.float64 and y.shape == y_ref.shape == (16, cfg.N)
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * max(1.0, np.max(np.abs(y_ref)))
         # the rest, in closed form from the folded deviations against unit
         # impulses through the waveform chain
-        cov_ref = link_reference.waveform_covariance(cfg, wch)
+        cov_ref = real_part_covariance(cfg, wch)
         cov = folded_covariance(link.channel, cfg.N)
         assert np.max(np.abs(cov - cov_ref)) <= 1e-12 * max(1.0, np.max(np.abs(cov_ref)))
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_noise_sample_moments(self, case):
-        # the draws themselves, on 10240 frames at -1 dB: zero mean, the
-        # waveform chain's covariance and no pseudo-covariance, each entry
-        # within 6 standard errors
+        # the draws themselves, on 10240 frames at -1 dB: zero mean and the
+        # covariance of the waveform chain's real part, each entry within 6
+        # standard errors
         cfg = tiny_cfg(**self.CASES[case])
         link = simulate.make_link(cfg, simulate.build_code(cfg), -1.0)
         frames = range(10240)
         r = simulate.synthesize_frames(link, frames)[1]
         r -= simulate.synthesize_frames(self.noiseless(link), frames)[1]
-        cov = link_reference.waveform_covariance(cfg, link_reference.waveform_channel(cfg, -1.0))
-        power = np.diag(cov).real
-        se = np.sqrt(np.outer(power, power) / len(r))
+        cov = real_part_covariance(cfg, link_reference.waveform_channel(cfg, -1.0))
+        power = np.diag(cov)
+        # the product of two zero-mean real normals has variance
+        # C_ii C_jj + C_ij^2
+        se = np.sqrt((np.outer(power, power) + cov**2) / len(r))
         assert np.all(np.abs(r.mean(axis=0)) <= 6 * np.sqrt(power / len(r)))
-        assert np.all(np.abs(r.T @ r.conj() / len(r) - cov) <= 6 * se)
-        assert np.all(np.abs(r.T @ r / len(r)) <= 6 * se)
+        assert np.all(np.abs(r.T @ r / len(r) - cov) <= 6 * se)
 
     def test_interference_the_comb_removes_adds_nothing(self):
         # the reference tone band lies inside the notch, so the folded
@@ -298,7 +382,7 @@ class TestSpectralLink:
 
     @pytest.mark.parametrize("model", ["noise", "sinusoid"])
     def test_channel_draws_do_not_depend_on_sir_or_comb(self, model):
-        # every frame makes the same channel draws, so its information bits
+        # every block makes the same channel draws, so its information bits
         # (drawn next from the same generator) stay paired
         code = simulate.build_code(tiny_cfg())
         states, infos = [], []
@@ -307,10 +391,12 @@ class TestSpectralLink:
                 for snr_db in (-1.0, np.inf):
                     cfg = tiny_cfg(tone_model=model, sir_db=sir_db, comb_enabled=comb)
                     link = simulate.make_link(cfg, code, snr_db)
-                    gens = link_reference.frame_generators(cfg.master_seed, range(3))
-                    channel.draw_channel(link.channel, gens)
+                    gens = [simulate._rng(cfg.master_seed, simulate._FRAME_STREAM, k)
+                            for k in (0, 1)]
+                    for g in gens:
+                        channel.draw_channel(link.channel, g, simulate._BLOCK)
                     states.append([g.bit_generator.state for g in gens])
-                    infos.append(simulate.synthesize_frames(link, range(3))[0])
+                    infos.append(simulate.synthesize_frames(link, [0, 1, 63, 64, 100])[0])
         assert all(state == states[0] for state in states)
         assert all(np.array_equal(info, infos[0]) for info in infos)
 
