@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .shaping import CisSpec, CodeConfig, cis, half_to_cis
-from .decoder import genie_decision_llrs
+from .decoder import _softplus, genie_decision_llrs
 from .polar import _check_power_of_two, encode
 
 DEFAULT_ROLLOFF = 0.25
@@ -113,9 +113,15 @@ def gaussian_approximation_means(N: int, noise_var: float) -> np.ndarray:
 # genie-aided Monte-Carlo estimator
 # --------------------------------------------------------------------------
 
+# LLRs per slice of a Monte-Carlo batch: the genie's level buffers of a
+# 2^16-LLR slice (512 KB each) stay within a 2 MB L2 cache, and 2^16
+# measured faster than 2^15 and 2^17 at N = 256
+MC_CHUNK_LLRS = 1 << 16
+
+
 def _mc_capacity_terms(llr_true_bit):
     """Per-trial capacity contribution 1 - log2(1 + exp(-L)) of the true bit."""
-    return 1.0 - np.logaddexp(0.0, -llr_true_bit) / np.log(2.0)
+    return 1.0 - _softplus(-llr_true_bit) / np.log(2.0)
 
 
 def monte_carlo_symmetric_capacity(
@@ -129,25 +135,32 @@ def monte_carlo_symmetric_capacity(
 
     Draws i.i.d. uniform source words, transmits them over the
     antipodal-AWGN symbol channel, and averages 1 - log2(1 + exp(-L_i))
-    of the true-bit decision LLRs.
+    of the true-bit decision LLRs.  Each batch of `batch` frames (the
+    last one partial) draws its (b, N) source bits, then its (b, N)
+    standard normals; encoding, the genie and the sums then run on
+    slices of max(1, MC_CHUNK_LLRS // N) frames (the last one partial),
+    so the draws do not depend on the slice size.
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
     if trials < 1 or batch < 1:
         raise ValueError(f"trials and batch must be >= 1, got {trials} and {batch}")
+    chunk = max(1, MC_CHUNK_LLRS // N)
+    sigma = np.sqrt(noise_var)
     sum1 = np.zeros(N)
     sum2 = np.zeros(N)
     done = 0
     while done < trials:
         b = min(batch, trials - done)
-        u = rng.integers(0, 2, size=(b, N), dtype=np.uint8)
-        x = encode(u)
-        y = (1.0 - 2.0 * x) + rng.standard_normal((b, N)) * np.sqrt(noise_var)
-        llr = 2.0 * y / noise_var
-        dec = genie_decision_llrs(llr, u)
-        terms = _mc_capacity_terms((1.0 - 2.0 * u) * dec)
-        sum1 += terms.sum(axis=0)
-        sum2 += (terms**2).sum(axis=0)
+        u_batch = rng.integers(0, 2, size=(b, N), dtype=np.uint8)
+        noise = rng.standard_normal((b, N))
+        for s in range(0, b, chunk):
+            u = u_batch[s : s + chunk]
+            y = (1.0 - 2.0 * encode(u)) + noise[s : s + chunk] * sigma
+            dec = genie_decision_llrs(2.0 * y / noise_var, u)
+            terms = _mc_capacity_terms((1.0 - 2.0 * u) * dec)
+            sum1 += terms.sum(axis=0)
+            sum2 += (terms**2).sum(axis=0)
         done += b
     mean = sum1 / trials
     var = np.maximum(sum2 / trials - mean**2, 0.0)

@@ -2,12 +2,15 @@
 decoder that permutes the received vector of a shaped code and decodes
 with the top-half information set.
 
-One successive-cancellation tree walk serves three leaf rules: SC (hard
-decision), the genie (record the decision LLR, feed back the true bit)
-and SCL (fork and prune the list).  An SCL prune copies no buffer: it
-composes per-level row maps, which the walk applies only to the buffers
-it reads again (lazy gathers), and keeps one row of back-pointers per
-information bit, through which the best path is traced once at the end.
+One successive-cancellation tree walk serves two leaf rules: SC (hard
+decision) and SCL (fork and prune the list).  The genie (record the
+decision LLR, feed back the true bit) knows every decision up front, so
+`genie_decision_llrs` sweeps the tree one level at a time instead, with
+the walk's operations on the walk's operands.  An SCL prune copies no
+buffer: it composes per-level row maps, which the walk applies only to
+the buffers it reads again (lazy gathers), and keeps one row of
+back-pointers per information bit, through which the best path is
+traced once at the end.
 All use the exact log-domain check-node update (soft XOR) and the exact
 path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
 codebook the best path is maximum-likelihood.  Every decoder works on a
@@ -27,8 +30,8 @@ sum ln(1 + exp(-(1-2x)a)), the sum of its leaf metrics.
 - Rate-1 (no frozen leaf): x = hard decision of a, under SC and SCL(1).
 SPC nodes and Rate-1 under a list stay off: Wagner's rule and the
 min(L - 1, w) forks of a list Rate-1 node change decisions against the
-leaf walk.  Any other engine (the genie, an engine built directly)
-walks leaf by leaf, the reference the node walk is checked against.
+leaf walk.  An engine built directly walks leaf by leaf, the reference
+the node walk is checked against.
 The two make the same decisions except on a tie, which the leaf walk
 settles by bit 0 and a node by its own sums: a decision LLR of exactly
 0, as when a long soft-XOR chain underflows, or list candidates equal
@@ -61,7 +64,12 @@ RATE0, REP, RATE1 = 1, 2, 3  # node kinds of a plan; 0 walks on
 
 
 def _softplus(z):
-    return np.logaddexp(0.0, z)
+    """ln(1 + e^z) as max(z, 0) + ln(1 + e^-|z|), on numpy's vector exp and
+    log1p; exact at +-inf, and e^-|z| only underflows to 0."""
+    t = np.abs(z)
+    np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+    t += np.maximum(z, 0.0)
+    return t
 
 
 def soft_xor(a, b):
@@ -70,14 +78,19 @@ def soft_xor(a, b):
     Stable form: sign(a)sign(b)min(|a|,|b|) plus correction terms in
     ln((1+e^{a+b})/(e^a+e^b)); the exponents |a+b| and |a-b| are
     nonnegative, so nothing overflows.  The operations run in the order
-    of that formula, into three buffers of the call's own.
+    of that formula, into three buffers of the call's own.  The sign
+    comes from the product a b, whose sign bit is that of sign(a)sign(b)
+    also where it underflows to 0 or overflows to inf; where min(|a|,|b|)
+    is 0 the signed zero this may leave is cleared by the first
+    correction term.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     shape = np.broadcast(a, b).shape
     out, t, mn = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.multiply(np.sign(a, out=out), np.sign(b, out=t), out=out)
     np.minimum(np.abs(a, out=t), np.abs(b, out=mn), out=mn)
-    out *= mn
+    with np.errstate(over="ignore"):
+        np.multiply(a, b, out=out)
+    np.copysign(mn, out, out=out)
     for c in (np.add(a, b, out=t), np.subtract(a, b, out=mn)):  # ln(1 + e^-|c|)
         np.log1p(np.exp(np.negative(np.abs(c, out=c), out=c), out=c), out=c)
     out += t
@@ -129,7 +142,7 @@ def _node_plan(mask: bytes, rate1: bool) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# the successive-cancellation walk; SC, the genie and SCL are its leaf rules
+# the successive-cancellation walk; SC and SCL are its leaf rules
 # --------------------------------------------------------------------------
 
 class _Walk:
@@ -146,9 +159,9 @@ class _Walk:
     (B, L) row map, and a level buffer is gathered through that map only
     where the walk reads it again (`_take`): llr[d] before the right
     child, uleft[d] at the combine.  llr[d+1] is computed afresh before
-    each child, so the leaf level is always current.  SC and the genie
-    never prune.  Every leaf returns its codeword bits, (1, B, paths), and
-    so does a node of a `node_plan`, decoded whole from its input LLRs,
+    each child, so the leaf level is always current.  SC never prunes.
+    Every leaf returns its codeword bits, (1, B, paths), and so does a
+    node of a `node_plan`, decoded whole from its input LLRs,
     (width, B, paths).  Subclasses read the leaf through `leaf_llrs` and
     move paths through `rows` and `gather`, so the layout stays inside this
     class.  The rules here are SC: hard decision, 0 at frozen leaves, exact
@@ -269,23 +282,6 @@ def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
     return _Walk(llrs, frozen, plan=node_plan(frozen, 1)).run()
 
 
-class _GenieWalk(_Walk):
-    """Genie leaf rule: record the leaf LLR, feed back the true bit."""
-
-    def __init__(self, llrs, u_true):
-        super().__init__(llrs, None)
-        self.u = np.ascontiguousarray(u_true.T)[:, None, :, None]  # leaf i's bits (1, B, 1)
-        self.dec = np.empty((self.N, self.B))  # leaf i's LLRs in row i
-
-    def run(self):
-        self._node(0, 0)
-        return np.ascontiguousarray(self.dec.T)
-
-    def _leaf(self, offset):
-        self.dec[offset] = self.leaf_llrs()[:, 0]
-        return self.u[offset]
-
-
 def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Per-index SC decision LLRs given the true preceding source bits.
 
@@ -293,13 +289,37 @@ def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     one word per frame (any other shape raises ValueError).  Output
     column i is the LLR the decoder would see for source bit i if all
     previous decisions were correct.
+
+    With every decision known, the walk's order no longer matters, so the
+    tree is swept one level at a time.  Buffers are laid out (width,
+    nodes, B): a level's nodes sit side by side, the left children of
+    one level first, then the right ones, so node position p at level d
+    is node bitrev_d(p), and the leaves come out in bit-reversed order.
+    First every left child's codeword comes bottom up from the true bits
+    (a node's codeword is [left ^ right, right]); then each level top
+    down makes one soft_xor call for all left children and one update
+    b + (1 - 2 cw_left) a for all right ones, the walk's operations on
+    the walk's operands, so the result is the walk's bit for bit.
     """
     llrs, _ = _decoder_inputs(llrs)
     u_true = np.atleast_2d(np.asarray(u_true, dtype=np.uint8))
     if u_true.shape != llrs.shape:
         raise ValueError(f"true source bits have shape {u_true.shape}, "
                          f"the LLRs {llrs.shape}")
-    return _GenieWalk(llrs, u_true).run()
+    rev = bit_reversal(llrs.shape[1])
+    cw = u_true.T[rev][None]  # level n: leaf codewords, (1, N, B)
+    cw_left = []  # level d's left children's codewords, (N >> (d + 1), 2^d, B), d = n-1 .. 0
+    while cw.shape[1] > 1:
+        half = cw.shape[1] // 2
+        left, right = cw[:, :half], cw[:, half:]
+        cw_left.append(left)
+        cw = np.concatenate([left ^ right, right], axis=0)
+    lam = llrs.T[rev][:, None]  # level 0: (N, 1, B)
+    for left in reversed(cw_left):
+        h = len(lam) // 2
+        a, b = lam[:h], lam[h:]
+        lam = np.concatenate([soft_xor(a, b), b + (1.0 - 2.0 * left) * a], axis=1)
+    return np.ascontiguousarray(lam[0][rev].T)
 
 
 class _SclEngine(_Walk):

@@ -123,10 +123,15 @@ def constrained_capacity_curve(
         c_true = rng.integers(0, 1 << Kf, size=b)
         y = sym[c_true] + rng.standard_normal((b, N)) * np.sqrt(noise_var)
         ll = y @ sym.T / noise_var  # word-independent terms cancel in ratios
+        # marg[k] holds the log-likelihood of every prefix of k + 1 bits:
+        # a pairwise logaddexp tree from the last bit up
+        marg = [ll]
+        for _ in range(Kf - 1):
+            marg.append(np.logaddexp(marg[-1][:, 0::2], marg[-1][:, 1::2]))
+        marg.reverse()
         for k in range(Kf):
-            blk_log = logsumexp(ll.reshape(b, 1 << k, 2, 1 << (Kf - k - 1)), axis=3)
             p_true = c_true >> (Kf - k)
-            sel = blk_log[np.arange(b), p_true]
+            sel = marg[k].reshape(b, 1 << k, 2)[np.arange(b), p_true]
             llr = sel[:, 0] - sel[:, 1]
             u_k = (c_true >> (Kf - k - 1)) & 1
             t = 1.0 - np.logaddexp(0.0, -(1.0 - 2.0 * u_k) * llr) / np.log(2.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combpolar import construction, shaping
+from combpolar import construction, decoder, polar, shaping
 from combpolar.config import load_config
 from combpolar.simulate import build_code
 
@@ -145,6 +145,27 @@ class TestMonteCarloEstimator:
         top_ga = set(np.argsort(-ga)[:4].tolist())
         top_mc = set(np.argsort(-mc)[:4].tolist())
         assert top_ga == top_mc
+
+    @pytest.mark.parametrize("N", [2, 1024])
+    def test_slices_match_a_whole_batch_reference(self, N):
+        """Batches of 300 frames cut into slices of MC_CHUNK_LLRS // N
+        frames, neither dividing the 1000 trials, give the mean of a plain
+        whole-batch computation within 1e-13 and draw the same stream."""
+        trials, batch, noise_var = 1000, 300, 0.9
+        chunk = max(1, construction.MC_CHUNK_LLRS // N)
+        assert trials % batch and trials % chunk and batch % chunk
+        rng = np.random.default_rng(23)
+        mean, _ = construction.monte_carlo_symmetric_capacity(
+            N, noise_var, trials, rng, batch=batch)
+        ref_rng = np.random.default_rng(23)
+        terms = []
+        for b in (300, 300, 300, 100):
+            u = ref_rng.integers(0, 2, size=(b, N), dtype=np.uint8)
+            y = (1.0 - 2.0 * polar.encode(u)) + ref_rng.standard_normal((b, N)) * np.sqrt(noise_var)
+            dec = decoder.genie_decision_llrs(2.0 * y / noise_var, u)
+            terms.append(1.0 - np.logaddexp(0.0, -(1.0 - 2.0 * u) * dec) / np.log(2.0))
+        np.testing.assert_allclose(mean, np.concatenate(terms).mean(axis=0), rtol=0, atol=1e-13)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("trials, batch", [(0, 4096), (-3, 4096), (100, 0), (100, -1)])
     def test_bad_trials_or_batch_rejected_before_drawing(self, trials, batch):

@@ -48,6 +48,50 @@ class TestSoftXor:
         out = decoder.soft_xor(np.array([700.0]), np.array([-700.0]))
         assert np.isfinite(out[0])
 
+    def test_sign_by_copysign_is_sign_product_bit_for_bit(self):
+        """The sign taken from the product a b gives the bits of
+        sign(a) sign(b) min(|a|, |b|), also at signed zeros and where the
+        product underflows or overflows: the first correction term
+        clears a signed zero."""
+        rng = np.random.default_rng(21)
+        mag = 10.0 ** rng.uniform(-300, 3, (2, 200_000))
+        a, b = mag * rng.choice([-1.0, 1.0], mag.shape)
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-170, -1e-170, 700.0, -700.0,
+                            1e300, -1e300, 1.0, -1.0])
+        sa, sb = (g.ravel() for g in np.meshgrid(special, special))
+        a, b = np.concatenate([a, sa]), np.concatenate([b, sb])
+        got = decoder.soft_xor(a, b)
+        ref = soft_xor_sign_product(a, b)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def soft_xor_sign_product(a, b):
+    """soft_xor with its sign written as sign(a) sign(b), the operations in
+    the order of the stable formula."""
+    out = np.sign(a) * np.sign(b)
+    out *= np.minimum(np.abs(a), np.abs(b))
+    t = np.log1p(np.exp(-np.abs(a + b)))
+    mn = np.log1p(np.exp(-np.abs(a - b)))
+    out += t
+    out -= mn
+    return out
+
+
+class TestSoftplus:
+    def test_matches_logaddexp(self):
+        """Within 5e-16 relative of np.logaddexp(0, z) over +-[1e-300, 800]."""
+        mag = np.logspace(-300, np.log10(800.0), 20_001)
+        z = np.concatenate([-mag[::-1], [0.0], mag])
+        ref = np.logaddexp(0.0, z)
+        got = decoder._softplus(z)
+        assert np.all(np.abs(got - ref) <= 5e-16 * ref)
+
+    def test_exact_at_the_ends(self):
+        """No overflow and no warning at +-inf and +-800: the exponent is
+        never positive."""
+        got = decoder._softplus(np.array([np.inf, -np.inf, 800.0, -800.0]))
+        assert got.tolist() == [np.inf, 0.0, 800.0, 0.0]
+
 
 def subchannel_probability_bsc(x_obs, u_prefix, i, u_i, p, free_indices=None):
     """oracles.subchannel_probability on a binary symmetric channel:
@@ -128,6 +172,45 @@ class TestScDecode:
         assert agree > 0.97
 
 
+class GenieWalk(decoder._Walk):
+    """The recursive genie: the depth-first walk, leaf by leaf, recording
+    each leaf's LLR and feeding back the true bit.  The reference the
+    level sweep of `genie_decision_llrs` is checked against."""
+
+    def __init__(self, llrs, u_true):
+        super().__init__(llrs, None)
+        self.u = np.ascontiguousarray(u_true.T)[:, None, :, None]  # leaf i's bits (1, B, 1)
+        self.dec = np.empty((self.N, self.B))  # leaf i's LLRs in row i
+
+    def run(self):
+        self._node(0, 0)
+        return np.ascontiguousarray(self.dec.T)
+
+    def _leaf(self, offset):
+        self.dec[offset] = self.leaf_llrs()[:, 0]
+        return self.u[offset]
+
+
+class TestGenie:
+    @pytest.mark.parametrize("N", [2, 4, 8, 32, 256, 1024])
+    def test_level_sweep_is_the_walk_bit_for_bit(self, N):
+        """The level sweep gives the recursive walk's decision LLRs, bit for
+        bit, on noisy, all-zero, clamped (+-LLR_MAX) and 1e-300-scaled LLRs."""
+        rng = np.random.default_rng(22)
+        u = rng.integers(0, 2, (48, N), dtype=np.uint8)
+        noisy = 2.0 * ((1.0 - 2.0 * polar.encode(u)) + rng.standard_normal((48, N)))
+        llrs = {
+            "noisy": noisy,
+            "zero": np.zeros((48, N)),
+            "clamped": decoder.LLR_MAX * rng.choice([-1.0, 1.0], (48, N)),
+            "tiny": 1e-300 * noisy,
+        }
+        for name, llr in llrs.items():
+            got = decoder.genie_decision_llrs(llr, u)
+            ref = GenieWalk(llr, u).run()
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
+
+
 class EagerScl(decoder._SclEngine):
     """Reference list decoder that moves every copy at once: each prune
     gathers every level buffer with a path axis (through the walk's own
@@ -148,8 +231,8 @@ class EagerScl(decoder._SclEngine):
         if self.frozen[offset]:
             return decoder._Walk._leaf(self, offset)
         dm = self.leaf_llrs()
-        cand = np.concatenate([self.pm + np.logaddexp(0.0, -dm),
-                               self.pm + np.logaddexp(0.0, dm)], axis=1)
+        cand = np.concatenate([self.pm + decoder._softplus(-dm),
+                               self.pm + decoder._softplus(dm)], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
         src = order % self.L
         self.pm = np.take_along_axis(cand, order, axis=1)
