@@ -136,10 +136,12 @@ def monte_carlo_symmetric_capacity(
     Draws i.i.d. uniform source words, transmits them over the
     antipodal-AWGN symbol channel, and averages 1 - log2(1 + exp(-L_i))
     of the true-bit decision LLRs.  Each batch of `batch` frames (the
-    last one partial) draws its (b, N) source bits, then its (b, N)
-    standard normals; encoding, the genie and the sums then run on
-    slices of max(1, MC_CHUNK_LLRS // N) frames (the last one partial),
-    so the draws do not depend on the slice size.
+    last one partial) draws its (b, N) source bits; then, on slices of
+    max(1, MC_CHUNK_LLRS // N) frames (the last one partial), each slice
+    draws its own standard normals before encoding, the genie and the
+    sums.  numpy's Generator keeps no normal in reserve between calls,
+    so the slices' normals are one (b, N) draw's, value for value, and
+    the draws do not depend on the slice size.
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
@@ -153,10 +155,9 @@ def monte_carlo_symmetric_capacity(
     while done < trials:
         b = min(batch, trials - done)
         u_batch = rng.integers(0, 2, size=(b, N), dtype=np.uint8)
-        noise = rng.standard_normal((b, N))
         for s in range(0, b, chunk):
             u = u_batch[s : s + chunk]
-            y = (1.0 - 2.0 * encode(u)) + noise[s : s + chunk] * sigma
+            y = (1.0 - 2.0 * encode(u)) + rng.standard_normal(u.shape) * sigma
             dec = genie_decision_llrs(2.0 * y / noise_var, u)
             terms = _mc_capacity_terms((1.0 - 2.0 * u) * dec)
             sum1 += terms.sum(axis=0)

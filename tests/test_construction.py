@@ -167,6 +167,20 @@ class TestMonteCarloEstimator:
         np.testing.assert_allclose(mean, np.concatenate(terms).mean(axis=0), rtol=0, atol=1e-13)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("N, b, chunk", [(256, 4096, 256), (1024, 904, 64),
+                                             (2, 300, 32768), (256, 904, 256)])
+    def test_slice_normals_are_one_batch_draw(self, N, b, chunk):
+        """The estimator draws each slice's normals after the batch's bits.
+        numpy's Generator keeps no normal in reserve between calls, so the
+        slices' draws are one (b, N) draw's values, bit for bit, and leave
+        the generator in the same state; a numpy that kept one would fail
+        here."""
+        whole_rng, slice_rng = np.random.default_rng(26), np.random.default_rng(26)
+        whole = whole_rng.standard_normal((b, N))
+        slices = [slice_rng.standard_normal((min(chunk, b - s), N)) for s in range(0, b, chunk)]
+        assert np.array_equal(np.concatenate(slices).view(np.uint64), whole.view(np.uint64))
+        assert slice_rng.bit_generator.state == whole_rng.bit_generator.state
+
     @pytest.mark.parametrize("trials, batch", [(0, 4096), (-3, 4096), (100, 0), (100, -1)])
     def test_bad_trials_or_batch_rejected_before_drawing(self, trials, batch):
         """trials = 0 would divide by zero and batch = 0 would never finish;

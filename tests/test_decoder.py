@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from combpolar import decoder, oracles, polar, shaping, simulate
 from combpolar.config import load_config
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+SLICE = decoder.SOFT_XOR_SLICE
 
 
 class TestChannelLlr:
@@ -64,6 +66,43 @@ class TestSoftXor:
         ref = soft_xor_sign_product(a, b)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
+    @pytest.mark.parametrize("shapes", [
+        ((1,), (1,)), ((SLICE - 1,), (SLICE - 1,)), ((SLICE,), (SLICE,)),
+        ((SLICE + 1,), (SLICE + 1,)), ((3, SLICE // 2 + 1), (3, SLICE // 2 + 1)),
+        ((128, 256, 32), (128, 256, 32)), ((), ()), ((), (4, SLICE // 2 + 1)),
+        ((1, SLICE // 2 + 1), (5, SLICE // 2 + 1)), ((SLICE + 1,), (3, SLICE + 1)),
+    ], ids=str)
+    def test_slices_are_the_one_shot_formula_bit_for_bit(self, shapes):
+        """Below, at and above SOFT_XOR_SLICE elements, 0-d and broadcast
+        operands included, soft_xor gives the one-shot formula's bits and
+        shape, with +-0, +-1e-300, +-LLR_MAX and +-inf among the values
+        (inf - inf is NaN in both), and no warning the formula does not
+        give."""
+        rng = np.random.default_rng(24)
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, decoder.LLR_MAX, -decoder.LLR_MAX,
+                            np.inf, -np.inf])
+        a, b = (np.where(rng.random(sh) < 0.1, rng.choice(special, sh), 8.0 * rng.standard_normal(sh))
+                for sh in shapes)
+        with warnings.catch_warnings(record=True) as ref_warn:
+            warnings.simplefilter("always")
+            ref = np.asarray(soft_xor_one_shot(a, b))
+        with warnings.catch_warnings(record=True) as got_warn:
+            warnings.simplefilter("always")
+            got = decoder.soft_xor(a, b)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert {str(w.message) for w in got_warn} <= {str(w.message) for w in ref_warn}
+
+
+def soft_xor_one_shot(a, b):
+    """soft_xor's formula in one piece over the broadcast shape, the
+    reference its slices are checked against."""
+    with np.errstate(over="ignore"):
+        out = np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
+    out += np.log1p(np.exp(-np.abs(a + b)))
+    out -= np.log1p(np.exp(-np.abs(a - b)))
+    return out
+
 
 def soft_xor_sign_product(a, b):
     """soft_xor with its sign written as sign(a) sign(b), the operations in
@@ -91,6 +130,20 @@ class TestSoftplus:
         never positive."""
         got = decoder._softplus(np.array([np.inf, -np.inf, 800.0, -800.0]))
         assert got.tolist() == [np.inf, 0.0, 800.0, 0.0]
+
+    def test_pair_is_two_softplus_calls_bit_for_bit(self):
+        """_softplus_pair(z) gives (_softplus(-z), _softplus(z)) bit for bit
+        over +-[1e-300, 800], +-0, +-LLR_MAX and +-inf, with no warning."""
+        mag = np.logspace(-300, np.log10(800.0), 20_001)
+        z = np.concatenate([-mag[::-1], [0.0, -0.0, decoder.LLR_MAX, -decoder.LLR_MAX,
+                                         np.inf, -np.inf], mag]).reshape(2, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = decoder._softplus_pair(z)
+            ref = decoder._softplus(-z), decoder._softplus(z)
+        for g, r in zip(got, ref):
+            assert g.shape == z.shape
+            assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
 
 
 def subchannel_probability_bsc(x_obs, u_prefix, i, u_i, p, free_indices=None):
@@ -528,6 +581,70 @@ class TestSclDecode:
             decoder.scl_decode_batch(np.zeros((1, 8)), np.ones(8, dtype=bool), 0)
 
 
+def fork_rows(rng, L):
+    """Crafted (2L,) candidate rows of a fork, named by their tie kind, each
+    shuffled: ties inside the top L, across positions L and L + 1, beyond
+    them, +-0 pairs, the _BIG sentinels of a list not yet full, all-equal
+    and tie-free rows."""
+    def distinct():
+        return np.sort(rng.uniform(-5.0, 50.0, 2 * L))
+
+    rows = {"tie-free": distinct(), "all-equal": np.full(2 * L, 3.5)}
+    v = distinct()
+    v[L] = v[L - 1]
+    rows["tie-across"] = v
+    v = distinct()
+    v[: L + 1] = np.sort(np.concatenate([[-0.0, 0.0], rng.uniform(-5.0, -1.0, L - 1)]))
+    rows["signed-zero-across"] = v
+    v = np.abs(distinct())
+    v[:2] = [0.0, -0.0]
+    rows["signed-zero-first"] = v
+    live = rng.integers(1, L + 1)
+    rows["big-sentinels"] = np.concatenate([distinct()[:live], np.full(2 * L - live, decoder._BIG)])
+    v = distinct()
+    v[live:] = decoder._BIG + v[live:]  # == _BIG
+    rows["big-plus-cost"] = v
+    if L >= 2:
+        v = distinct()
+        i = rng.integers(0, L - 1)
+        v[i + 1] = v[i]
+        rows["tie-inside"] = v
+    if 2 * L >= L + 3:
+        v = distinct()
+        v[L + 2] = v[L + 1]
+        rows["tie-beyond"] = v
+    return {name: rng.permutation(v) for name, v in rows.items()}
+
+
+class TestForkTies:
+    @pytest.mark.parametrize("L", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("fast_above", [decoder.STABLE_FORK_MAX_LIST, 0])
+    def test_fork_keeps_the_stable_sorts_first_l(self, L, fast_above, monkeypatch):
+        """One batch of crafted candidate rows of every tie kind, four
+        draws each, in a shuffled order: the survivors' metrics, their
+        bits, the back-pointer row and the pending row map are those of
+        the first L of a stable argsort, bit for bit.  Run at the module's
+        STABLE_FORK_MAX_LIST and with the fast sort at every list size."""
+        monkeypatch.setattr(decoder, "STABLE_FORK_MAX_LIST", fast_above)
+        rng = np.random.default_rng(25)
+        named = [(name, row) for _ in range(4) for name, row in fork_rows(rng, L).items()]
+        named = [named[i] for i in rng.permutation(len(named))]
+        cand = np.array([row for _, row in named])
+        B = len(cand)
+        engine = decoder._SclEngine(np.zeros((B, 2)), np.zeros(2, dtype=bool), L)
+        engine.pm = np.full((B, L), -0.0)  # x + -0.0 is x, also for x = -0.0
+        bits = engine._fork(cand[:, :L], cand[:, L:], 1, 1)
+        order = np.argsort(cand, axis=1, kind="stable")[:, :L]
+        pm = np.take_along_axis(cand, order, axis=1)
+        for b, (name, _) in enumerate(named):
+            assert np.array_equal(engine.pm[b].view(np.uint64), pm[b].view(np.uint64)), name
+            assert np.array_equal(bits[b], order[b] >= L), name
+        offset, back = engine.back[-1]
+        assert offset == 1 and back.dtype == engine.back_dtype
+        assert np.array_equal(back, order)
+        assert np.array_equal(engine.pend[0], engine.rows(order % L))
+
+
 class TestCcdDecode:
     def shaped_code(self, rng, N, K, r):
         lam = shaping.cis(shaping.CisSpec(N, r))
@@ -612,16 +729,24 @@ class TestCcdDecode:
         u_hat, _ = decoder.scl_decode_batch(llr, relabeled.frozen_mask(), 8)
         assert np.array_equal(got, u_hat[:, relabeled.A])
 
-    @pytest.mark.parametrize("L", [1, 8])
+    @pytest.mark.parametrize("L", [1, 8, 32])
     def test_rows_do_not_depend_on_batch(self, L):
         """A frame decodes to the same bits and metric alone, in a whole
-        batch, or in either of two uneven halves of it."""
+        batch, or in either of two uneven halves of it.  Among 37 noisy
+        frames are 12 whose LLRs are clamped at +-LLR_MAX, some of their
+        symbols flipped: their metric ties send their rows to the stable
+        re-sort at forks where the noisy rows keep the fast sort."""
         rng = np.random.default_rng(18)
         N, K, r = 64, 24, 2
         code = self.shaped_code(rng, N, K, r)
         info = rng.integers(0, 2, (37, K), dtype=np.uint8)
         x = polar.encode(polar.assemble_source(info, code.A, N))
         y = (1.0 - 2.0 * x) + 0.9 * rng.standard_normal((37, N))
+        info = rng.integers(0, 2, (12, K), dtype=np.uint8)
+        x = polar.encode(polar.assemble_source(info, code.A, N))
+        flips = np.where(rng.random((12, N)) < 0.1, -1.0, 1.0)
+        clamped = 100.0 * (1.0 - 2.0 * x) * flips  # LLR 247 before the clamp
+        y = np.concatenate([y, clamped])[rng.permutation(49)]
         whole = decoder.ccd_decode_batch(y, code, 0.81, L)
         for parts in ([y[:11], y[11:]], [y[i : i + 1] for i in range(len(y))]):
             split = [decoder.ccd_decode_batch(p, code, 0.81, L) for p in parts]
