@@ -15,11 +15,11 @@ All use the exact log-domain check-node update (soft XOR) and the exact
 path metric ln(1 + exp(-(1-2u)L)), so with a list covering the whole
 codebook the best path is maximum-likelihood.  Every decoder works on a
 (B, N) batch of frames.  A fork keeps the first L of a stable sort of
-its 2L candidates; for lists longer than STABLE_FORK_MAX_LIST a fast
-sort finds them, and only the rows with a tie among their first L + 1
-candidates are sorted again stably, so every decision and metric is
-the stable sort's.  A soft XOR over more than SOFT_XOR_SLICE elements
-runs in cache-sized slices of rows, bit for bit the one-shot values.
+its 2L candidates: a fast sort finds them, and only the rows with a
+tie among their first L + 1 candidates are sorted again stably, so
+every decision and metric is the stable sort's.  A soft XOR over more
+than SOFT_XOR_SLICE elements runs in cache-sized slices of rows, bit
+for bit the one-shot values.
 
 `sc_decode_batch` and `scl_decode_batch` walk with a node plan, built
 once per frozen mask: a subtree whose frozen pattern fixes the answer is
@@ -64,12 +64,6 @@ from .polar import _check_power_of_two, bit_reversal, transform
 LLR_MAX = 40.0
 
 _BIG = 1e300  # metric sentinel for not-yet-active list slots
-
-# list sizes up to which a fork sorts its 2L candidates stably outright:
-# on rows of up to 16 candidates numpy's stable sort is as fast as its
-# SIMD sort, and at L = 2, 4 and 6 the fast-sort fork made a 256-frame
-# L-list decode 9-20% slower (L = 8 even, L >= 12 faster)
-STABLE_FORK_MAX_LIST = 8
 
 RATE0, REP, RATE1 = 1, 2, 3  # node kinds of a plan; 0 walks on
 
@@ -379,11 +373,10 @@ class _SclEngine(_Walk):
     the fork's.
 
     A fork keeps the first L of a stable sort of the 2L candidates, so a
-    metric tie goes to the bit-0 extension of the earlier path.  Above
-    STABLE_FORK_MAX_LIST it finds them with a fast sort, and sorts
-    stably again only the rows with a tie among their first L + 1
-    (`_fork`).  The costs of both extensions share one ln(1 + e^-|z|)
-    (`_softplus_pair`).
+    metric tie goes to the bit-0 extension of the earlier path.  It finds
+    them with a fast sort, and sorts stably again only the rows with a
+    tie among their first L + 1 (`_fork`).  The costs of both extensions
+    share one ln(1 + e^-|z|) (`_softplus_pair`).
 
     Each fork keeps the survivors' sort positions among the 2L
     candidates, in the smallest unsigned dtype that holds 2L - 1:
@@ -424,22 +417,19 @@ class _SclEngine(_Walk):
         1, keep the L best, and return the survivors' bits (B, L).
 
         The survivors are the first L of a stable sort of the 2L
-        candidates.  Above STABLE_FORK_MAX_LIST numpy's default (SIMD)
-        sort finds them on every row whose first L + 1 sorted values rise
-        strictly: then its first L are unique, in the stable sort's order.
-        The other rows (exact ties, the _BIG sentinels of a list not yet
-        full, +-0, NaN) are sorted again stably.  The choice is made row
-        by row, so no frame depends on its batch."""
+        candidates.  numpy's default (SIMD) sort finds them on every row
+        whose first L + 1 sorted values rise strictly: then its first L
+        are unique, in the stable sort's order.  The other rows (exact
+        ties, the _BIG sentinels of a list not yet full, +-0, NaN) are
+        sorted again stably.  The choice is made row by row, so no frame
+        depends on its batch."""
         cand = np.concatenate([self.pm + cost0, self.pm + cost1], axis=1)
-        if self.L <= STABLE_FORK_MAX_LIST:
-            order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
-        else:
-            order = np.argsort(cand, axis=1)[:, : self.L + 1]
-            top = np.take(cand, order + self.cand_rows)
-            tied = np.flatnonzero(~(top[:, 1:] > top[:, :-1]).all(axis=1))
-            order = order[:, : self.L]
-            if tied.size:
-                order[tied] = np.argsort(cand[tied], axis=1, kind="stable")[:, : self.L]
+        order = np.argsort(cand, axis=1)[:, : self.L + 1]
+        top = np.take(cand, order + self.cand_rows)
+        tied = np.flatnonzero(~(top[:, 1:] > top[:, :-1]).all(axis=1))
+        order = order[:, : self.L]
+        if tied.size:
+            order[tied] = np.argsort(cand[tied], axis=1, kind="stable")[:, : self.L]
         self.pm = np.take(cand, order + self.cand_rows)
         back = order.astype(self.back_dtype)
         self._prune(back % self.L, levels)
@@ -453,9 +443,8 @@ def scl_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray, list_size: int):
     Returns (source bits (B, N) of the best path, its metric (B,)).
     Candidate pruning keeps the first L of a stable sort, so metric ties
     resolve to the bit-0 extension of the earlier-ranked path:
-    deterministic output.  For L > STABLE_FORK_MAX_LIST a fast sort finds
-    them, and only rows with a tie among their first L + 1 candidates are
-    sorted again stably.
+    deterministic output.  A fast sort finds them, and only rows with a
+    tie among their first L + 1 candidates are sorted again stably.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")

@@ -146,40 +146,35 @@ class TestMonteCarloEstimator:
         top_mc = set(np.argsort(-mc)[:4].tolist())
         assert top_ga == top_mc
 
-    @pytest.mark.parametrize("N", [2, 1024])
-    def test_slices_match_a_whole_batch_reference(self, N):
-        """Batches of 300 frames cut into slices of MC_CHUNK_LLRS // N
-        frames, neither dividing the 1000 trials, give the mean of a plain
-        whole-batch computation within 1e-13 and draw the same stream."""
-        trials, batch, noise_var = 1000, 300, 0.9
-        chunk = max(1, construction.MC_CHUNK_LLRS // N)
-        assert trials % batch and trials % chunk and batch % chunk
+    @pytest.mark.parametrize("N, trials, batch", [
+        pytest.param(2, 1000, 300, id="2"),
+        pytest.param(1024, 1000, 300, id="1024"),
+        pytest.param(256, 5000, 4096, id="256"),
+    ])
+    def test_slices_match_a_whole_batch_reference(self, N, trials, batch):
+        """Batches cut into slices of MC_CHUNK_LLRS // N frames give the
+        mean of a plain whole-batch computation within 1e-13 and leave the
+        generator in the same state.  The last batch is partial; at N = 1024 and 256 it ends
+        inside a slice, and at N = 256 the full 4096-frame batch is 16
+        whole slices.  The estimator draws each slice's normals after the
+        batch's bits, so a numpy Generator that kept a normal in reserve
+        between calls would fail here."""
+        noise_var = 0.9
         rng = np.random.default_rng(23)
         mean, _ = construction.monte_carlo_symmetric_capacity(
             N, noise_var, trials, rng, batch=batch)
+        sizes = [batch] * (trials // batch) + [trials % batch]
+        chunk = max(1, construction.MC_CHUNK_LLRS // N)
+        assert sizes[-1] % chunk
         ref_rng = np.random.default_rng(23)
         terms = []
-        for b in (300, 300, 300, 100):
+        for b in sizes:
             u = ref_rng.integers(0, 2, size=(b, N), dtype=np.uint8)
             y = (1.0 - 2.0 * polar.encode(u)) + ref_rng.standard_normal((b, N)) * np.sqrt(noise_var)
             dec = decoder.genie_decision_llrs(2.0 * y / noise_var, u)
             terms.append(1.0 - np.logaddexp(0.0, -(1.0 - 2.0 * u) * dec) / np.log(2.0))
         np.testing.assert_allclose(mean, np.concatenate(terms).mean(axis=0), rtol=0, atol=1e-13)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("N, b, chunk", [(256, 4096, 256), (1024, 904, 64),
-                                             (2, 300, 32768), (256, 904, 256)])
-    def test_slice_normals_are_one_batch_draw(self, N, b, chunk):
-        """The estimator draws each slice's normals after the batch's bits.
-        numpy's Generator keeps no normal in reserve between calls, so the
-        slices' draws are one (b, N) draw's values, bit for bit, and leave
-        the generator in the same state; a numpy that kept one would fail
-        here."""
-        whole_rng, slice_rng = np.random.default_rng(26), np.random.default_rng(26)
-        whole = whole_rng.standard_normal((b, N))
-        slices = [slice_rng.standard_normal((min(chunk, b - s), N)) for s in range(0, b, chunk)]
-        assert np.array_equal(np.concatenate(slices).view(np.uint64), whole.view(np.uint64))
-        assert slice_rng.bit_generator.state == whole_rng.bit_generator.state
 
     @pytest.mark.parametrize("trials, batch", [(0, 4096), (-3, 4096), (100, 0), (100, -1)])
     def test_bad_trials_or_batch_rejected_before_drawing(self, trials, batch):

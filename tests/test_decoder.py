@@ -618,14 +618,11 @@ def fork_rows(rng, L):
 
 class TestForkTies:
     @pytest.mark.parametrize("L", [1, 2, 8, 16, 32])
-    @pytest.mark.parametrize("fast_above", [decoder.STABLE_FORK_MAX_LIST, 0])
-    def test_fork_keeps_the_stable_sorts_first_l(self, L, fast_above, monkeypatch):
+    def test_fork_keeps_the_stable_sorts_first_l(self, L):
         """One batch of crafted candidate rows of every tie kind, four
         draws each, in a shuffled order: the survivors' metrics, their
         bits, the back-pointer row and the pending row map are those of
-        the first L of a stable argsort, bit for bit.  Run at the module's
-        STABLE_FORK_MAX_LIST and with the fast sort at every list size."""
-        monkeypatch.setattr(decoder, "STABLE_FORK_MAX_LIST", fast_above)
+        the first L of a stable argsort, bit for bit."""
         rng = np.random.default_rng(25)
         named = [(name, row) for _ in range(4) for name, row in fork_rows(rng, L).items()]
         named = [named[i] for i in rng.permutation(len(named))]
