@@ -16,6 +16,8 @@ filtering maps the ratio to a per-dimension symbol noise variance of
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .shaping import CisSpec, CodeConfig, cis, half_to_cis
@@ -42,16 +44,30 @@ def _phi(x):
     """E[tanh(L/2)]-style reliability functional of a consistent Gaussian.
 
     Piecewise curve fit; clipped to [0, 1] because the small-argument
-    branch overshoots 1 slightly as x -> 0.
+    branch overshoots 1 slightly as x -> 0.  Each element takes the same
+    operations whichever elements share its call: the masks are skipped
+    when every element is in the small branch, and warnings are silenced
+    only when an argument of the large branch is not positive.
     """
     x = np.asarray(x, dtype=np.float64)
     small = (x >= 0) & (x < 10)
-    out = np.empty_like(x)
-    out[small] = np.exp(-0.4527 * x[small] ** 0.859 + 0.0218)
-    xl = x[~small]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~small] = np.sqrt(np.pi / xl) * np.exp(-xl / 4) * (1 - 10.0 / (7 * xl))
-    return np.clip(out, 0.0, 1.0)
+    if small.all():
+        out = np.exp(-0.4527 * x ** 0.859 + 0.0218)
+    else:
+        out = np.empty_like(x)
+        out[small] = np.exp(-0.4527 * x[small] ** 0.859 + 0.0218)
+        large = ~small
+        xl = x[large]
+        positive = (xl > 0).all()
+        with nullcontext() if positive else np.errstate(divide="ignore", invalid="ignore"):
+            out[large] = np.sqrt(np.pi / xl) * np.exp(-xl / 4) * (1 - 10.0 / (7 * xl))
+    # np.clip(out, 0.0, 1.0), without its Python-level argument handling
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
+# bisection steps after which _phi_inverse looks for fixed points: until
+# then the bracket is wider than the spacing of doubles near its upper end
+_BISECT_UNCHECKED = 52
 
 
 def _phi_inverse(y):
@@ -59,8 +75,11 @@ def _phi_inverse(y):
 
     Each element follows the same rule: y >= 1 gives 0; otherwise the
     upper end starts at 1 and doubles while _phi stays above y (an end
-    past 1e9 is returned as is), then 80 bisection steps on [0, end]
-    run for all elements at once.
+    past 1e9 is returned as is), then at most 80 bisection steps on
+    [0, end].  Only the elements whose result is used are bisected, and
+    an element leaves the loop at a fixed point, a step that leaves
+    (lo, hi) as they were: steps are deterministic, so the 80-step
+    result is the same.
     """
     y = np.asarray(y, dtype=np.float64)
     shape, y = y.shape, y.ravel()
@@ -70,15 +89,24 @@ def _phi_inverse(y):
         hi[grow] *= 2
         grow = grow[hi[grow] <= 1e9]
         grow = grow[_phi(hi[grow]) > y[grow]]
-    escaped = hi > 1e9
-    lo = np.zeros_like(y)
-    for _ in range(80):
+    x = np.where(y >= 1.0, 0.0, hi)
+    at = np.flatnonzero(~(y >= 1.0) & (hi <= 1e9))
+    lo, hi, y = np.zeros(at.size), hi[at], y[at]
+    for step in range(80):
+        if not at.size:
+            break
         mid = 0.5 * (lo + hi)
         above = _phi(mid) > y
+        if step >= _BISECT_UNCHECKED:
+            moved = mid != np.where(above, lo, hi)
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    x = np.where(escaped, hi, 0.5 * (lo + hi))
-    return np.where(y >= 1.0, 0.0, x).reshape(shape)
+        if step >= _BISECT_UNCHECKED and not moved.all():
+            fixed = ~moved
+            x[at[fixed]] = 0.5 * (lo[fixed] + hi[fixed])
+            at, lo, hi, y = at[moved], lo[moved], hi[moved], y[moved]
+    x[at] = 0.5 * (lo + hi)
+    return x.reshape(shape)
 
 
 _HERM_X, _HERM_W = np.polynomial.hermite_e.hermegauss(96)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,91 @@ class TestGaussianApproximationMatchesScalar:
         y = np.linspace(0.0, 1.0, 201)[1:-1]
         np.testing.assert_allclose(construction._phi(construction._phi_inverse(y)), y,
                                    rtol=1e-9, atol=1e-12)
+
+
+def _vectorized_phi(x):
+    """Reference: _phi before its fast paths, verbatim."""
+    x = np.asarray(x, dtype=np.float64)
+    small = (x >= 0) & (x < 10)
+    out = np.empty_like(x)
+    out[small] = np.exp(-0.4527 * x[small] ** 0.859 + 0.0218)
+    xl = x[~small]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[~small] = np.sqrt(np.pi / xl) * np.exp(-xl / 4) * (1 - 10.0 / (7 * xl))
+    return np.clip(out, 0.0, 1.0)
+
+
+def _vectorized_phi_inverse(y):
+    """Reference: the whole-array bisection, 80 steps for every element,
+    verbatim but for the _phi it calls."""
+    _phi = _vectorized_phi
+    y = np.asarray(y, dtype=np.float64)
+    shape, y = y.shape, y.ravel()
+    hi = np.ones_like(y)
+    grow = np.flatnonzero((y < 1.0) & (_phi(hi) > y))
+    while grow.size:
+        hi[grow] *= 2
+        grow = grow[hi[grow] <= 1e9]
+        grow = grow[_phi(hi[grow]) > y[grow]]
+    escaped = hi > 1e9
+    lo = np.zeros_like(y)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = _phi(mid) > y
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    x = np.where(escaped, hi, 0.5 * (lo + hi))
+    return np.where(y >= 1.0, 0.0, x).reshape(shape)
+
+
+def _vectorized_ga_means(N, noise_var):
+    mu = np.array([2.0 / noise_var])
+    while len(mu) < N:
+        nxt = np.empty(2 * len(mu))
+        nxt[0::2] = _vectorized_phi_inverse(1.0 - (1.0 - _vectorized_phi(mu)) ** 2)
+        nxt[1::2] = 2.0 * mu
+        mu = nxt
+    return mu
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestGaussianApproximationBitForBit:
+    """The bisection stops at fixed points and skips the elements whose
+    result is unused; _phi skips its masks and warning guards where no
+    element needs them.  Every value keeps its bits."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 2.0, 9.999999, 10.0,
+               4096.0, -1.0, -10.0, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("N", [2, 8, 64, 256, 1024, 4096])
+    def test_means(self, N):
+        for snr_db in np.linspace(-20.0, 20.0, 9):
+            for rolloff in (0.0, 0.25, 1.0):
+                noise_var = construction.snr_db_to_noise_var(snr_db, rolloff)
+                got = construction.gaussian_approximation_means(N, noise_var)
+                want = _vectorized_ga_means(N, noise_var)
+                assert np.array_equal(_bits(got), _bits(want)), (N, snr_db, rolloff)
+
+    def test_phi_and_inverse(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([self.SPECIAL, np.linspace(-20.0, 5000.0, 20001)])
+        y = np.concatenate([self.SPECIAL, np.linspace(0.0, 1.0, 1001), rng.random(2000) ** 8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_bits(construction._phi(x)), _bits(_vectorized_phi(x)))
+            assert np.array_equal(_bits(construction._phi_inverse(y)),
+                                  _bits(_vectorized_phi_inverse(y)))
+            for v in self.SPECIAL:
+                assert _bits(construction._phi(v)) == _bits(_vectorized_phi(v)), v
+                assert _bits(construction._phi_inverse(v)) == \
+                    _bits(_vectorized_phi_inverse(v)), v
+            # one call with every element in the small branch
+            small = np.linspace(0.0, 9.99, 101)
+            assert np.array_equal(_bits(construction._phi(small)),
+                                  _bits(_vectorized_phi(small)))
 
 
 class TestPinnedConstructions:

@@ -3,6 +3,11 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,17 @@ from combpolar.decoder import ccd_decode_batch
 from combpolar.spectral import tone_centers
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+
+
+@pytest.fixture
+def fresh_pool():
+    """Close the process's worker pool around the test.  Workers forked
+    earlier run the module as it was then, so they would not see the
+    test's monkeypatches, and a pool built under them is not left to
+    later tests."""
+    simulate.close_pool()
+    yield
+    simulate.close_pool()
 
 
 def tiny_cfg(**kw):
@@ -255,7 +271,7 @@ class TestLinkDeterminism:
             assert [r.frames for r in recs] == [200, 200]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_arms_share_one_profile(self, tmp_path, monkeypatch):
+    def test_arms_share_one_profile(self, tmp_path, monkeypatch, fresh_pool):
         # run_fer_arms builds the capacity profile once for all arms, and
         # each arm's CSV is the one it writes when run on its own
         cfg = tiny_cfg(snr_sweep_db=(-1.0,), max_frames=128)
@@ -442,16 +458,50 @@ class TestSpectralLink:
             assert lo_f <= hi_w and lo_w <= hi_f, (arm, folded, waveform)
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_broken(pool, timeout=10.0):
+    """Wait until the pool has seen a worker die (its manager thread marks it)."""
+    deadline = time.monotonic() + timeout
+    while not pool._broken:
+        assert time.monotonic() < deadline, "the pool did not notice the dead worker"
+        time.sleep(0.01)
+
+
+FRESH_PROCESS = """
+import multiprocessing, pickle, sys
+from combpolar import simulate
+simulate._SUPER_BATCH = 16
+with open(sys.argv[1], "rb") as fh:
+    cfg = pickle.load(fh)
+simulate.run_fer(cfg, sys.argv[2])
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+"""
+
+
 class TestWorkerPool:
-    """run_fer builds one worker pool per call and leaves no worker behind."""
+    """A process holds at most one worker pool: sweeps at the same worker
+    count share it, another count replaces it, a broken pool is replaced,
+    and no worker outlives the process."""
+
+    @staticmethod
+    def cfg(threads=2):
+        return tiny_cfg(threads=threads, snr_sweep_db=(0.0, 1.0), list_size=1,
+                        min_frame_errors=10**6, max_frames=32)
 
     @pytest.fixture
-    def counted_pools(self, monkeypatch):
+    def built(self, fresh_pool, monkeypatch):
         built = []
 
         class Counted(simulate.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                built.append(1)
+                built.append(self)
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Counted)
@@ -459,32 +509,179 @@ class TestWorkerPool:
         monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
         return built
 
-    def cfg(self, threads=2):
-        return tiny_cfg(threads=threads, snr_sweep_db=(0.0, 1.0), list_size=1,
-                        min_frame_errors=10**6, max_frames=32)
+    @pytest.fixture(scope="class")
+    def fresh_process(self, tmp_path_factory):
+        """A new process runs the sweep at threads=2 and exits: its fer.csv
+        bytes and its workers' pids."""
+        tmp = tmp_path_factory.mktemp("fresh")
+        with open(tmp / "cfg.pkl", "wb") as fh:
+            pickle.dump(self.cfg(), fh)
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", FRESH_PROCESS, str(tmp / "cfg.pkl"),
+                              str(tmp / "fer.csv")], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        return (tmp / "fer.csv").read_bytes(), [int(p) for p in out.stdout.split()]
 
-    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
-    def test_one_pool_per_sweep(self, counted_pools, threads, pools):
-        recs = simulate.run_fer(self.cfg(threads))
+    def test_one_thread_builds_no_pool(self, built):
+        recs = simulate.run_fer(self.cfg(1))
         assert [r.frames for r in recs] == [32, 32]
-        assert len(counted_pools) == pools
-        assert multiprocessing.active_children() == []
+        assert built == [] and multiprocessing.active_children() == []
 
-    def test_pool_shut_down_when_sweep_raises(self, counted_pools, monkeypatch):
+    def test_sweeps_share_one_pool(self, built, tmp_path, fresh_process):
+        for k in range(2):
+            simulate.run_fer(self.cfg(), str(tmp_path / f"{k}.csv"))
+            assert (tmp_path / f"{k}.csv").read_bytes() == fresh_process[0]
+        simulate.run_fer(self.cfg(1))
+        assert len(built) == 1 and len(multiprocessing.active_children()) == 2
+
+    def test_another_count_replaces_the_pool(self, built):
+        simulate.run_fer(self.cfg(2))
+        old = {p.pid for p in multiprocessing.active_children()}
+        simulate.run_fer(self.cfg(3))
+        new = {p.pid for p in multiprocessing.active_children()}
+        assert len(built) == 2 and len(old) == 2 and len(new) == 3
+        assert not old & new and not any(_alive(pid) for pid in old)
+
+    def test_raising_sweeps_leave_the_pool_usable(self, built, tmp_path, fresh_process,
+                                                  monkeypatch):
+        def log(line):
+            raise RuntimeError("injected in the parent")
+
+        with pytest.raises(RuntimeError, match="injected in the parent"):
+            simulate.run_fer(self.cfg(), log=log)
+        # a task that raises in a worker: the second point's link has no code
         make_link = simulate.make_link
-        points = []
+        links = []
 
-        def failing(cfg, code, snr_db):
-            points.append(snr_db)
-            if len(points) == 2:
-                raise RuntimeError("injected failure")
-            return make_link(cfg, code, snr_db)
+        def broken_second(cfg, code, snr_db):
+            links.append(make_link(cfg, code, snr_db))
+            return links[-1] if len(links) == 1 else dataclasses.replace(links[-1], code=None)
 
-        monkeypatch.setattr(simulate, "make_link", failing)
-        with pytest.raises(RuntimeError, match="injected"):
+        monkeypatch.setattr(simulate, "make_link", broken_second)
+        with pytest.raises(AttributeError):
             simulate.run_fer(self.cfg())
-        assert points == [0.0, 1.0] and len(counted_pools) == 1
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(simulate, "make_link", make_link)
+        simulate.run_fer(self.cfg(), str(tmp_path / "fer.csv"))
+        assert (tmp_path / "fer.csv").read_bytes() == fresh_process[0]
+        assert len(built) == 1
+
+    def test_a_killed_worker_is_replaced(self, built, tmp_path, fresh_process):
+        simulate.run_fer(self.cfg())
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        _wait_broken(built[0])
+        simulate.run_fer(self.cfg(), str(tmp_path / "fer.csv"))
+        assert (tmp_path / "fer.csv").read_bytes() == fresh_process[0]
+        assert len(built) == 2 and len(multiprocessing.active_children()) == 2
+
+    def test_a_worker_killed_mid_sweep_drops_the_pool(self, built, tmp_path, fresh_process):
+        # the first point stops after its first round, so its log line
+        # comes before the second point's second round
+        cfg = dataclasses.replace(self.cfg(), snr_sweep_db=(-8.0, 1.0), min_frame_errors=1)
+        assert [r.frames for r in simulate.run_fer(dataclasses.replace(cfg, threads=1))] \
+            == [16, 32]
+
+        def kill_a_worker(line):
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+            _wait_broken(built[0])
+
+        with pytest.raises(BrokenProcessPool):
+            simulate.run_fer(cfg, log=kill_a_worker)
+        assert simulate._pool is None
+        simulate.run_fer(self.cfg(), str(tmp_path / "fer.csv"))
+        assert (tmp_path / "fer.csv").read_bytes() == fresh_process[0]
+        assert len(built) == 2
+
+    def test_no_worker_outlives_its_process(self, fresh_process):
+        pids = fresh_process[1]
+        assert len(pids) == 2 and not any(_alive(pid) for pid in pids)
+
+
+def point_by_point(cfg):
+    """The reference sweep: one point after another, each run one
+    super-batch at a time until its stop rule closes it, written as
+    run_fer writes fer.csv.  Returns (records, csv text)."""
+    code = simulate.build_code(cfg)
+    records = []
+    text = ("# combpolar fer v1\n"
+            f"# N={cfg.N} K={cfg.K} r={cfg.r} criterion={cfg.criterion} "
+            f"decoder={cfg.decoder_mode} L={cfg.list_size} sir_db={cfg.sir_db} "
+            f"comb={int(cfg.comb_enabled)} master_seed={cfg.master_seed}\n"
+            "snr_db,frames,frame_errors,fer,wilson_lo,wilson_hi,seed_lo,seed_hi\n")
+    for snr in cfg.snr_sweep_db:
+        link = simulate.make_link(cfg, code, snr)
+        errors = frames = 0
+        while errors < cfg.min_frame_errors and frames < cfg.max_frames:
+            b = min(simulate._SUPER_BATCH, cfg.max_frames - frames)
+            errors += int(np.count_nonzero(
+                simulate.run_link_frames(link, range(frames, frames + b))))
+            frames += b
+        lo, hi = simulate.wilson_interval(errors, frames)
+        records.append(simulate.FERRecord(snr, frames, errors, errors / frames, lo, hi,
+                                          0, frames - 1))
+        text += (f"{snr},{frames},{errors},{errors / frames:.8g},{lo:.8g},{hi:.8g},"
+                 f"0,{frames - 1}\n")
+    return records, text
+
+
+class _Recording:
+    """A stand-in for the worker pool: runs each round in this process and
+    keeps its tasks."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def map(self, fn, tasks):
+        self.rounds.append(list(tasks))
+        return map(fn, self.rounds[-1])
+
+
+class TestRounds:
+    """run_fer runs the sweep in rounds: one call per round, holding the
+    next super-batch of every point that is still open."""
+
+    @pytest.fixture
+    def pool(self, fresh_pool, monkeypatch):
+        pool = _Recording()
+        monkeypatch.setattr(simulate, "_worker_pool", lambda workers: pool)
+        return pool
+
+    def test_each_round_holds_every_open_point(self, pool, monkeypatch):
+        monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
+        cfg = tiny_cfg(threads=2, snr_sweep_db=(0.0, 1.0), list_size=1,
+                       min_frame_errors=10**6, max_frames=32)
+        simulate.run_fer(cfg)
+        assert len(pool.rounds) == 2
+        links = [link for link, _, _ in pool.rounds[0]]
+        assert len(links) == 2 and links[0] is not links[1]
+        for k, tasks in enumerate(pool.rounds):
+            assert len(tasks) == 2 and all(t[0] is link for t, link in zip(tasks, links))
+            assert [t[1:] for t in tasks] == [(16 * k, 16 * k + 16)] * 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rounds_equal_a_point_by_point_sweep(self, fresh_pool, monkeypatch, tmp_path,
+                                                 threads):
+        # the points stop in three different rounds
+        monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
+        cfg = tiny_cfg(threads=threads, snr_sweep_db=(-5.0, -8.0, 0.0), list_size=1,
+                       min_frame_errors=5, max_frames=64)
+        want, text = point_by_point(cfg)
+        assert [r.frames for r in want] == [32, 16, 64]
+        lines = []
+        got = simulate.run_fer(cfg, str(tmp_path / "fer.csv"), log=lines.append)
+        assert got == want
+        assert (tmp_path / "fer.csv").read_text() == text
+        assert lines == [f"snr {r.snr_db:+.1f} dB: {r.frame_errors}/{r.frames} errors, "
+                         f"fer {r.fer:.3e}" for r in want]
+
+    def test_open_points_fill_many_workers(self, pool):
+        # one 512-frame super-batch is 8 draw blocks, so a single point
+        # gives at most 8 tasks; five open points give 40
+        cfg = tiny_cfg(threads=16, list_size=1, min_frame_errors=10**6, max_frames=512)
+        simulate.run_fer(dataclasses.replace(cfg, snr_sweep_db=(0.0,)))
+        simulate.run_fer(dataclasses.replace(cfg, snr_sweep_db=(-2.0, -1.0, 0.0, 1.0, 2.0)))
+        assert [len(tasks) for tasks in pool.rounds] == [8, 40]
 
 
 class TestStopRule:
