@@ -13,20 +13,15 @@ batch split or `--threads`.  The channel draws do not depend on which arm
 (code/decoder flavor) is being simulated, so FER comparisons between arms
 are paired.  The link's output, the matched-filter samples, is real.
 
-Worker processes: a process holds at most one worker pool.  The first
-sweep at threads > 1 builds it, later sweeps at the same count reuse it,
-another count replaces it, a broken pool is dropped, and
-`concurrent.futures` joins the workers at interpreter exit, so none
-outlives the process.  Workers are forked when the pool starts, so they
-run the module as it was then; `close_pool` lets the next sweep fork
-afresh.
+A sweep runs in rounds over its open SNR points (see `run_fer`); with
+threads > 1 each `run_fer` call starts one worker pool and joins it
+before returning, so no worker outlives the call.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -184,30 +179,6 @@ def _worker(args):
     return int(np.count_nonzero(run_link_frames(link, range(lo, hi))))
 
 
-_pool = None  # the process's worker pool, (workers, executor), or None
-
-
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The process's pool of `workers` workers: the one it holds when the
-    count matches and the pool is not broken, else a new one."""
-    global _pool
-    # a worker that died while the pool was idle marks it broken
-    # (`_broken`) without an exception, so the next sweep checks
-    if _pool is not None and (_pool[0] != workers or _pool[1]._broken):
-        close_pool()
-    if _pool is None:
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _pool[1]
-
-
-def close_pool() -> None:
-    """Shut down the process's worker pool, if there is one, and join its workers."""
-    global _pool
-    if _pool is not None:
-        pool, _pool = _pool[1], None
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 # --------------------------------------------------------------------------
 # FER sweep
 # --------------------------------------------------------------------------
@@ -238,26 +209,24 @@ def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple:
 def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None,
             capacity: np.ndarray | None = None) -> list:
     """Run the configured arm over the SNR sweep; appends one CSV row per
-    point, in sweep order, as soon as it and every point before it are
-    done, so partial runs are usable.  `capacity`, when given, is cfg's
-    `build_profile`, so the code is selected without rebuilding it.
+    point, in sweep order, once it and every point before it are done, so
+    partial runs are usable.  With threads > 1, one worker pool serves the
+    whole sweep and is joined before the call returns.  `capacity`, when
+    given, is cfg's `build_profile`, so the code is selected without
+    rebuilding it.
 
     The sweep runs in rounds: each round holds the next super-batch of
     every point whose stop rule is still open, cut into tasks by
-    `_block_split`, and runs them in one call, in this process at
-    threads = 1 and on the process's worker pool above.  Each point sees
-    the same super-batches and stop checks as a point-by-point loop, so
-    the records and bytes are the same."""
+    `_block_split`, in one call to the pool (or to `map` at threads = 1),
+    so the workers wait once per round rather than once per point.  Each
+    point sees the same super-batches and stop checks as a point-by-point
+    loop, so the records and bytes are the same."""
     code = build_code(cfg, capacity)
-    links = [make_link(cfg, code, snr) for snr in cfg.snr_sweep_db]
-    errors, frames = [0] * len(links), [0] * len(links)
-
-    def running(i):
-        return errors[i] < cfg.min_frame_errors and frames[i] < cfg.max_frames
-
-    run = map if cfg.threads == 1 else _worker_pool(cfg.threads).map
     records = []
     with ExitStack() as stack:
+        run = map
+        if cfg.threads > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads)).map
         fh = None
         if out_path is not None:
             fh = stack.enter_context(open(out_path, "w"))
@@ -267,6 +236,12 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None,
                      f"comb={int(cfg.comb_enabled)} master_seed={cfg.master_seed}\n")
             fh.write("snr_db,frames,frame_errors,fer,wilson_lo,wilson_hi,seed_lo,seed_hi\n")
             fh.flush()
+        links = [make_link(cfg, code, snr) for snr in cfg.snr_sweep_db]
+        errors, frames = [0] * len(links), [0] * len(links)
+
+        def running(i):
+            return errors[i] < cfg.min_frame_errors and frames[i] < cfg.max_frames
+
         while len(records) < len(links):
             tasks, owners = [], []
             for i in filter(running, range(len(links))):
@@ -275,12 +250,8 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None,
                     tasks.append((links[i], a, c))
                     owners.append(i)
                 frames[i] += b
-            try:
-                for i, n in zip(owners, run(_worker, tasks)):
-                    errors[i] += n
-            except BrokenProcessPool:
-                close_pool()
-                raise
+            for i, n in zip(owners, run(_worker, tasks)):
+                errors[i] += n
             # report the points now done, in sweep order
             while len(records) < len(links) and not running(len(records)):
                 i = len(records)

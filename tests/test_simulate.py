@@ -3,11 +3,6 @@ import json
 import multiprocessing
 import os
 import pickle
-import signal
-import subprocess
-import sys
-import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +16,6 @@ from combpolar.decoder import ccd_decode_batch
 from combpolar.spectral import tone_centers
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
-
-
-@pytest.fixture
-def fresh_pool():
-    """Close the process's worker pool around the test.  Workers forked
-    earlier run the module as it was then, so they would not see the
-    test's monkeypatches, and a pool built under them is not left to
-    later tests."""
-    simulate.close_pool()
-    yield
-    simulate.close_pool()
 
 
 def tiny_cfg(**kw):
@@ -271,7 +255,7 @@ class TestLinkDeterminism:
             assert [r.frames for r in recs] == [200, 200]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_arms_share_one_profile(self, tmp_path, monkeypatch, fresh_pool):
+    def test_arms_share_one_profile(self, tmp_path, monkeypatch):
         # run_fer_arms builds the capacity profile once for all arms, and
         # each arm's CSV is the one it writes when run on its own
         cfg = tiny_cfg(snr_sweep_db=(-1.0,), max_frames=128)
@@ -458,50 +442,16 @@ class TestSpectralLink:
             assert lo_f <= hi_w and lo_w <= hi_f, (arm, folded, waveform)
 
 
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-def _wait_broken(pool, timeout=10.0):
-    """Wait until the pool has seen a worker die (its manager thread marks it)."""
-    deadline = time.monotonic() + timeout
-    while not pool._broken:
-        assert time.monotonic() < deadline, "the pool did not notice the dead worker"
-        time.sleep(0.01)
-
-
-FRESH_PROCESS = """
-import multiprocessing, pickle, sys
-from combpolar import simulate
-simulate._SUPER_BATCH = 16
-with open(sys.argv[1], "rb") as fh:
-    cfg = pickle.load(fh)
-simulate.run_fer(cfg, sys.argv[2])
-print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
-"""
-
-
 class TestWorkerPool:
-    """A process holds at most one worker pool: sweeps at the same worker
-    count share it, another count replaces it, a broken pool is replaced,
-    and no worker outlives the process."""
-
-    @staticmethod
-    def cfg(threads=2):
-        return tiny_cfg(threads=threads, snr_sweep_db=(0.0, 1.0), list_size=1,
-                        min_frame_errors=10**6, max_frames=32)
+    """run_fer builds one worker pool per call and leaves no worker behind."""
 
     @pytest.fixture
-    def built(self, fresh_pool, monkeypatch):
+    def counted_pools(self, monkeypatch):
         built = []
 
         class Counted(simulate.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                built.append(self)
+                built.append(1)
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Counted)
@@ -509,49 +459,45 @@ class TestWorkerPool:
         monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
         return built
 
-    @pytest.fixture(scope="class")
-    def fresh_process(self, tmp_path_factory):
-        """A new process runs the sweep at threads=2 and exits: its fer.csv
-        bytes and its workers' pids."""
-        tmp = tmp_path_factory.mktemp("fresh")
-        with open(tmp / "cfg.pkl", "wb") as fh:
-            pickle.dump(self.cfg(), fh)
-        src = str(Path(simulate.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", FRESH_PROCESS, str(tmp / "cfg.pkl"),
-                              str(tmp / "fer.csv")], env=env, capture_output=True,
-                             text=True, timeout=300, check=True)
-        return (tmp / "fer.csv").read_bytes(), [int(p) for p in out.stdout.split()]
+    def cfg(self, threads=2):
+        return tiny_cfg(threads=threads, snr_sweep_db=(0.0, 1.0), list_size=1,
+                        min_frame_errors=10**6, max_frames=32)
 
-    def test_one_thread_builds_no_pool(self, built):
-        recs = simulate.run_fer(self.cfg(1))
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_sweep(self, counted_pools, threads, pools):
+        recs = simulate.run_fer(self.cfg(threads))
         assert [r.frames for r in recs] == [32, 32]
-        assert built == [] and multiprocessing.active_children() == []
+        assert len(counted_pools) == pools
+        assert multiprocessing.active_children() == []
 
-    def test_sweeps_share_one_pool(self, built, tmp_path, fresh_process):
-        for k in range(2):
-            simulate.run_fer(self.cfg(), str(tmp_path / f"{k}.csv"))
-            assert (tmp_path / f"{k}.csv").read_bytes() == fresh_process[0]
-        simulate.run_fer(self.cfg(1))
-        assert len(built) == 1 and len(multiprocessing.active_children()) == 2
+    def test_pool_shut_down_when_sweep_raises(self, counted_pools, monkeypatch):
+        make_link = simulate.make_link
+        points = []
 
-    def test_another_count_replaces_the_pool(self, built):
-        simulate.run_fer(self.cfg(2))
-        old = {p.pid for p in multiprocessing.active_children()}
-        simulate.run_fer(self.cfg(3))
-        new = {p.pid for p in multiprocessing.active_children()}
-        assert len(built) == 2 and len(old) == 2 and len(new) == 3
-        assert not old & new and not any(_alive(pid) for pid in old)
+        def failing(cfg, code, snr_db):
+            points.append(snr_db)
+            if len(points) == 2:
+                raise RuntimeError("injected failure")
+            return make_link(cfg, code, snr_db)
 
-    def test_raising_sweeps_leave_the_pool_usable(self, built, tmp_path, fresh_process,
-                                                  monkeypatch):
+        monkeypatch.setattr(simulate, "make_link", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            simulate.run_fer(self.cfg())
+        assert points == [0.0, 1.0] and len(counted_pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_pool_shut_down_when_a_round_raises(self, counted_pools, monkeypatch):
+        # once the workers run: a log line that raises in this process,
+        # then a task that raises in a worker (the second point's link has
+        # no code)
+        cfg = dataclasses.replace(self.cfg(), snr_sweep_db=(-8.0, 1.0), min_frame_errors=1)
+
         def log(line):
             raise RuntimeError("injected in the parent")
 
         with pytest.raises(RuntimeError, match="injected in the parent"):
-            simulate.run_fer(self.cfg(), log=log)
-        # a task that raises in a worker: the second point's link has no code
+            simulate.run_fer(cfg, log=log)
+        assert multiprocessing.active_children() == []
         make_link = simulate.make_link
         links = []
 
@@ -561,41 +507,8 @@ class TestWorkerPool:
 
         monkeypatch.setattr(simulate, "make_link", broken_second)
         with pytest.raises(AttributeError):
-            simulate.run_fer(self.cfg())
-        monkeypatch.setattr(simulate, "make_link", make_link)
-        simulate.run_fer(self.cfg(), str(tmp_path / "fer.csv"))
-        assert (tmp_path / "fer.csv").read_bytes() == fresh_process[0]
-        assert len(built) == 1
-
-    def test_a_killed_worker_is_replaced(self, built, tmp_path, fresh_process):
-        simulate.run_fer(self.cfg())
-        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
-        _wait_broken(built[0])
-        simulate.run_fer(self.cfg(), str(tmp_path / "fer.csv"))
-        assert (tmp_path / "fer.csv").read_bytes() == fresh_process[0]
-        assert len(built) == 2 and len(multiprocessing.active_children()) == 2
-
-    def test_a_worker_killed_mid_sweep_drops_the_pool(self, built, tmp_path, fresh_process):
-        # the first point stops after its first round, so its log line
-        # comes before the second point's second round
-        cfg = dataclasses.replace(self.cfg(), snr_sweep_db=(-8.0, 1.0), min_frame_errors=1)
-        assert [r.frames for r in simulate.run_fer(dataclasses.replace(cfg, threads=1))] \
-            == [16, 32]
-
-        def kill_a_worker(line):
-            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
-            _wait_broken(built[0])
-
-        with pytest.raises(BrokenProcessPool):
-            simulate.run_fer(cfg, log=kill_a_worker)
-        assert simulate._pool is None
-        simulate.run_fer(self.cfg(), str(tmp_path / "fer.csv"))
-        assert (tmp_path / "fer.csv").read_bytes() == fresh_process[0]
-        assert len(built) == 2
-
-    def test_no_worker_outlives_its_process(self, fresh_process):
-        pids = fresh_process[1]
-        assert len(pids) == 2 and not any(_alive(pid) for pid in pids)
+            simulate.run_fer(cfg)
+        assert len(counted_pools) == 2 and multiprocessing.active_children() == []
 
 
 def point_by_point(cfg):
@@ -629,8 +542,14 @@ class _Recording:
     """A stand-in for the worker pool: runs each round in this process and
     keeps its tasks."""
 
-    def __init__(self):
+    def __init__(self, max_workers):
         self.rounds = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
     def map(self, fn, tasks):
         self.rounds.append(list(tasks))
@@ -642,26 +561,31 @@ class TestRounds:
     next super-batch of every point that is still open."""
 
     @pytest.fixture
-    def pool(self, fresh_pool, monkeypatch):
-        pool = _Recording()
-        monkeypatch.setattr(simulate, "_worker_pool", lambda workers: pool)
-        return pool
+    def pools(self, monkeypatch):
+        built = []
 
-    def test_each_round_holds_every_open_point(self, pool, monkeypatch):
+        def recording(max_workers):
+            built.append(_Recording(max_workers))
+            return built[-1]
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording)
+        return built
+
+    def test_each_round_holds_every_open_point(self, pools, monkeypatch):
         monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
         cfg = tiny_cfg(threads=2, snr_sweep_db=(0.0, 1.0), list_size=1,
                        min_frame_errors=10**6, max_frames=32)
         simulate.run_fer(cfg)
-        assert len(pool.rounds) == 2
-        links = [link for link, _, _ in pool.rounds[0]]
+        rounds = pools[0].rounds
+        assert len(pools) == 1 and len(rounds) == 2
+        links = [link for link, _, _ in rounds[0]]
         assert len(links) == 2 and links[0] is not links[1]
-        for k, tasks in enumerate(pool.rounds):
+        for k, tasks in enumerate(rounds):
             assert len(tasks) == 2 and all(t[0] is link for t, link in zip(tasks, links))
             assert [t[1:] for t in tasks] == [(16 * k, 16 * k + 16)] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_rounds_equal_a_point_by_point_sweep(self, fresh_pool, monkeypatch, tmp_path,
-                                                 threads):
+    def test_rounds_equal_a_point_by_point_sweep(self, monkeypatch, tmp_path, threads):
         # the points stop in three different rounds
         monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
         cfg = tiny_cfg(threads=threads, snr_sweep_db=(-5.0, -8.0, 0.0), list_size=1,
@@ -675,13 +599,13 @@ class TestRounds:
         assert lines == [f"snr {r.snr_db:+.1f} dB: {r.frame_errors}/{r.frames} errors, "
                          f"fer {r.fer:.3e}" for r in want]
 
-    def test_open_points_fill_many_workers(self, pool):
+    def test_open_points_fill_many_workers(self, pools):
         # one 512-frame super-batch is 8 draw blocks, so a single point
         # gives at most 8 tasks; five open points give 40
         cfg = tiny_cfg(threads=16, list_size=1, min_frame_errors=10**6, max_frames=512)
         simulate.run_fer(dataclasses.replace(cfg, snr_sweep_db=(0.0,)))
         simulate.run_fer(dataclasses.replace(cfg, snr_sweep_db=(-2.0, -1.0, 0.0, 1.0, 2.0)))
-        assert [len(tasks) for tasks in pool.rounds] == [8, 40]
+        assert [[len(tasks) for tasks in pool.rounds] for pool in pools] == [[8], [40]]
 
 
 class TestStopRule:
