@@ -13,6 +13,12 @@ plus AWGN; the receiver comb-filters the interference away.  The shaped
 arms lose almost nothing to the comb filter, the conventional arm is
 badly distorted by it.
 
+`simulate.run_fer_arms` runs the three arms as one sweep: each round holds
+the next super-batch of every (arm, SNR point) still open, each arm keeps
+its own stop rule and rows, and each log line names its arm.  Each
+demo_out/fer_<arm>.csv is byte for byte what `combpolar fer` writes for
+that arm's config alone.
+
 Run:  python demos/link_comparison.py        (a few minutes)
 Fast: python demos/link_comparison.py quick
 """

@@ -13,8 +13,9 @@ batch split or `--threads`.  The channel draws do not depend on which arm
 (code/decoder flavor) is being simulated, so FER comparisons between arms
 are paired.  The link's output, the matched-filter samples, is real.
 
-A sweep runs in rounds over its open SNR points (see `run_fer`); with
-threads > 1 each `run_fer` call starts one worker pool and joins it
+`run_fer` (one arm) and `run_fer_arms` (several, paired) share one sweep
+loop, which runs in rounds over every (arm, SNR point) still open (see
+`_sweep`); with threads > 1 each call starts one worker pool and joins it
 before returning, so no worker outlives the call.
 """
 
@@ -206,86 +207,98 @@ def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None,
-            capacity: np.ndarray | None = None) -> list:
-    """Run the configured arm over the SNR sweep; appends one CSV row per
-    point, in sweep order, once it and every point before it are done, so
-    partial runs are usable.  With threads > 1, one worker pool serves the
-    whole sweep and is joined before the call returns.  `capacity`, when
-    given, is cfg's `build_profile`, so the code is selected without
-    rebuilding it.
-
-    The sweep runs in rounds: each round holds the next super-batch of
-    every point whose stop rule is still open, cut into tasks by
-    `_block_split`, in one call to the pool (or to `map` at threads = 1),
-    so the workers wait once per round rather than once per point.  Each
-    point sees the same super-batches and stop checks as a point-by-point
-    loop, so the records and bytes are the same."""
-    code = build_code(cfg, capacity)
-    records = []
-    with ExitStack() as stack:
-        run = map
-        if cfg.threads > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads)).map
-        fh = None
-        if out_path is not None:
-            fh = stack.enter_context(open(out_path, "w"))
-            fh.write("# combpolar fer v1\n")
-            fh.write(f"# N={cfg.N} K={cfg.K} r={cfg.r} criterion={cfg.criterion} "
-                     f"decoder={cfg.decoder_mode} L={cfg.list_size} sir_db={cfg.sir_db} "
-                     f"comb={int(cfg.comb_enabled)} master_seed={cfg.master_seed}\n")
-            fh.write("snr_db,frames,frame_errors,fer,wilson_lo,wilson_hi,seed_lo,seed_hi\n")
-            fh.flush()
-        links = [make_link(cfg, code, snr) for snr in cfg.snr_sweep_db]
-        errors, frames = [0] * len(links), [0] * len(links)
-
-        def running(i):
-            return errors[i] < cfg.min_frame_errors and frames[i] < cfg.max_frames
-
-        while len(records) < len(links):
-            tasks, owners = [], []
-            for i in filter(running, range(len(links))):
-                b = min(_SUPER_BATCH, cfg.max_frames - frames[i])
-                for a, c in _block_split(frames[i], frames[i] + b, cfg.threads):
-                    tasks.append((links[i], a, c))
-                    owners.append(i)
-                frames[i] += b
-            for i, n in zip(owners, run(_worker, tasks)):
-                errors[i] += n
-            # report the points now done, in sweep order
-            while len(records) < len(links) and not running(len(records)):
-                i = len(records)
-                snr = cfg.snr_sweep_db[i]
-                fer = errors[i] / frames[i]
-                w_lo, w_hi = wilson_interval(errors[i], frames[i])
-                rec = FERRecord(snr, frames[i], errors[i], fer, w_lo, w_hi, 0, frames[i] - 1)
-                records.append(rec)
-                if fh is not None:
-                    fh.write(f"{snr},{frames[i]},{errors[i]},{fer:.8g},{w_lo:.8g},{w_hi:.8g},"
-                             f"{rec.seed_lo},{rec.seed_hi}\n")
-                    fh.flush()
-                if log:
-                    log(f"snr {snr:+.1f} dB: {errors[i]}/{frames[i]} errors, fer {fer:.3e}")
-    return records
+def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> list:
+    """Run the configured arm over the SNR sweep: the one-arm case of
+    `run_fer_arms`, through the same loop (`_sweep`): rounds over every
+    open point, one worker pool per call at threads > 1.  Appends one CSV
+    row per point, in sweep order, once it and every point before it are
+    done, so partial runs are usable.  Returns the records in sweep order."""
+    return _sweep(cfg, {None: (cfg, out_path)}, log)[None]
 
 
 def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
                  out_dir: str | None = None, log=None) -> dict:
-    """Run several arms under identical per-frame channel realizations.
+    """Run several arms under identical per-frame channel realizations in
+    one sweep (`_sweep`): rounds over every open (arm, point), one worker
+    pool per call at threads > 1.  Returns {arm: records} and, with
+    `out_dir`, writes each arm's `fer_<arm>.csv`, byte for byte the file
+    `run_fer` writes for that arm alone.
 
     The arms differ only in the code's shaping order, criterion and
     decoder, not in N, the design SNR or the roll-off, so they share one
-    capacity profile, built once here."""
+    capacity profile, built once.  Log lines name their arm."""
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+    paths = {arm: None if out_dir is None else os.path.join(out_dir, f"fer_{arm}.csv")
+             for arm in arms}
+    return _sweep(cfg, {arm: (cfg.for_arm(arm), path) for arm, path in paths.items()}, log)
+
+
+def _sweep(cfg: ExperimentConfig, arms: dict, log) -> dict:
+    """The FER sweep loop.  `arms` maps a name (None for a lone arm, whose
+    log lines then carry no name) to its config and CSV path or None; the
+    arms share cfg's capacity profile, SNR sweep, stop rule and threads.
+
+    The sweep runs in rounds: each round holds the next super-batch of
+    every (arm, point) whose stop rule is still open, cut into tasks by
+    `_block_split`, in one call to the pool (or to `map` at threads = 1),
+    so the workers wait once per round rather than once per point.  With
+    threads > 1 one worker pool serves the whole call and is joined before
+    it returns.  Each (arm, point) sees the same super-batches and stop
+    checks as a point-by-point loop of that arm alone, so the records and
+    bytes are the same; an arm's rows come in sweep order, each once it
+    and every point of that arm before it are done."""
     capacity = build_profile(cfg)
-    results = {}
-    for arm in arms:
-        out = None if out_dir is None else os.path.join(out_dir, f"fer_{arm}.csv")
-        if log:
-            log(f"--- arm {arm}")
-        results[arm] = run_fer(cfg.for_arm(arm), out, log=log, capacity=capacity)
-    return results
+    codes = {name: build_code(c, capacity) for name, (c, _) in arms.items()}
+    records = {name: [] for name in arms}
+    with ExitStack() as stack:
+        run = map
+        if cfg.threads > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads)).map
+        files = {}
+        for name, (c, path) in arms.items():
+            if path is not None:
+                fh = files[name] = stack.enter_context(open(path, "w"))
+                fh.write("# combpolar fer v1\n")
+                fh.write(f"# N={c.N} K={c.K} r={c.r} criterion={c.criterion} "
+                         f"decoder={c.decoder_mode} L={c.list_size} sir_db={c.sir_db} "
+                         f"comb={int(c.comb_enabled)} master_seed={c.master_seed}\n")
+                fh.write("snr_db,frames,frame_errors,fer,wilson_lo,wilson_hi,seed_lo,seed_hi\n")
+                fh.flush()
+        # one link per (arm, point); each arm's points wait in sweep order
+        links = {(name, i): make_link(c, codes[name], snr)
+                 for name, (c, _) in arms.items() for i, snr in enumerate(cfg.snr_sweep_db)}
+        errors, frames = dict.fromkeys(links, 0), dict.fromkeys(links, 0)
+        waiting = {name: [key for key in links if key[0] == name] for name in arms}
+
+        def running(key):
+            return errors[key] < cfg.min_frame_errors and frames[key] < cfg.max_frames
+
+        while any(waiting.values()):
+            tasks, owners = [], []
+            for key in filter(running, links):
+                b = min(_SUPER_BATCH, cfg.max_frames - frames[key])
+                for lo, hi in _block_split(frames[key], frames[key] + b, cfg.threads):
+                    tasks.append((links[key], lo, hi))
+                    owners.append(key)
+                frames[key] += b
+            for key, n in zip(owners, run(_worker, tasks)):
+                errors[key] += n
+            # report the points now done, each arm's in sweep order
+            for name, keys in waiting.items():
+                while keys and not running(keys[0]):
+                    key = keys.pop(0)
+                    snr, n, k = cfg.snr_sweep_db[key[1]], frames[key], errors[key]
+                    w_lo, w_hi = wilson_interval(k, n)
+                    records[name].append(FERRecord(snr, n, k, k / n, w_lo, w_hi, 0, n - 1))
+                    if name in files:
+                        files[name].write(f"{snr},{n},{k},{k / n:.8g},{w_lo:.8g},{w_hi:.8g},"
+                                          f"0,{n - 1}\n")
+                        files[name].flush()
+                    if log:
+                        tag = "" if name is None else f"{name}: "
+                        log(f"{tag}snr {snr:+.1f} dB: {k}/{n} errors, fer {k / n:.3e}")
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -299,8 +312,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
     rng = _rng(cfg.master_seed, _PSD_STREAM)
     code = build_code(cfg)
     flat_edge = (1.0 - cfg.pulse.rolloff) * cfg.symbol_rate / 2.0
-    band_edge = (1.0 + cfg.pulse.rolloff) * cfg.symbol_rate / 2.0
-    targets = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, band_edge)
+    targets = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, cfg.band[1])
     # one draw per frame, in frame order, then one (frames, N) encode
     info = np.stack([rng.integers(0, 2, cfg.K, dtype=np.uint8)
                      for _ in range(cfg.psd_frames)])

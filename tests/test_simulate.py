@@ -16,6 +16,7 @@ from combpolar.decoder import ccd_decode_batch
 from combpolar.spectral import tone_centers
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+ARMS = ("cp", "csp-nonc", "csp-c")
 
 
 def tiny_cfg(**kw):
@@ -257,11 +258,12 @@ class TestLinkDeterminism:
 
     def test_arms_share_one_profile(self, tmp_path, monkeypatch):
         # run_fer_arms builds the capacity profile once for all arms, and
-        # each arm's CSV is the one it writes when run on its own
+        # each arm's CSV is the one it writes when run on its own, at one
+        # worker or two
         cfg = tiny_cfg(snr_sweep_db=(-1.0,), max_frames=128)
         alone = tmp_path / "alone"
         alone.mkdir()
-        for arm in ("cp", "csp-nonc", "csp-c"):
+        for arm in ARMS:
             simulate.run_fer(cfg.for_arm(arm), str(alone / f"fer_{arm}.csv"))
         calls = []
         build_profile = simulate.build_profile
@@ -271,11 +273,13 @@ class TestLinkDeterminism:
             return build_profile(c)
 
         monkeypatch.setattr(simulate, "build_profile", counted)
-        simulate.run_fer_arms(cfg, out_dir=str(tmp_path / "arms"))
-        assert len(calls) == 1
-        for arm in ("cp", "csp-nonc", "csp-c"):
-            name = f"fer_{arm}.csv"
-            assert (tmp_path / "arms" / name).read_bytes() == (alone / name).read_bytes(), arm
+        for threads in (1, 2):
+            out = tmp_path / f"arms_t{threads}"
+            simulate.run_fer_arms(dataclasses.replace(cfg, threads=threads), out_dir=str(out))
+            assert len(calls) == threads
+            for arm in ARMS:
+                name = f"fer_{arm}.csv"
+                assert (out / name).read_bytes() == (alone / name).read_bytes(), (arm, threads)
 
 
 def folded_covariance(ch, n_symbols):
@@ -443,7 +447,8 @@ class TestSpectralLink:
 
 
 class TestWorkerPool:
-    """run_fer builds one worker pool per call and leaves no worker behind."""
+    """run_fer and run_fer_arms build one worker pool per call and leave no
+    worker behind."""
 
     @pytest.fixture
     def counted_pools(self, monkeypatch):
@@ -510,6 +515,41 @@ class TestWorkerPool:
             simulate.run_fer(cfg)
         assert len(counted_pools) == 2 and multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_multi_arm_sweep(self, counted_pools, threads, pools):
+        res = simulate.run_fer_arms(self.cfg(threads))
+        assert {arm: [r.frames for r in recs] for arm, recs in res.items()} == \
+               dict.fromkeys(ARMS, [32, 32])
+        assert len(counted_pools) == pools
+        assert multiprocessing.active_children() == []
+
+    def test_multi_arm_pool_shut_down_when_a_round_raises(self, counted_pools, monkeypatch):
+        # as above, across three arms: a log line that raises in this
+        # process, then a task that raises in a worker (the last arm's
+        # second link has no code)
+        cfg = dataclasses.replace(self.cfg(), snr_sweep_db=(-8.0, 1.0), min_frame_errors=1)
+
+        def log(line):
+            raise RuntimeError("injected in the parent")
+
+        with pytest.raises(RuntimeError, match="injected in the parent"):
+            simulate.run_fer_arms(cfg, log=log)
+        assert multiprocessing.active_children() == []
+        make_link = simulate.make_link
+        links = []
+
+        def broken_last(cfg, code, snr_db):
+            links.append(make_link(cfg, code, snr_db))
+            if cfg.criterion == "cis-constrained" and snr_db == 1.0:
+                return dataclasses.replace(links[-1], code=None)
+            return links[-1]
+
+        monkeypatch.setattr(simulate, "make_link", broken_last)
+        with pytest.raises(AttributeError):
+            simulate.run_fer_arms(cfg)
+        assert len(links) == 6
+        assert len(counted_pools) == 2 and multiprocessing.active_children() == []
+
 
 def point_by_point(cfg):
     """The reference sweep: one point after another, each run one
@@ -557,8 +597,8 @@ class _Recording:
 
 
 class TestRounds:
-    """run_fer runs the sweep in rounds: one call per round, holding the
-    next super-batch of every point that is still open."""
+    """The sweep runs in rounds: one call per round, holding the next
+    super-batch of every (arm, point) that is still open."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -598,6 +638,59 @@ class TestRounds:
         assert (tmp_path / "fer.csv").read_text() == text
         assert lines == [f"snr {r.snr_db:+.1f} dB: {r.frame_errors}/{r.frames} errors, "
                          f"fer {r.fer:.3e}" for r in want]
+
+    def test_each_round_holds_every_open_arm_and_point(self, pools, monkeypatch):
+        # arms and points stop in different rounds: cp after round 1,
+        # csp-nonc after rounds 1, 1, 4 and csp-c after 2, 1, 4
+        monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
+        cfg = tiny_cfg(threads=2, snr_sweep_db=(-5.0, -8.0, 0.0), list_size=1,
+                       min_frame_errors=5, max_frames=64)
+        stops = {arm: [r.frames // 16 for r in point_by_point(cfg.for_arm(arm))[0]]
+                 for arm in ARMS}
+        assert stops == {"cp": [1, 1, 1], "csp-nonc": [1, 1, 4], "csp-c": [2, 1, 4]}
+        arm_of = {}
+        for arm in ARMS:
+            c = cfg.for_arm(arm)
+            arm_of[c.r, c.criterion, c.decoder_mode] = arm
+        made = []
+        make_link = simulate.make_link
+
+        def labelled(c, code, snr_db):
+            made.append((make_link(c, code, snr_db),
+                         (arm_of[c.r, c.criterion, c.decoder_mode], snr_db)))
+            return made[-1][0]
+
+        monkeypatch.setattr(simulate, "make_link", labelled)
+        simulate.run_fer_arms(cfg)
+        rounds = pools[0].rounds
+        assert len(pools) == 1 and len(rounds) == 4 and len(made) == 9
+        for k, tasks in enumerate(rounds):
+            held = [next(label for link, label in made if link is t[0]) for t in tasks]
+            assert sorted(held) == sorted((arm, snr) for arm in ARMS
+                                          for snr, stop in zip(cfg.snr_sweep_db, stops[arm])
+                                          if stop > k)
+            assert {t[1:] for t in tasks} == {(16 * k, 16 * k + 16)}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_arms_equal_point_by_point_sweeps(self, monkeypatch, tmp_path, threads):
+        # each arm's records and CSV are those of a point-by-point sweep of
+        # that arm alone; log lines name their arm and come as each point
+        # and every point of its arm before it are done
+        monkeypatch.setattr(simulate, "_SUPER_BATCH", 16)
+        cfg = tiny_cfg(threads=threads, snr_sweep_db=(-5.0, -8.0, 0.0), list_size=1,
+                       min_frame_errors=5, max_frames=64)
+        lines = []
+        got = simulate.run_fer_arms(cfg, out_dir=str(tmp_path), log=lines.append)
+        want_lines = []
+        for a, arm in enumerate(ARMS):
+            want, text = point_by_point(cfg.for_arm(arm))
+            assert got[arm] == want, arm
+            assert (tmp_path / f"fer_{arm}.csv").read_text() == text, arm
+            reported = np.maximum.accumulate([r.frames for r in want])
+            want_lines += [(n, a, i, f"{arm}: snr {r.snr_db:+.1f} dB: {r.frame_errors}/"
+                                     f"{r.frames} errors, fer {r.fer:.3e}")
+                           for i, (n, r) in enumerate(zip(reported, want))]
+        assert lines == [line for *_, line in sorted(want_lines)]
 
     def test_open_points_fill_many_workers(self, pools):
         # one 512-frame super-batch is 8 draw blocks, so a single point
