@@ -30,12 +30,14 @@ from combpolar import simulate
 
 quick = len(sys.argv) > 1 and sys.argv[1] == "quick"
 
-cfg = ExperimentConfig()          # N=256, rate 3/8, r=3, SIR -20 dB, comb on, L=8
-cfg.design_snr_db = 1.0
-cfg.snr_sweep_db = (-2.0, -1.0, 0.0) if quick else (-2.0, -1.5, -1.0, -0.5, 0.0)
-cfg.min_frame_errors = 20 if quick else 60
-cfg.max_frames = 2000 if quick else 20000
-cfg.master_seed = 1
+# N=256, rate 3/8, r=3, SIR -20 dB, comb on, L=8
+cfg = ExperimentConfig(
+    design_snr_db=1.0,
+    snr_sweep_db=(-2.0, -1.0, 0.0) if quick else (-2.0, -1.5, -1.0, -0.5, 0.0),
+    min_frame_errors=20 if quick else 60,
+    max_frames=2000 if quick else 20000,
+    master_seed=1,
+)
 
 print(f"N={cfg.N}, K={cfg.K} (rate {cfg.K/cfg.N}), shaping order {cfg.r}, "
       f"SIR {cfg.sir_db} dB, comb filter on, list size {cfg.list_size}")

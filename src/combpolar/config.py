@@ -1,8 +1,11 @@
 """Experiment configuration: JSON file with a fixed schema.
 
 Unknown keys anywhere in the file are an error, so typos fail fast, and
-every value's type and range is checked when the config loads.  Every
-field has a default; a config file only needs the overrides.
+every value's type is checked as the file loads.  Every field has a
+default; a config file only needs the overrides.  An `ExperimentConfig` is
+immutable and checks every value's range when it is built, from a file or
+in code, so every config in hand is valid; change one with
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import get_window
@@ -77,7 +80,7 @@ MAX_PSD_SAMPLES = 1 << 23
 DB_LIMIT = 300.0  # |SNR| and |SIR| in dB; beyond it 10**(dB/10) leaves the float range
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     N: int = 256
     K: int = 96
@@ -85,7 +88,7 @@ class ExperimentConfig:
     criterion: str = "cis-constrained"  # or "symmetric"
     decoder_mode: str = "ccd"  # or "plain"
     list_size: int = 8
-    pulse: PulseSpec = field(default_factory=lambda: PulseSpec(0.25, 16, 8))
+    pulse: PulseSpec = PulseSpec(0.25, 16, 8)
     symbol_rate: float = 800.0
     sir_db: float | None = -20.0
     fundamental_hz: float = 50.0
@@ -117,8 +120,9 @@ class ExperimentConfig:
         return (-half, half)
 
     def for_arm(self, name: str) -> ExperimentConfig:
-        """A validated copy of this config running arm `name` of ARM_PRESETS;
-        an unshaped arm drops the shaping order, and a shaped arm needs one."""
+        """This config running arm `name` of ARM_PRESETS, a new config checked
+        like any other; an unshaped arm drops the shaping order, and a shaped
+        arm needs one."""
         if name not in ARM_PRESETS:
             raise ConfigError(f"unknown arm {name!r}")
         preset = ARM_PRESETS[name]
@@ -129,9 +133,9 @@ class ExperimentConfig:
             r=self.r if preset["shaped"] else None,
             criterion=preset["criterion"],
             decoder_mode=preset["decoder_mode"],
-        ).validate()
+        )
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.N >= 2 and self.N & (self.N - 1) == 0):
             raise ConfigError(f"code.N must be a power of two >= 2, got {self.N}")
         samples = frame_samples(self)
@@ -247,7 +251,6 @@ class ExperimentConfig:
                     f"{semi:.6g} Hz, which do not cover the tone grid "
                     f"(offset {self.tone_offset_hz} Hz, spacing {fun} Hz); {why}"
                 )
-        return self
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
@@ -282,7 +285,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    cfg, pulse = ExperimentConfig(), {}
+    values, pulse = {}, {}
     for key, val in {**data, **(overrides or {})}.items():
         spec = _FIELDS.get(key)
         if spec is None:
@@ -301,9 +304,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
             if attr.startswith("pulse."):
                 pulse[attr[len("pulse."):]] = value
             else:
-                setattr(cfg, attr, value)
+                values[attr] = value
     try:
-        cfg.pulse = replace(cfg.pulse, **pulse)
+        values["pulse"] = replace(ExperimentConfig.pulse, **pulse)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg.validate()
+    return ExperimentConfig(**values)

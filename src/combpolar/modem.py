@@ -24,9 +24,9 @@ from scipy.signal import fftconvolve
 class PulseSpec:
     """SRRC pulse: roll-off in [0, 1], total span in symbols, samples/symbol."""
 
-    rolloff: float = 0.25
-    span_symbols: int = 8
-    sps: int = 8
+    rolloff: float
+    span_symbols: int
+    sps: int
 
     def __post_init__(self):
         if not (0.0 <= self.rolloff <= 1.0):

@@ -177,10 +177,7 @@ def check_scl_vs_ml(frames: int = 2000, seed=4) -> tuple:
 def check_noiseless_roundtrip(frames: int = 50, design_snr_db: float = 0.0) -> tuple:
     """Every arm of the default link, without interference or comb and
     without noise, decodes `frames` frames with no error."""
-    cfg = ExperimentConfig()
-    cfg.sir_db = None
-    cfg.comb_enabled = False
-    cfg.design_snr_db = design_snr_db
+    cfg = ExperimentConfig(sir_db=None, comb_enabled=False, design_snr_db=design_snr_db)
     total = 0
     for arm in ARM_PRESETS:
         acfg = cfg.for_arm(arm)

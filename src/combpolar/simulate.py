@@ -21,6 +21,7 @@ before returning, so no worker outlives the call.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import modem
 from .channel import LinkChannel, calibrate_channel, draw_channel, receive
 from .config import ConfigError, ExperimentConfig
 from .construction import (
@@ -41,7 +43,6 @@ from .construction import (
 # sc_decode_batch and scl_decode_batch are not called here; perfbench/tracing.py
 # wraps them under these names
 from .decoder import ccd_decode_batch, sc_decode_batch, scl_decode_batch
-from .modem import bpsk_map
 from .polar import assemble_source, encode
 from .shaping import CodeConfig, index_set_text
 from .spectral import null_depth, tone_centers, welch_psd
@@ -156,7 +157,7 @@ def synthesize_frames(link: LinkContext, frame_indices):
         at = block == k
         phases[at], z[at], info[at] = (d[row[at]] for d in _draw_block(link, int(k)))
     x = encode(assemble_source(info, code.A, code.N))
-    return info, receive(ch, bpsk_map(x), phases, z)
+    return info, receive(ch, modem.bpsk_map(x), phases, z)
 
 
 def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:
@@ -197,14 +198,17 @@ class FERRecord:
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, as floats; the
+    bound at an end (k = 0 or k = n) is that end exactly."""
     if n == 0:
         return (0.0, 1.0)
     p = k / n
     denom = 1 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    half = z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
+    # center - half does not cancel exactly at k = 0, nor center + half at k = n
+    return (0.0 if k == 0 else max(0.0, center - half),
+            1.0 if k == n else min(1.0, center + half))
 
 
 def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> list:
@@ -316,11 +320,8 @@ def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
     # one draw per frame, in frame order, then one (frames, N) encode
     info = np.stack([rng.integers(0, 2, cfg.K, dtype=np.uint8)
                      for _ in range(cfg.psd_frames)])
-    syms = bpsk_map(encode(assemble_source(info, code.A, cfg.N)))
-    # looked up when called, so a wrapper installed on the modem module sees it
-    from .modem import modulate_symbols
-
-    samples = modulate_symbols(syms.ravel(), cfg.pulse)
+    syms = modem.bpsk_map(encode(assemble_source(info, code.A, cfg.N)))
+    samples = modem.modulate_symbols(syms.ravel(), cfg.pulse)
     est = welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment,
                     overlap=cfg.welch_overlap, window=cfg.welch_window)
     depths = null_depth(est, targets, (-flat_edge, flat_edge))

@@ -5,6 +5,8 @@ Every tolerance is pinned here; seeds are fixed so the whole suite is
 deterministic.
 """
 
+import dataclasses
+
 import numpy as np
 
 from combpolar import construction, decoder, modem, polar, selftest, shaping, simulate, spectral
@@ -138,13 +140,15 @@ def test_criterion_7_decoder_soundness():
 
 
 def test_criterion_8_fer_ordering_and_floor():
-    cfg = ExperimentConfig()  # N=256, K=96 (rate 3/8), r=3, SIR -20 dB, comb on, L=8
-    cfg.design_snr_db = 1.0
-    cfg.snr_sweep_db = (-2.0, -1.5, -1.0, -0.5)
-    cfg.min_frame_errors = 100
-    cfg.max_frames = 100_000
-    cfg.master_seed = 80
-    cfg.threads = 2  # output bytes do not depend on the worker count
+    # N=256, K=96 (rate 3/8), r=3, SIR -20 dB, comb on, L=8
+    cfg = ExperimentConfig(
+        design_snr_db=1.0,
+        snr_sweep_db=(-2.0, -1.5, -1.0, -0.5),
+        min_frame_errors=100,
+        max_frames=100_000,
+        master_seed=80,
+        threads=2,  # output bytes do not depend on the worker count
+    )
 
     results = simulate.run_fer_arms(cfg, out_dir=None)
     fer = {arm: np.array([rec.fer for rec in recs]) for arm, recs in results.items()}
@@ -159,9 +163,7 @@ def test_criterion_8_fer_ordering_and_floor():
     # error-floor contrast at high SNR
     floor = {}
     for arm in ("cp", "csp-c"):
-        acfg = cfg.for_arm(arm)
-        acfg.snr_sweep_db = (4.0,)
-        acfg.max_frames = 20_000
+        acfg = dataclasses.replace(cfg.for_arm(arm), snr_sweep_db=(4.0,), max_frames=20_000)
         floor[arm] = simulate.run_fer(acfg, None)[0].fer
     floor_ok = floor["cp"] >= 1e-2 and floor["csp-c"] <= floor["cp"] / 5
 

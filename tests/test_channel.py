@@ -15,7 +15,7 @@ from combpolar.config import ConfigError, ExperimentConfig, load_config
 
 def link_cfg(**kw):
     """The reference link: N=256 at 800 Hz, 8 samples/symbol, 50 Hz grid."""
-    return dataclasses.replace(ExperimentConfig(), **kw).validate()
+    return ExperimentConfig(**kw)
 
 
 def tx_frames(cfg, n_frames, seed=0):
@@ -134,7 +134,7 @@ class TestPeriodicInterference:
 
     def test_unknown_tone_model(self):
         with pytest.raises(ConfigError, match="tone model"):
-            dataclasses.replace(ExperimentConfig(), tone_model="square").validate()
+            ExperimentConfig(tone_model="square")
 
 
 class TestCombFilter:

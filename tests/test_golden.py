@@ -61,10 +61,10 @@ def run_cases(out: Path) -> tuple:
         for name in ("construct-n256", "construct-n1024", "mcsc"):
             (d / name).mkdir(parents=True)
         simulate.construct_report(cfg, str(d / "construct-n256" / "construct.csv"))
-        simulate.construct_report(dataclasses.replace(cfg, N=1024, K=384, r=5).validate(),
+        simulate.construct_report(dataclasses.replace(cfg, N=1024, K=384, r=5),
                                   str(d / "construct-n1024" / "construct.csv"))
-        simulate.run_psd(dataclasses.replace(cfg, psd_frames=8).validate(), str(d / "psd"))
-        simulate.run_mcsc(dataclasses.replace(cfg, construction_trials=5000).validate(),
+        simulate.run_psd(dataclasses.replace(cfg, psd_frames=8), str(d / "psd"))
+        simulate.run_mcsc(dataclasses.replace(cfg, construction_trials=5000),
                           str(d / "mcsc" / "mcsc.csv"))
         with mock.patch.object(simulate, "_SUPER_BATCH", 64):
             for model, sir_db in TONE_MODELS.items():
@@ -72,7 +72,7 @@ def run_cases(out: Path) -> tuple:
                     fer_cfg = dataclasses.replace(
                         cfg, tone_model=model, sir_db=sir_db, list_size=L, threads=2,
                         snr_sweep_db=(-3.0, 0.0), min_frame_errors=20, max_frames=192,
-                    ).validate()
+                    )
                     case = f"seed{seed}/fer-{model}-L{L}"
                     simulate.run_fer_arms(fer_cfg, ARMS, out_dir=str(out / case))
                     (out / "alone" / case).mkdir(parents=True)

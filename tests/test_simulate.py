@@ -21,18 +21,10 @@ ARMS = ("cp", "csp-nonc", "csp-c")
 
 def tiny_cfg(**kw):
     """A fast feasible scenario: N=64, r=1 at 800 Hz / 50 Hz."""
-    cfg = ExperimentConfig()
-    cfg.N, cfg.K, cfg.r = 64, 16, 1
-    cfg.list_size = 4
-    cfg.pulse = type(cfg.pulse)(0.25, 8, 8)
-    cfg.snr_sweep_db = (0.0,)
-    cfg.min_frame_errors = 5
-    cfg.max_frames = 256
-    cfg.construction_trials = 5000
-    cfg.design_snr_db = 1.0
-    for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg.validate()
+    return ExperimentConfig(**{
+        "N": 64, "K": 16, "r": 1, "list_size": 4, "pulse": modem.PulseSpec(0.25, 8, 8),
+        "snr_sweep_db": (0.0,), "min_frame_errors": 5, "max_frames": 256,
+        "construction_trials": 5000, "design_snr_db": 1.0, **kw})
 
 
 class TestConfig:
@@ -75,10 +67,29 @@ class TestConfig:
             load_config(str(p))
 
     def test_ccd_needs_shaping(self):
+        with pytest.raises(ConfigError, match="ccd decoding needs a shaped code"):
+            ExperimentConfig(r=None)
+
+    def test_frozen(self):
         cfg = ExperimentConfig()
-        cfg.r = None
-        with pytest.raises(ConfigError, match="ccd"):
-            cfg.validate()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.threads = 2
+        assert cfg.threads == 1
+
+    @pytest.mark.parametrize("change, data", [
+        ({"threads": 0}, {"threads": 0}),
+        ({"K": 0}, {"code": {"K": 0}}),
+        ({"snr_sweep_db": ()}, {"snr_sweep_db": []}),
+    ], ids=["threads", "K", "snr_sweep_db"])
+    def test_replace_checks_as_load_does(self, tmp_path, change, data):
+        # a config changed in code fails where and as the same JSON fails to load
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as loaded:
+            load_config(str(p))
+        with pytest.raises(ConfigError) as replaced:
+            dataclasses.replace(ExperimentConfig(), **change)
+        assert str(replaced.value) == str(loaded.value)
 
     def test_conventional_loads(self, tmp_path):
         p = tmp_path / "c.json"
@@ -119,6 +130,13 @@ class TestWilson:
 
     def test_empty(self):
         assert simulate.wilson_interval(0, 0) == (0.0, 1.0)
+
+    def test_exact_ends(self):
+        # center -/+ half does not cancel exactly at every n (lo 4.3e-19 at n = 600)
+        for n in range(1, 5001):
+            none, every = simulate.wilson_interval(0, n), simulate.wilson_interval(n, n)
+            assert none[0] == 0.0 and every[1] == 1.0, n
+            assert all(type(b) is float for b in none + every), n
 
 
 class TestBuildCode:
@@ -713,20 +731,14 @@ class TestStopRule:
 
 class TestPsdRuns:
     def test_welch_tier_shaped_vs_conventional(self, tmp_path):
-        cfg = tiny_cfg(psd_frames=60)
-        cfg.N, cfg.K, cfg.r = 256, 64, 3
-        cfg.welch_segment = 16384
-        cfg.validate()
+        cfg = tiny_cfg(psd_frames=60, N=256, K=64, r=3, welch_segment=16384)
         out = simulate.run_psd(cfg, str(tmp_path / "shaped"))
         assert min(out["depths"]) > 20.0
         assert (tmp_path / "shaped" / "psd.csv").exists()
         assert (tmp_path / "shaped" / "nulldepth.csv").exists()
 
-        conv = tiny_cfg(psd_frames=60)
-        conv.N, conv.K, conv.r = 256, 64, None
-        conv.decoder_mode = "plain"
-        conv.welch_segment = 16384
-        conv.validate()
+        conv = tiny_cfg(psd_frames=60, N=256, K=64, r=None, decoder_mode="plain",
+                        welch_segment=16384)
         out2 = simulate.run_psd(conv, str(tmp_path / "conv"))
         flat = np.abs(out2["targets"]) <= 0.75 * conv.symbol_rate / 2
         assert max(out2["depths"][flat]) < 6.0
