@@ -11,7 +11,7 @@ from .channel import LinkChannel, calibrate_channel
 from .construction import CRITERIA, estimate_symmetric_reliability, mcsc, select_code
 from .decoder import ccd_decode_batch, channel_llr, sc_decode_batch, scl_decode_batch
 from .modem import PulseSpec, bpsk_map, modulate_symbols, srrc_taps
-from .polar import assemble_source, bit_reversal, encode, generator_matrix, generator_row
+from .polar import assemble_source, bit_reversal, encode, generator_matrix
 from .shaping import (
     CisSpec,
     CodeConfig,

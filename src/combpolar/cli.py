@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         from .selftest import run_selftest
 
-        return 0 if run_selftest(log=print) else 2
+        return 0 if run_selftest() else 2
 
     try:
         cfg = _load(args)

@@ -1,11 +1,11 @@
 """Experiment configuration: JSON file with a fixed schema.
 
-Unknown keys anywhere in the file are an error, so typos fail fast, and
-every value's type is checked as the file loads.  Every field has a
-default; a config file only needs the overrides.  An `ExperimentConfig` is
-immutable and checks every value's range when it is built, from a file or
-in code, so every config in hand is valid; change one with
-`dataclasses.replace`.
+Unknown or repeated keys anywhere in the file are an error, so typos
+fail fast and no copy of a key silently replaces another, and every
+value's type is checked as the file loads.  Every field has a default; a
+config file only needs the overrides.  An `ExperimentConfig` is immutable
+and checks every value's range when it is built, from a file or in code,
+so every config in hand is valid; change one with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -277,12 +277,29 @@ def _typed(value, path: str, kind, nullable: bool = False):
     raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+class _Pairs(list):
+    """A JSON object's (key, value) pairs in file order, as json reads them."""
+
+
+def _objects(value, path: tuple = ()):
+    """value with each JSON object's pairs made a dict; a key that an
+    object repeats is a ConfigError, named by its path from the top."""
+    if isinstance(value, _Pairs):
+        out = {}
+        for k, v in value:
+            if k in out:
+                raise ConfigError("duplicate config key " + ".".join(map(repr, path + (k,))))
+            out[k] = _objects(v, path + (k,))
+        return out
+    return [_objects(v, path) for v in value] if isinstance(value, list) else value
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config file (all fields optional) into an ExperimentConfig."""
     data = {}
     if path is not None:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _objects(json.load(fh, object_pairs_hook=_Pairs))
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     values, pulse = {}, {}

@@ -24,10 +24,8 @@ from .shaping import CisSpec, CodeConfig, cis, half_to_cis
 from .decoder import _softplus, genie_decision_llrs
 from .polar import _check_power_of_two, encode
 
-DEFAULT_ROLLOFF = 0.25
 
-
-def snr_db_to_noise_var(snr_db: float, rolloff: float = DEFAULT_ROLLOFF) -> float:
+def snr_db_to_noise_var(snr_db: float, rolloff: float) -> float:
     """Per-dimension symbol noise variance for a given in-band SNR.
 
     The band is the symbol-rate width; an SRRC pulse keeps 1 - rolloff/4
@@ -145,6 +143,7 @@ def gaussian_approximation_means(N: int, noise_var: float) -> np.ndarray:
 # 2^16-LLR slice (512 KB each) stay within a 2 MB L2 cache, and 2^16
 # measured faster than 2^15 and 2^17 at N = 256
 MC_CHUNK_LLRS = 1 << 16
+MC_BATCH = 4096  # frames whose source bits one Monte-Carlo draw makes
 
 
 def _mc_capacity_terms(llr_true_bit):
@@ -152,18 +151,12 @@ def _mc_capacity_terms(llr_true_bit):
     return 1.0 - _softplus(-llr_true_bit) / np.log(2.0)
 
 
-def monte_carlo_symmetric_capacity(
-    N: int,
-    noise_var: float,
-    trials: int,
-    rng,
-    batch: int = 4096,
-):
+def monte_carlo_symmetric_capacity(N: int, noise_var: float, trials: int, rng):
     """Genie-aided SC capacity estimate of every sub-channel.
 
     Draws i.i.d. uniform source words, transmits them over the
     antipodal-AWGN symbol channel, and averages 1 - log2(1 + exp(-L_i))
-    of the true-bit decision LLRs.  Each batch of `batch` frames (the
+    of the true-bit decision LLRs.  Each batch of MC_BATCH frames (the
     last one partial) draws its (b, N) source bits; then, on slices of
     max(1, MC_CHUNK_LLRS // N) frames (the last one partial), each slice
     draws its own standard normals before encoding, the genie and the
@@ -173,15 +166,15 @@ def monte_carlo_symmetric_capacity(
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
-    if trials < 1 or batch < 1:
-        raise ValueError(f"trials and batch must be >= 1, got {trials} and {batch}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     chunk = max(1, MC_CHUNK_LLRS // N)
     sigma = np.sqrt(noise_var)
     sum1 = np.zeros(N)
     sum2 = np.zeros(N)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(MC_BATCH, trials - done)
         u_batch = rng.integers(0, 2, size=(b, N), dtype=np.uint8)
         for s in range(0, b, chunk):
             u = u_batch[s : s + chunk]
@@ -196,9 +189,7 @@ def monte_carlo_symmetric_capacity(
     return mean, np.sqrt(var / trials)
 
 
-def estimate_symmetric_reliability(
-    N: int, snr_db: float, rolloff: float = DEFAULT_ROLLOFF
-) -> np.ndarray:
+def estimate_symmetric_reliability(N: int, snr_db: float, rolloff: float) -> np.ndarray:
     """Per-index symmetric capacity in [0, 1], an (N,) array, from the
     Gaussian approximation (deterministic)."""
     noise_var = snr_db_to_noise_var(snr_db, rolloff)
@@ -243,7 +234,7 @@ def select_code(capacity, K: int, r: int | None = None,
     picks = cand[np.lexsort((cand, -capacity[cand]))[:K]]
     if spec is not None and criterion == "cis-constrained":
         picks = half_to_cis(spec, picks)
-    return CodeConfig(N=N, K=K, r=r, A=picks)
+    return CodeConfig(N=N, r=r, A=picks)
 
 
 def mcsc(code: CodeConfig, capacity) -> float:

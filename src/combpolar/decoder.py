@@ -465,7 +465,7 @@ def ccd_decode_batch(y: np.ndarray, config: CodeConfig, noise_var: float, list_s
     information set, and the information bits come back in transmit order
     (the index map preserves order).  With r=None there is no permutation
     and the decoder-side set is A itself, which is plain decoding.
-    Returns (info bits (B, K), TX-domain source bits (B, N), metrics (B,)).
+    Returns the information bits (B, K).
     """
     y = np.atleast_2d(np.asarray(y))
     if y.shape[1] != config.N:
@@ -473,12 +473,9 @@ def ccd_decode_batch(y: np.ndarray, config: CodeConfig, noise_var: float, list_s
     if config.r is not None:
         y = y[:, receive_permutation(config.spec)]
     llrs = channel_llr(y, noise_var)
-    frozen = config.frozen_mask(decoder_side=True)
+    frozen = config.frozen_mask()
     if list_size == 1:
-        u_hat, pm = sc_decode_batch(llrs, frozen)
+        u_hat, _ = sc_decode_batch(llrs, frozen)
     else:
-        u_hat, pm = scl_decode_batch(llrs, frozen, list_size)
-    info = u_hat[:, config.A_dec]
-    source = np.zeros((y.shape[0], config.N), dtype=np.uint8)
-    source[:, config.A] = info
-    return info, source, pm
+        u_hat, _ = scl_decode_batch(llrs, frozen, list_size)
+    return u_hat[:, config.A_dec]

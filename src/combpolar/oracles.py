@@ -102,12 +102,14 @@ def subchannel_probability(
     return float(np.exp(logsumexp(loglik) - (Kf - 1) * np.log(2.0)))
 
 
-def constrained_capacity_curve(
-    N: int, r: int, noise_var: float, trials: int, rng, batch: int = 20000
-):
+# trials per draw of constrained_capacity_curve
+CURVE_BATCH = 20000
+
+
+def constrained_capacity_curve(N: int, r: int, noise_var: float, trials: int, rng):
     """Monte-Carlo estimate of the constrained capacity of every
     shaping-set sub-channel, by exact enumeration of the constrained
-    codebook (no SC recursion).
+    codebook (no SC recursion), CURVE_BATCH trials at a time.
 
     Returns (free index array, per-index capacity mean, standard error).
     """
@@ -119,7 +121,7 @@ def constrained_capacity_curve(
     sqs = np.zeros(Kf)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(CURVE_BATCH, trials - done)
         c_true = rng.integers(0, 1 << Kf, size=b)
         y = sym[c_true] + rng.standard_normal((b, N)) * np.sqrt(noise_var)
         ll = y @ sym.T / noise_var  # word-independent terms cancel in ratios

@@ -28,29 +28,14 @@ def bit_reversal(N: int) -> np.ndarray:
     return rev
 
 
-def generator_row(i: int, m: int) -> np.ndarray:
-    """Row i of the N=2^m generator matrix as a length-N uint8 array.
-
-    Evaluates the closed form: entry j is 0 iff some bit position d has
-    i_d = 0 and j_{m-d-1} = 1.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    N = 1 << m
-    if not (0 <= i < N):
-        raise ValueError(f"row index must lie in [0, {N}), got {i}")
-    j = np.arange(N, dtype=np.int64)
-    row = np.ones(N, dtype=np.uint8)
-    for d in range(m):
-        if not ((i >> d) & 1):
-            row &= (1 - ((j >> (m - d - 1)) & 1)).astype(np.uint8)
-    return row
-
-
 def generator_matrix(N: int) -> np.ndarray:
-    """Full N x N generator matrix built row by row from the closed form."""
-    m = _check_power_of_two(N)
-    return np.stack([generator_row(i, m) for i in range(N)])
+    """Full N x N generator matrix from its closed form, without `transform`.
+
+    Entry (i, j) is 0 iff some bit position d has i_d = 0 and j_{m-d-1} = 1,
+    that is iff the bit reversal of j has a one where i has a zero.
+    """
+    i = np.arange(N, dtype=np.int64)
+    return ((bit_reversal(N)[None, :] & ~i[:, None]) == 0).astype(np.uint8)
 
 
 def transform(u: np.ndarray) -> np.ndarray:

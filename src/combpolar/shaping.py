@@ -49,7 +49,7 @@ def is_locally_periodic(seq, L: int, M: int) -> bool:
     return bool(np.all(blocks == blocks[:, :1, :]))
 
 
-def half_to_cis(spec: CisSpec, i) -> np.ndarray | int:
+def half_to_cis(spec: CisSpec, i) -> np.ndarray:
     """Forward index map; restricted to {N/2,...,N-1} it is an
     order-preserving bijection onto cis(spec)."""
     N, r = spec.N, spec.r
@@ -57,18 +57,16 @@ def half_to_cis(spec: CisSpec, i) -> np.ndarray | int:
     if np.any(i_arr < 0) or np.any(i_arr >= N):
         raise ValueError(f"index out of range [0, {N})")
     half = N // 2
-    out = (2 * ((i_arr % half) >> r) + i_arr // half) * (1 << r) + (i_arr % (1 << r))
-    return out if i_arr.ndim else int(out)
+    return (2 * ((i_arr % half) >> r) + i_arr // half) * (1 << r) + (i_arr % (1 << r))
 
 
-def cis_to_half(spec: CisSpec, i) -> np.ndarray | int:
+def cis_to_half(spec: CisSpec, i) -> np.ndarray:
     """Inverse of half_to_cis; maps cis(spec) onto {N/2,...,N-1}."""
     N, r = spec.N, spec.r
     i_arr = np.asarray(i, dtype=np.int64)
     if np.any(i_arr < 0) or np.any(i_arr >= N):
         raise ValueError(f"index out of range [0, {N})")
-    out = (i_arr >> (r + 1)) * (1 << r) + ((i_arr >> r) & 1) * (N // 2) + (i_arr % (1 << r))
-    return out if i_arr.ndim else int(out)
+    return (i_arr >> (r + 1)) * (1 << r) + ((i_arr >> r) & 1) * (N // 2) + (i_arr % (1 << r))
 
 
 def receive_permutation(spec: CisSpec) -> np.ndarray:
@@ -107,14 +105,14 @@ def permutation_matrix(mapping: np.ndarray) -> np.ndarray:
 class CodeConfig:
     """Full identity of a (comb-shaping) polar code.
 
-    A is the ascending information index set; for a shaped code (r given)
-    A must lie inside cis(CisSpec(N, r)) and A_dec is its image under the
-    inverse map, in {N/2,...,N-1}.  For a conventional code (r is None),
-    A_dec equals A and the decoder applies no permutation.
+    A is the ascending information index set, and K = |A|; for a shaped
+    code (r given) A must lie inside cis(CisSpec(N, r)) and A_dec is its
+    image under the inverse map, in {N/2,...,N-1}.  For a conventional
+    code (r is None), A_dec equals A and the decoder applies no
+    permutation.
     """
 
     N: int
-    K: int
     r: int | None
     A: np.ndarray
     A_dec: np.ndarray = field(init=False)
@@ -123,8 +121,6 @@ class CodeConfig:
         _check_power_of_two(self.N)
         A = np.sort(np.asarray(self.A, dtype=np.int64))
         object.__setattr__(self, "A", A)
-        if len(A) != self.K:
-            raise ValueError(f"|A| = {len(A)} != K = {self.K}")
         if len(np.unique(A)) != len(A):
             raise ValueError("information indices must be distinct")
         if np.any(A < 0) or np.any(A >= self.N):
@@ -142,13 +138,19 @@ class CodeConfig:
         object.__setattr__(self, "A_dec", np.sort(cis_to_half(spec, A)))
 
     @property
+    def K(self) -> int:
+        """The information length |A|."""
+        return len(self.A)
+
+    @property
     def spec(self) -> CisSpec | None:
         return None if self.r is None else CisSpec(self.N, self.r)
 
-    def frozen_mask(self, decoder_side: bool = False) -> np.ndarray:
-        """Boolean mask, True at frozen indices (A or A_dec complement)."""
+    def frozen_mask(self) -> np.ndarray:
+        """The decoder's boolean mask: True outside A_dec (A itself for a
+        conventional code)."""
         mask = np.ones(self.N, dtype=bool)
-        mask[self.A_dec if decoder_side else self.A] = False
+        mask[self.A_dec] = False
         return mask
 
 

@@ -119,7 +119,7 @@ def make_link(cfg: ExperimentConfig, code: CodeConfig, snr_db: float) -> LinkCon
     sigma2 = channel.noise_sigma2
     if cfg.decoder_mode == "plain":
         # plain decoding is permuted decoding of the same A with no permutation
-        code = CodeConfig(code.N, code.K, None, code.A)
+        code = CodeConfig(code.N, None, code.A)
     return LinkContext(
         code=code,
         list_size=cfg.list_size,
@@ -163,7 +163,7 @@ def synthesize_frames(link: LinkContext, frame_indices):
 def run_link_frames(link: LinkContext, frame_indices) -> np.ndarray:
     """Simulate the given frame indices; returns a boolean error flag per frame."""
     info, y = synthesize_frames(link, frame_indices)
-    info_hat, _, _ = ccd_decode_batch(y, link.code, link.symbol_noise_var, link.list_size)
+    info_hat = ccd_decode_batch(y, link.code, link.symbol_noise_var, link.list_size)
     return np.any(info_hat != info, axis=1)
 
 
@@ -345,27 +345,30 @@ def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
 # capacity table
 # --------------------------------------------------------------------------
 
-def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None,
-             rates=(0.25, 0.3125, 0.375), snr_db: float = -2.0) -> list:
-    """Minimum constrained capacity of both selection criteria at several
-    rates; the reference scenario is N=256, r=3 at -2 dB."""
+# the rates and SNR of the capacity table; the reference scenario is N=256, r=3
+MCSC_RATES = (0.25, 0.3125, 0.375)
+MCSC_SNR_DB = -2.0
+
+
+def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None) -> list:
+    """Minimum constrained capacity of both selection criteria at each of
+    MCSC_RATES, at MCSC_SNR_DB."""
     if cfg.r is None:
         raise ConfigError("the capacity table needs a shaped code (set code.r)")
-    Ks = [int(round(rate * cfg.N)) for rate in rates]
+    Ks = [int(round(rate * cfg.N)) for rate in MCSC_RATES]
     if min(Ks) < 1:
-        raise ConfigError(f"rate {min(rates)} leaves no information bit at N = {cfg.N}")
-    noise_var = snr_db_to_noise_var(snr_db, cfg.pulse.rolloff)
+        raise ConfigError(f"rate {min(MCSC_RATES)} leaves no information bit at N = {cfg.N}")
+    noise_var = snr_db_to_noise_var(MCSC_SNR_DB, cfg.pulse.rolloff)
     mean, _ = monte_carlo_symmetric_capacity(
-        cfg.N, noise_var, cfg.construction_trials,
-        _rng(cfg.master_seed, _CONSTRUCTION_STREAM), batch=4096,
-    )
+        cfg.N, noise_var, cfg.construction_trials, _rng(cfg.master_seed, _CONSTRUCTION_STREAM))
     capacity = np.clip(mean, 0.0, 1.0)
     rows = [(rate, crit, mcsc(select_code(capacity, K, cfg.r, crit), capacity))
-            for rate, K in zip(rates, Ks) for crit in CRITERIA]
+            for rate, K in zip(MCSC_RATES, Ks) for crit in CRITERIA]
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write("# combpolar mcsc v1\n")
-            fh.write(f"# N={cfg.N} r={cfg.r} snr_db={snr_db} trials={cfg.construction_trials}\n")
+            fh.write(f"# N={cfg.N} r={cfg.r} snr_db={MCSC_SNR_DB} "
+                     f"trials={cfg.construction_trials}\n")
             fh.write("rate,criterion,mcsc\n")
             for rate, crit, v in rows:
                 fh.write(f"{rate},{crit},{v:.6f}\n")

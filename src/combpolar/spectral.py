@@ -64,9 +64,6 @@ class PsdEstimate:
     freqs: np.ndarray
     psd: np.ndarray
 
-    def interp(self, f) -> np.ndarray:
-        return np.interp(np.asarray(f, dtype=np.float64), self.freqs, self.psd)
-
 
 def welch_psd(
     samples: np.ndarray,
@@ -112,7 +109,7 @@ def null_depth(psd: PsdEstimate, freqs, ref_band) -> np.ndarray:
     if not np.any(in_ref):
         raise ValueError(f"reference band ({lo}, {hi}) contains no PSD bins")
     ref = float(np.mean(psd.psd[in_ref]))
-    at = psd.interp(freqs)
+    at = np.interp(freqs, psd.freqs, psd.psd)
     tiny = np.finfo(np.float64).tiny
     return 10.0 * np.log10(ref / np.maximum(at, tiny))
 

@@ -74,9 +74,9 @@ def test_criterion_4_capacity_table():
         (0.3125, "cis-constrained"): 0.9901, (0.3125, "symmetric"): 0.9588,
         (0.375, "cis-constrained"): 0.8314, (0.375, "symmetric"): 0.7627,
     }
-    noise_var = construction.snr_db_to_noise_var(snr_db)
+    noise_var = construction.snr_db_to_noise_var(snr_db, ExperimentConfig.pulse.rolloff)
     mean, _ = construction.monte_carlo_symmetric_capacity(
-        N, noise_var, trials, np.random.default_rng(40), batch=4096
+        N, noise_var, trials, np.random.default_rng(40)
     )
     capacity = np.clip(mean, 0.0, 1.0)
     worst = 0.0
@@ -98,9 +98,8 @@ def test_criterion_4_capacity_table():
 
 def test_criterion_5_constrained_capacity_identity():
     N, trials = 16, 100_000
-    ok, detail = selftest.check_capacity_match(
-        N, construction.snr_db_to_noise_var(-2.0), trials, trials, seed=50, tol_se=3.0
-    )
+    noise_var = construction.snr_db_to_noise_var(-2.0, ExperimentConfig.pulse.rolloff)
+    ok, detail = selftest.check_capacity_match(N, noise_var, trials, trials, seed=50, tol_se=3.0)
     pairs = (N.bit_length() - 1) * N // 2  # every order, every shaping-set index
     _report(5, ok, f"{detail} over {pairs} (order, index) pairs at {trials} trials each "
                    f"(need < 3)")
@@ -121,7 +120,7 @@ def test_criterion_7_decoder_soundness():
     # degenerate list equals successive cancellation, drawing on from rng
     N2, K2 = 64, 32
     A2 = np.sort(rng.choice(N2, K2, replace=False))
-    code2 = shaping.CodeConfig(N=N2, K=K2, r=None, A=A2)
+    code2 = shaping.CodeConfig(N=N2, r=None, A=A2)
     froz2 = code2.frozen_mask()
     info2 = rng.integers(0, 2, (1000, K2), dtype=np.uint8)
     x2 = polar.encode(polar.assemble_source(info2, code2.A, N2))

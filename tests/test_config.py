@@ -62,10 +62,18 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
     ("fer", {"channel": {"tone_offset_hz": 12.5}}, "these parameters need r = 2"),
     ("fer", {"code": {"r": 2}, "channel": {"tone_offset_hz": 0.0}},
      "no shaping order covers it"),
+    # a repeated key is an error rather than its last copy winning; the
+    # text is the file itself, as a dict cannot repeat a key
+    pytest.param("fer", '{"decoder": {"list_size": 4}, "decoder": {"mode": "ccd"}}',
+                 "config error: duplicate config key 'decoder'\n", id="fer-repeated-object"),
+    pytest.param("construct", '{"code": {"N": 256, "K": 64, "r": 3}, "code": {"K": 96}}',
+                 "config error: duplicate config key 'code'\n", id="construct-repeated-object"),
+    pytest.param("construct", '{"code": {"K": 64, "K": 96}}',
+                 "config error: duplicate config key 'code'.'K'\n", id="construct-repeated-key"),
 ])
 def test_bad_value_exits_one_with_one_line(tmp_path, capsys, command, cfg, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

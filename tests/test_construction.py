@@ -6,26 +6,27 @@ import numpy as np
 import pytest
 
 from combpolar import construction, decoder, polar, shaping
-from combpolar.config import load_config
+from combpolar.config import ExperimentConfig, load_config
 from combpolar.simulate import build_code
 
 ROOT = Path(__file__).resolve().parents[1]
+ROLLOFF = ExperimentConfig.pulse.rolloff  # the default pulse's, 0.25
 
 
 class TestGaussianApproximation:
     def test_extreme_snr_limits(self):
-        hi = construction.estimate_symmetric_reliability(2, 25.0)
+        hi = construction.estimate_symmetric_reliability(2, 25.0, ROLLOFF)
         assert np.all(hi > 0.99)
-        lo = construction.estimate_symmetric_reliability(2, -35.0)
+        lo = construction.estimate_symmetric_reliability(2, -35.0, ROLLOFF)
         assert np.all(lo < 0.01)
 
     def test_polarization_partial_order(self):
-        c = construction.estimate_symmetric_reliability(4, 0.0)
+        c = construction.estimate_symmetric_reliability(4, 0.0, ROLLOFF)
         assert c[0] <= c[1] <= c[3]
         assert c[0] <= c[2] <= c[3]
 
     def test_profile_invariants(self):
-        p = construction.estimate_symmetric_reliability(64, 1.0)
+        p = construction.estimate_symmetric_reliability(64, 1.0, ROLLOFF)
         assert p.shape == (64,)
         assert np.all((p >= 0) & (p <= 1))
 
@@ -66,7 +67,7 @@ def _scalar_ga_levels(N, noise_var):
 class TestGaussianApproximationMatchesScalar:
     @pytest.mark.parametrize("snr_db", [-300.0, -35.0, -2.0, 1.0, 25.0, 300.0])
     def test_means_match_per_node_bisection(self, snr_db):
-        noise_var = construction.snr_db_to_noise_var(snr_db)
+        noise_var = construction.snr_db_to_noise_var(snr_db, ROLLOFF)
         levels = _scalar_ga_levels(1024, noise_var)
         for N in (2, 4, 16, 64, 256, 1024):
             want = levels[N.bit_length() - 1]
@@ -202,7 +203,7 @@ class TestPinnedConstructions:
 def mc_capacity(N, snr_db, trials, rng):
     """The genie-aided Monte-Carlo capacity vector, clipped to [0, 1]."""
     mean, _ = construction.monte_carlo_symmetric_capacity(
-        N, construction.snr_db_to_noise_var(snr_db), trials, rng
+        N, construction.snr_db_to_noise_var(snr_db, ROLLOFF), trials, rng
     )
     return np.clip(mean, 0.0, 1.0)
 
@@ -216,7 +217,7 @@ class TestMonteCarloEstimator:
 
     def test_partial_order_n4(self):
         mean, se = construction.monte_carlo_symmetric_capacity(
-            4, construction.snr_db_to_noise_var(0.0), 50000, np.random.default_rng(2)
+            4, construction.snr_db_to_noise_var(0.0, ROLLOFF), 50000, np.random.default_rng(2)
         )
         c = np.clip(mean, 0.0, 1.0)
         slack = 3 * np.max(se)
@@ -225,7 +226,7 @@ class TestMonteCarloEstimator:
 
     def test_agrees_with_gaussian_approximation(self):
         # same ranking of the clearly-separated sub-channels at N = 16
-        ga = construction.estimate_symmetric_reliability(16, 0.0)
+        ga = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         mc = mc_capacity(16, 0.0, 50000, np.random.default_rng(4))
         assert np.max(np.abs(ga - mc)) < 0.06
         top_ga = set(np.argsort(-ga)[:4].tolist())
@@ -237,7 +238,7 @@ class TestMonteCarloEstimator:
         pytest.param(1024, 1000, 300, id="1024"),
         pytest.param(256, 5000, 4096, id="256"),
     ])
-    def test_slices_match_a_whole_batch_reference(self, N, trials, batch):
+    def test_slices_match_a_whole_batch_reference(self, monkeypatch, N, trials, batch):
         """Batches cut into slices of MC_CHUNK_LLRS // N frames give the
         mean of a plain whole-batch computation within 1e-13 and leave the
         generator in the same state.  The last batch is partial; at N = 1024 and 256 it ends
@@ -247,8 +248,8 @@ class TestMonteCarloEstimator:
         between calls would fail here."""
         noise_var = 0.9
         rng = np.random.default_rng(23)
-        mean, _ = construction.monte_carlo_symmetric_capacity(
-            N, noise_var, trials, rng, batch=batch)
+        monkeypatch.setattr(construction, "MC_BATCH", batch)
+        mean, _ = construction.monte_carlo_symmetric_capacity(N, noise_var, trials, rng)
         sizes = [batch] * (trials // batch) + [trials % batch]
         chunk = max(1, construction.MC_CHUNK_LLRS // N)
         assert sizes[-1] % chunk
@@ -262,14 +263,14 @@ class TestMonteCarloEstimator:
         np.testing.assert_allclose(mean, np.concatenate(terms).mean(axis=0), rtol=0, atol=1e-13)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("trials, batch", [(0, 4096), (-3, 4096), (100, 0), (100, -1)])
-    def test_bad_trials_or_batch_rejected_before_drawing(self, trials, batch):
-        """trials = 0 would divide by zero and batch = 0 would never finish;
-        both raise before the generator is touched."""
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bad_trials_rejected_before_drawing(self, trials):
+        """trials = 0 would divide by zero; it raises before the generator
+        is touched."""
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError):
-            construction.monte_carlo_symmetric_capacity(8, 1.0, trials, rng, batch=batch)
+            construction.monte_carlo_symmetric_capacity(8, 1.0, trials, rng)
         assert rng.bit_generator.state == state
 
 
@@ -279,7 +280,7 @@ class TestSelection:
         assert sel.tolist() == [0, 1, 2, 3]
 
     def test_best_upper_half(self):
-        p = construction.estimate_symmetric_reliability(16, 0.0)
+        p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         sel = construction.select_code(p, 1, 0, "cis-constrained").A_dec
         assert sel.tolist() == [15]
 
@@ -296,18 +297,18 @@ class TestSelection:
             construction.select_code([0.5, 0.5], 1, criterion="tea-leaves")
 
     def test_unshaped_criteria_coincide(self):
-        p = construction.estimate_symmetric_reliability(64, 0.0)
+        p = construction.estimate_symmetric_reliability(64, 0.0, ROLLOFF)
         a, b = (construction.select_code(p, 20, None, crit) for crit in construction.CRITERIA)
         assert np.array_equal(a.A, b.A)
 
     def test_constrained_selection_identity_order(self):
         # at the top shaping order the map is the identity on the top half
-        p = construction.estimate_symmetric_reliability(16, 0.0)
+        p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         cfg = construction.select_code(p, 4, 3, "cis-constrained")
         assert np.array_equal(cfg.A, cfg.A_dec)
 
     def test_constrained_selection_subset_of_cis(self):
-        p = construction.estimate_symmetric_reliability(64, 0.0)
+        p = construction.estimate_symmetric_reliability(64, 0.0, ROLLOFF)
         spec = shaping.CisSpec(64, 2)
         cfg = construction.select_code(p, 20, 2, "cis-constrained")
         assert np.all(np.isin(cfg.A, shaping.cis(spec)))
@@ -315,12 +316,12 @@ class TestSelection:
         assert np.array_equal(cfg.A_dec, 32 + construction.select_code(p[32:], 20).A)
 
     def test_rate_bound(self):
-        p = construction.estimate_symmetric_reliability(16, 0.0)
+        p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         with pytest.raises(ValueError):
             construction.select_code(p, 9, 1, "cis-constrained")
 
     def test_determinism(self):
-        p = construction.estimate_symmetric_reliability(64, 0.0)
+        p = construction.estimate_symmetric_reliability(64, 0.0, ROLLOFF)
         a = construction.select_code(p, 16, 1, "cis-constrained")
         b = construction.select_code(p, 16, 1, "cis-constrained")
         assert np.array_equal(a.A, b.A)
@@ -328,12 +329,12 @@ class TestSelection:
 
 class TestMcsc:
     def test_single_index(self):
-        p = construction.estimate_symmetric_reliability(16, 0.0)
-        cfg = shaping.CodeConfig(N=16, K=1, r=None, A=np.array([15]))
+        p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
+        cfg = shaping.CodeConfig(N=16, r=None, A=np.array([15]))
         assert construction.mcsc(cfg, p) == p[15]
 
     def test_reads_through_inverse_map(self):
-        p = construction.estimate_symmetric_reliability(16, 0.0)
+        p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         spec = shaping.CisSpec(16, 1)
         cfg = construction.select_code(p, 4, 1, "cis-constrained")
         expect = np.min(p[shaping.cis_to_half(spec, cfg.A)])
@@ -342,7 +343,7 @@ class TestMcsc:
     def test_dominance_over_symmetric_criterion(self):
         # the constrained criterion can never do worse on its own metric
         for snr in (-2.0, 0.0, 2.0):
-            p = construction.estimate_symmetric_reliability(128, snr)
+            p = construction.estimate_symmetric_reliability(128, snr, ROLLOFF)
             for r in (0, 2, 5):
                 for K in (16, 32, 48):
                     c1 = construction.mcsc(construction.select_code(p, K, r, "cis-constrained"), p)

@@ -18,22 +18,22 @@ def kron_oracle(N):
 class TestGeneratorEntry:
     def test_kernel_values(self):
         # G_2 = F = [[1,0],[1,1]]
-        assert polar.generator_row(0, 1).tolist() == [1, 0]
-        assert polar.generator_row(1, 1).tolist() == [1, 1]
+        assert polar.generator_matrix(2).tolist() == [[1, 0], [1, 1]]
 
     def test_n4_entry_against_oracle(self):
         G = kron_oracle(4)
-        assert polar.generator_row(1, 2)[2] == 1
+        assert polar.generator_matrix(4)[1, 2] == 1
         assert G[1, 2] == 1
         rows = ["".join(map(str, row)) for row in G]
         assert rows == ["1000", "1010", "1100", "1111"]
+        assert ["".join(map(str, row)) for row in polar.generator_matrix(4)] == rows
 
     def test_last_row_all_ones(self):
         for m in (1, 2, 3, 5, 7):
             N = 1 << m
             G = kron_oracle(N)
             assert np.all(G[N - 1] == 1)
-            assert np.all(polar.generator_row(N - 1, m) == 1)
+            assert np.all(polar.generator_matrix(N)[N - 1] == 1)
 
     def test_matrix_matches_oracle(self):
         for N in (2, 4, 8, 16, 32, 64):
@@ -51,12 +51,10 @@ class TestGeneratorEntry:
             assert np.array_equal(polar.generator_matrix(N), M[:, rev] % 2)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            polar.generator_row(4, 2)
-        with pytest.raises(ValueError):
-            polar.generator_row(-1, 2)
-        with pytest.raises(ValueError):
-            polar.generator_row(0, 0)
+        # lengths that are not a power of two >= 2 fail in bit_reversal
+        for bad in (0, 1, 3, 6):
+            with pytest.raises(ValueError):
+                polar.generator_matrix(bad)
 
 
 class TestBitReversal:

@@ -194,27 +194,29 @@ class TestCodeConfig:
     def test_auto_decoder_side_set(self):
         s = shaping.CisSpec(16, 1)
         A = np.array([2, 6, 15])
-        cfg = shaping.CodeConfig(N=16, K=3, r=1, A=A)
+        cfg = shaping.CodeConfig(N=16, r=1, A=A)
+        assert cfg.K == 3
         assert np.array_equal(cfg.A_dec, np.sort(shaping.cis_to_half(s, A)))
         assert np.all(cfg.A_dec >= 8)
 
     def test_rejects_indices_outside_set(self):
         with pytest.raises(ValueError):
-            shaping.CodeConfig(N=16, K=2, r=1, A=np.array([1, 2]))
+            shaping.CodeConfig(N=16, r=1, A=np.array([1, 2]))
 
     def test_rejects_rate_above_half(self):
         lam = shaping.cis(shaping.CisSpec(16, 0))
         with pytest.raises(ValueError):
-            shaping.CodeConfig(N=16, K=9, r=0, A=np.concatenate([lam, [0]]))
+            shaping.CodeConfig(N=16, r=0, A=np.concatenate([lam, [0]]))
 
     def test_frozen_masks(self):
-        cfg = shaping.CodeConfig(N=8, K=2, r=1, A=np.array([2, 7]))
-        assert np.flatnonzero(~cfg.frozen_mask()).tolist() == [2, 7]
-        assert np.flatnonzero(~cfg.frozen_mask(decoder_side=True)).tolist() == cfg.A_dec.tolist()
+        cfg = shaping.CodeConfig(N=8, r=1, A=np.array([2, 7]))
+        assert cfg.A.tolist() == [2, 7]
+        assert np.flatnonzero(~cfg.frozen_mask()).tolist() == cfg.A_dec.tolist() == [4, 7]
 
     def test_conventional_config(self):
-        cfg = shaping.CodeConfig(N=8, K=3, r=None, A=np.array([3, 5, 7]))
-        assert np.array_equal(cfg.A_dec, cfg.A)
+        cfg = shaping.CodeConfig(N=8, r=None, A=np.array([3, 5, 7]))
+        assert np.array_equal(cfg.A_dec, cfg.A) and cfg.K == 3
+        assert np.flatnonzero(~cfg.frozen_mask()).tolist() == [3, 5, 7]
 
     def test_index_serialization(self):
         assert shaping.index_set_text(np.array([7, 1, 3])) == "1,3,7"

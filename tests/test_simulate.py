@@ -456,7 +456,7 @@ class TestSpectralLink:
                 idx = range(lo, lo + batch)
                 folded += int(np.count_nonzero(simulate.run_link_frames(link, idx)))
                 info, y = link_reference.waveform_frames(cfg, link, -1.0, idx)
-                info_hat = ccd_decode_batch(y, link.code, link.symbol_noise_var, 1)[0]
+                info_hat = ccd_decode_batch(y, link.code, link.symbol_noise_var, 1)
                 waveform += int(np.count_nonzero(np.any(info_hat != info, axis=1)))
             lo_f, hi_f = simulate.wilson_interval(folded, frames, z=3.0)
             lo_w, hi_w = simulate.wilson_interval(waveform, frames, z=3.0)
@@ -766,9 +766,9 @@ class TestPsdRuns:
 class TestMcscRun:
     def test_ordering_and_csv(self, tmp_path):
         cfg = tiny_cfg(construction_trials=20000)
-        rows = simulate.run_mcsc(cfg, str(tmp_path / "mcsc.csv"), rates=(0.25, 0.375))
+        rows = simulate.run_mcsc(cfg, str(tmp_path / "mcsc.csv"))
         by = {(rate, crit): v for rate, crit, v in rows}
-        for rate in (0.25, 0.375):
+        for rate in simulate.MCSC_RATES:
             assert by[(rate, "cis-constrained")] >= by[(rate, "symmetric")]
         text = (tmp_path / "mcsc.csv").read_text()
         assert text.startswith("# combpolar mcsc v1")
@@ -777,6 +777,8 @@ class TestMcscRun:
             "rate,criterion,mcsc",
             "0.25,cis-constrained,0.986817",
             "0.25,symmetric,0.986817",
+            "0.3125,cis-constrained,0.930638",
+            "0.3125,symmetric,0.930638",
             "0.375,cis-constrained,0.808123",
             "0.375,symmetric,0.808123",
         ]
