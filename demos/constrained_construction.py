@@ -27,8 +27,8 @@ capacity = np.clip(mean, 0, 1)
 
 print(f"\n{'rate':>6} {'constrained-rule':>17} {'symmetric-rule':>15}")
 for K in (64, 80, 96):
-    cfg_c = construction.select_code(capacity, K, r, "cis-constrained")
-    cfg_s = construction.select_code(capacity, K, r, "symmetric")
+    cfg_c = construction.select_code(capacity, K, r, criterion="cis-constrained")
+    cfg_s = construction.select_code(capacity, K, r, criterion="symmetric")
     mc_c = construction.mcsc(cfg_c, capacity)
     mc_s = construction.mcsc(cfg_s, capacity)
     print(f"{K}/{N:>3} {mc_c:>17.4f} {mc_s:>15.4f}")

@@ -23,8 +23,8 @@ SNR_DB = 0.0
 ROLLOFF = 0.25  # SRRC roll-off: the in-band SNR counts 1 - ROLLOFF/4 of the pulse energy
 
 capacity = construction.estimate_symmetric_reliability(N, 1.0, ROLLOFF)
-code_mapped = construction.select_code(capacity, K, r, "cis-constrained")
-code_plain = construction.select_code(capacity, K, r, "symmetric")
+code_mapped = construction.select_code(capacity, K, r, criterion="cis-constrained")
+code_plain = construction.select_code(capacity, K, r, criterion="symmetric")
 # plain decoding is the same decoder on the same A with no permutation
 code_unpermuted = shaping.CodeConfig(N, None, code_plain.A)
 print(f"shaped codes at N={N}, K={K}, order {r}")

@@ -231,7 +231,7 @@ class ExperimentConfig:
                               f"short of the tones at {targets[0]:g} to {targets[-1]:g} Hz")
         # last, so an order the message names passes every other check
         try:  # K against the candidate set of the selection rule
-            select_code(np.zeros(self.N), self.K, self.r, self.criterion)
+            select_code(np.zeros(self.N), self.K, self.r, criterion=self.criterion)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.r is not None:

@@ -63,9 +63,71 @@ def _phi(x):
     return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
-# bisection steps after which _phi_inverse looks for fixed points: until
-# then the bracket is wider than the spacing of doubles near its upper end
+_BISECT_STEPS = 80  # the bisection's steps per element
+# steps before which no fixed point can occur: until then the bracket's
+# ends and midpoint are exact dyadics, so the midpoint lies strictly inside
 _BISECT_UNCHECKED = 52
+_REPLAY_STEPS = 50  # the most leading steps _replayed_bracket skips
+# a step is replayed where its midpoint lies more than this times the root
+# estimate r from r; _phi's rounding moves its crossing by about 1e-14 r
+_REPLAY_MARGIN = 1e-12
+# _phi(2^k) for k = 0..29, in ascending order: the grow phase's comparisons
+_GROW_PHI = _phi(np.ldexp(1.0, np.arange(30)))[::-1].copy()
+# _phi(10): the bisection's crossing lies in the large branch (x >= 10)
+# exactly when y is below it.  _phi jumps up at x = 10, so a y just below
+# it crosses once below 10 too, but every such y has the bracket [0, 16],
+# whose third step tests mid = 10 and keeps the bracket above it.
+_PHI_AT_10 = float(_phi(10.0))
+# below this y, _phi's crossing nears where _phi underflows and its
+# subnormal values lose bits, so the 1e-14 bound on its rounding fails
+_REPLAY_MIN_Y = 1e-290
+# _phi_inverse(0.0), the bisection's own result: _phi underflows to 0 there
+_PHI_INVERSE_ZERO = float.fromhex("0x1.72d9806e49f26p+11")
+
+
+def _phi_root_estimate(y):
+    """The crossing x of _phi(x) = y that the bisection finds, to about
+    1e-14 relative, for _REPLAY_MIN_Y <= y < 1.
+
+    From _PHI_AT_10 up the crossing is in the small branch (x < 10), whose
+    curve inverts in closed form.  Below it the crossing is in the large
+    branch: a fixed-point pass of x = 2 ln(pi / x) - 4 ln y from x = -4 ln y,
+    then three Newton steps on ln _phi(x) - ln y, which reach float
+    resolution from there.
+    """
+    x = np.empty_like(y)
+    small = y >= _PHI_AT_10
+    x[small] = ((0.0218 - np.log(y[small])) / 0.4527) ** (1 / 0.859)
+    ly = np.log(y[~small])
+    xl = -4.0 * ly
+    xl += 2.0 * np.log(np.pi / xl)
+    c = 10.0 / 7.0
+    for _ in range(3):
+        g = 0.5 * np.log(np.pi / xl) - 0.25 * xl + np.log1p(-c / xl) - ly
+        xl -= g / (-0.5 / xl - 0.25 + c / (xl * (xl - c)))
+    x[~small] = xl
+    return x
+
+
+def _replayed_bracket(y, hi):
+    """(lo, hi, t): the bracket after the bisection's first t steps on
+    [0, hi], each step being one whose midpoint lies more than the margin
+    from the root estimate, for y that _phi_root_estimate covers."""
+    r = np.minimum(_phi_root_estimate(y), np.nextafter(hi, 0.0))
+    margin = _REPLAY_MARGIN * r
+    # the margin interval in units of the width after _REPLAY_STEPS steps:
+    # its multiples of 2^j units, inside (0, hi), are the midpoints of step
+    # _REPLAY_STEPS - 1 - j and earlier
+    unit = np.ldexp(hi, -_REPLAY_STEPS)
+    first = np.ceil((r - margin) / unit)
+    last = np.minimum(np.floor((r + margin) / unit), 2.0 ** _REPLAY_STEPS - 1)
+    # j: the largest with a multiple of 2^j in [first, last] (-1 when empty),
+    # the highest bit in which first - 1 and last differ
+    diff = (first - 1).astype(np.int64) ^ last.astype(np.int64)
+    t = _REPLAY_STEPS - np.frexp(diff.astype(np.float64))[1]
+    width = np.ldexp(hi, -t)
+    lo = np.floor(r / width) * width
+    return lo, lo + width, t
 
 
 def _phi_inverse(y):
@@ -74,36 +136,62 @@ def _phi_inverse(y):
     Each element follows the same rule: y >= 1 gives 0; otherwise the
     upper end starts at 1 and doubles while _phi stays above y (an end
     past 1e9 is returned as is), then at most 80 bisection steps on
-    [0, end].  Only the elements whose result is used are bisected, and
-    an element leaves the loop at a fixed point, a step that leaves
-    (lo, hi) as they were: steps are deterministic, so the 80-step
-    result is the same.
+    [0, end].  Every result keeps the bits of that rule; the work skips
+    what is already decided:
+
+    - The doubling is a lookup in _GROW_PHI, the same comparisons in the
+      same order, and y == 0 gives _PHI_INVERSE_ZERO.
+    - Replayed steps.  For _REPLAY_MIN_Y <= y < 1, each step s on the
+      bisection's path has _phi(mid_s) > y exactly when mid_s lies below
+      the crossing that _phi_root_estimate computes (see _PHI_AT_10 for
+      the y that cross twice).  _phi's rounding moves that crossing by
+      about 1e-14 relative (d ln _phi / d ln x >= 0.0187 wherever _phi <
+      1), and the estimate r is as close, so a step whose midpoint lies
+      more than _REPLAY_MARGIN * r from r goes the way mid_s < r says.
+      Through step 50 the ends and midpoints are exact dyadics, so after t
+      such steps on [0, 2^k] the bracket is lo = floor(r / w) * w,
+      hi = lo + w with w = 2^k / 2^t (_replayed_bracket).  Bisection
+      proper starts at the first step that is not so decided.
+    - NaN and 0 < y < _REPLAY_MIN_Y start at step 0.
+    - Each element runs its own remaining steps and leaves the loop at its
+      last step or at a fixed point, a step that leaves (lo, hi) as they
+      were: steps are deterministic, so a fixed point never moves again.
     """
     y = np.asarray(y, dtype=np.float64)
     shape, y = y.shape, y.ravel()
-    hi = np.ones_like(y)
-    grow = np.flatnonzero((y < 1.0) & (_phi(hi) > y))
-    while grow.size:
-        hi[grow] *= 2
-        grow = grow[hi[grow] <= 1e9]
-        grow = grow[_phi(hi[grow]) > y[grow]]
+    # the grow phase: the count of _phi(2^k) above y, which is the first k
+    # with _phi(2^k) <= y, or 30 (the end 2^30, past 1e9, is returned as
+    # is).  NaN sorts above every entry, so its bracket stays [0, 1].
+    k = _GROW_PHI.size - np.searchsorted(_GROW_PHI, y, side="right")
+    hi = np.ldexp(1.0, k)
     x = np.where(y >= 1.0, 0.0, hi)
-    at = np.flatnonzero(~(y >= 1.0) & (hi <= 1e9))
-    lo, hi, y = np.zeros(at.size), hi[at], y[at]
-    for step in range(80):
-        if not at.size:
-            break
+    x[y == 0.0] = _PHI_INVERSE_ZERO
+    at = np.flatnonzero(~(y >= 1.0) & (y != 0.0) & (k < _GROW_PHI.size))
+    y, hi = y[at], hi[at]
+    lo = np.zeros_like(y)
+    start = np.zeros(y.size, dtype=np.int64)
+    replay = np.flatnonzero(y >= _REPLAY_MIN_Y)
+    if replay.size:
+        lo[replay], hi[replay], start[replay] = _replayed_bracket(y[replay], hi[replay])
+    steps = _BISECT_STEPS - start
+    # no element is at step _BISECT_UNCHECKED before this many steps, and
+    # none runs out of steps before it, so until then no element leaves
+    unchecked = _BISECT_UNCHECKED - start.max(initial=0)
+    for i in range(steps.max(initial=0)):
         mid = 0.5 * (lo + hi)
         above = _phi(mid) > y
-        if step >= _BISECT_UNCHECKED:
-            moved = mid != np.where(above, lo, hi)
+        if i >= unchecked:
+            keep = mid != np.where(above, lo, hi)
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-        if step >= _BISECT_UNCHECKED and not moved.all():
-            fixed = ~moved
-            x[at[fixed]] = 0.5 * (lo[fixed] + hi[fixed])
-            at, lo, hi, y = at[moved], lo[moved], hi[moved], y[moved]
-    x[at] = 0.5 * (lo + hi)
+        if i >= unchecked:
+            keep &= steps > i + 1
+            if not keep.all():
+                done = ~keep
+                x[at[done]] = 0.5 * (lo[done] + hi[done])
+                at, lo, hi, y, steps = at[keep], lo[keep], hi[keep], y[keep], steps[keep]
+                if not at.size:
+                    break
     return x.reshape(shape)
 
 
@@ -204,8 +292,7 @@ def estimate_symmetric_reliability(N: int, snr_db: float, rolloff: float) -> np.
 CRITERIA = ("cis-constrained", "symmetric")
 
 
-def select_code(capacity, K: int, r: int | None = None,
-                criterion: str = "symmetric") -> CodeConfig:
+def select_code(capacity, K: int, r: int | None = None, *, criterion: str) -> CodeConfig:
     """The code of length len(capacity) whose K information indices are the
     most reliable candidates.
 

@@ -8,6 +8,8 @@ permutation.  Bit d of an index means the d-th least-significant bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -18,13 +20,19 @@ def _check_power_of_two(N: int) -> int:
     return N.bit_length() - 1
 
 
+@lru_cache(maxsize=None)
 def bit_reversal(N: int) -> np.ndarray:
-    """Bit-reversal permutation of {0,...,N-1} over log2(N) bit positions."""
+    """Bit-reversal permutation of {0,...,N-1} over log2(N) bit positions.
+
+    Built once per N and returned read-only: every encode and decoder walk
+    gathers with it.
+    """
     m = _check_power_of_two(N)
     idx = np.arange(N, dtype=np.int64)
     rev = np.zeros(N, dtype=np.int64)
     for d in range(m):
         rev |= ((idx >> d) & 1) << (m - 1 - d)
+    rev.flags.writeable = False
     return rev
 
 
@@ -38,6 +46,13 @@ def generator_matrix(N: int) -> np.ndarray:
     return ((bit_reversal(N)[None, :] & ~i[:, None]) == 0).astype(np.uint8)
 
 
+# the first three stages of `transform` inside little-endian 64-bit words of
+# eight bytes: stage d shifts byte j + 2^d onto byte j and keeps the bytes
+# whose index in the word has bit d clear
+_WORD_STAGES = tuple((np.uint64(8 << d), np.uint64(mask)) for d, mask in
+                     enumerate((0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)))
+
+
 def transform(u: np.ndarray) -> np.ndarray:
     """u F^m over GF(2) along the last axis, in natural order, in O(N log N).
 
@@ -45,12 +60,20 @@ def transform(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u)
     N = u.shape[-1]
-    m = _check_power_of_two(N)
-    v = u.astype(np.uint8)  # a copy; splitting its last axis below gives views
+    _check_power_of_two(N)
+    v = u.astype(np.uint8, order="C")  # a copy; splitting its last axis gives views
     # supersets transform: v_j = XOR of u_i over i whose support covers j;
-    # stage d pairs j with j + 2^d for every j whose bit d is 0
-    for d in range(m):
-        pairs = v.reshape(u.shape[:-1] + (N >> (d + 1), 2, 1 << d))
+    # stage d pairs j with j + 2^d for every j whose bit d is 0.  From N = 8
+    # on, the stages within a word of eight bytes run on 64-bit words, and
+    # the later ones pair whole words.
+    w = v
+    if N >= 8:
+        w = v.view("<u8")
+        for shift, mask in _WORD_STAGES:
+            w ^= (w >> shift) & mask
+    n = w.shape[-1]
+    for d in range(n.bit_length() - 1):
+        pairs = w.reshape(w.shape[:-1] + (n >> (d + 1), 2, 1 << d))
         pairs[..., 0, :] ^= pairs[..., 1, :]
     return v
 

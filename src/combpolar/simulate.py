@@ -74,7 +74,7 @@ def build_profile(cfg: ExperimentConfig) -> np.ndarray:
 def build_code(cfg: ExperimentConfig, capacity: np.ndarray | None = None) -> CodeConfig:
     if capacity is None:
         capacity = build_profile(cfg)
-    return select_code(capacity, cfg.K, cfg.r, cfg.criterion)
+    return select_code(capacity, cfg.K, cfg.r, criterion=cfg.criterion)
 
 
 def construct_report(cfg: ExperimentConfig, out_path: str) -> dict:
@@ -362,7 +362,7 @@ def run_mcsc(cfg: ExperimentConfig, out_path: str | None = None) -> list:
     mean, _ = monte_carlo_symmetric_capacity(
         cfg.N, noise_var, cfg.construction_trials, _rng(cfg.master_seed, _CONSTRUCTION_STREAM))
     capacity = np.clip(mean, 0.0, 1.0)
-    rows = [(rate, crit, mcsc(select_code(capacity, K, cfg.r, crit), capacity))
+    rows = [(rate, crit, mcsc(select_code(capacity, K, cfg.r, criterion=crit), capacity))
             for rate, K in zip(MCSC_RATES, Ks) for crit in CRITERIA]
     if out_path is not None:
         with open(out_path, "w") as fh:

@@ -68,7 +68,8 @@ class PsdEstimate:
 def welch_psd(
     samples: np.ndarray,
     sample_rate: float,
-    segment: int = 4096,
+    *,
+    segment: int,
     overlap: float = 0.5,
     window: str = "hann",
 ) -> PsdEstimate:

@@ -85,8 +85,8 @@ def test_criterion_4_capacity_table():
     for rate in (0.25, 0.3125, 0.375):
         K = int(round(rate * N))
         got_c = construction.mcsc(
-            construction.select_code(capacity, K, r, "cis-constrained"), capacity)
-        got_s = construction.mcsc(construction.select_code(capacity, K, r, "symmetric"), capacity)
+            construction.select_code(capacity, K, r, criterion="cis-constrained"), capacity)
+        got_s = construction.mcsc(construction.select_code(capacity, K, r, criterion="symmetric"), capacity)
         worst = max(worst, abs(got_c - reference[(rate, "cis-constrained")]),
                     abs(got_s - reference[(rate, "symmetric")]))
         ordered &= got_c >= got_s

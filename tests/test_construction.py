@@ -185,6 +185,61 @@ class TestGaussianApproximationBitForBit:
                                   _bits(_vectorized_phi(small)))
 
 
+def _replay_grid():
+    """y values for the replayed bisection: roots within 8 ulps of powers of
+    two, the band where _phi jumps up at x = 10, the edge cases, random and
+    log-spaced values, and values just below 1."""
+    rng = np.random.default_rng(24)
+    pw = np.ldexp(1.0, np.arange(-6, 13))
+    near_pw = construction._phi((pw[:, None] * (1 + np.arange(-8, 9) * 2.0 ** -52)).ravel())
+    below, at10 = construction._phi(np.nextafter(10.0, 0.0)), construction._phi(10.0)
+    band = np.linspace(below * (1 - 1e-6), at10 * (1 + 1e-6), 1001)
+    edges = [0.0, -0.0, 5e-324, np.nextafter(1e-290, 0.0), 1e-290, np.nextafter(1e-290, 1.0),
+             np.nextafter(1.0, 0.0), 1.0, np.nan, np.inf, -np.inf, -1.0, -1e-300, -5e-324]
+    return np.concatenate([edges, near_pw, band, rng.random(5000) ** 8, rng.random(2000),
+                           np.geomspace(1e-300, 1.0, 5000), 1.0 - np.geomspace(1e-16, 0.5, 500)])
+
+
+class TestPhiInverseReplay:
+    """_phi_inverse replays the bisection steps its root estimate decides."""
+
+    def test_grid_matches_whole_array_bisection(self):
+        y = _replay_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = construction._phi_inverse(y)
+            assert np.array_equal(_bits(got), _bits(_vectorized_phi_inverse(y)))
+            for v in y[:14]:
+                assert _bits(construction._phi_inverse(v)) == \
+                    _bits(_vectorized_phi_inverse(v)), v
+
+    def test_zero_is_the_bisections_result(self):
+        for zero in (0.0, -0.0):
+            assert _bits(construction._PHI_INVERSE_ZERO) == _bits(_vectorized_phi_inverse(zero))
+
+    def test_grow_lookup_is_monotone(self):
+        # the lookup counts the _phi(2^k) above y, which is the first k with
+        # _phi(2^k) <= y only while _phi(2^k) does not increase with k
+        assert np.all(np.diff(construction._GROW_PHI) >= 0)
+        assert np.array_equal(construction._GROW_PHI[::-1],
+                              _vectorized_phi(np.ldexp(1.0, np.arange(30))))
+
+    def test_root_estimate_leaves_the_margin_slack(self):
+        y = _replay_grid()
+        y = y[(y >= construction._REPLAY_MIN_Y) & (y < 1.0)]
+        x = _vectorized_phi_inverse(y)
+        r = construction._phi_root_estimate(y)
+        assert np.all(np.abs(r - x) <= construction._REPLAY_MARGIN * r / 10)
+        # the replayed bracket holds the bisection's result, and most
+        # elements skip most of the steps
+        ends = np.ldexp(1.0, np.arange(30))
+        hi = ends[np.argmax(_vectorized_phi(ends) <= y[:, None], axis=1)]
+        lo, hi, t = construction._replayed_bracket(y, hi)
+        assert np.all((lo <= x) & (x <= hi))
+        assert np.all((t >= 0) & (t <= construction._REPLAY_STEPS))
+        assert np.median(t) >= 35
+
+
 class TestPinnedConstructions:
     """The information sets of configs/reference.json's three arms, at its
     N=256 and at N=1024 (r=5, K=384), as the per-node GA built them."""
@@ -276,21 +331,21 @@ class TestMonteCarloEstimator:
 
 class TestSelection:
     def test_full_set(self):
-        sel = construction.select_code([0.1, 0.9, 0.4, 0.7], 4).A
+        sel = construction.select_code([0.1, 0.9, 0.4, 0.7], 4, criterion="symmetric").A
         assert sel.tolist() == [0, 1, 2, 3]
 
     def test_best_upper_half(self):
         p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
-        sel = construction.select_code(p, 1, 0, "cis-constrained").A_dec
+        sel = construction.select_code(p, 1, 0, criterion="cis-constrained").A_dec
         assert sel.tolist() == [15]
 
     def test_tie_break_smaller_index(self):
-        sel = construction.select_code([0.5, 0.5, 0.5, 0.9], 2).A
+        sel = construction.select_code([0.5, 0.5, 0.5, 0.9], 2, criterion="symmetric").A
         assert sel.tolist() == [0, 3]
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            construction.select_code([0.5, 0.5], 3)
+            construction.select_code([0.5, 0.5], 3, criterion="symmetric")
 
     def test_unknown_criterion(self):
         with pytest.raises(ValueError, match="unknown selection criterion"):
@@ -298,32 +353,33 @@ class TestSelection:
 
     def test_unshaped_criteria_coincide(self):
         p = construction.estimate_symmetric_reliability(64, 0.0, ROLLOFF)
-        a, b = (construction.select_code(p, 20, None, crit) for crit in construction.CRITERIA)
+        a, b = (construction.select_code(p, 20, None, criterion=crit) for crit in construction.CRITERIA)
         assert np.array_equal(a.A, b.A)
 
     def test_constrained_selection_identity_order(self):
         # at the top shaping order the map is the identity on the top half
         p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
-        cfg = construction.select_code(p, 4, 3, "cis-constrained")
+        cfg = construction.select_code(p, 4, 3, criterion="cis-constrained")
         assert np.array_equal(cfg.A, cfg.A_dec)
 
     def test_constrained_selection_subset_of_cis(self):
         p = construction.estimate_symmetric_reliability(64, 0.0, ROLLOFF)
         spec = shaping.CisSpec(64, 2)
-        cfg = construction.select_code(p, 20, 2, "cis-constrained")
+        cfg = construction.select_code(p, 20, 2, criterion="cis-constrained")
         assert np.all(np.isin(cfg.A, shaping.cis(spec)))
         # the 20 most reliable upper-half indices: a conventional pick on p[32:]
-        assert np.array_equal(cfg.A_dec, 32 + construction.select_code(p[32:], 20).A)
+        upper = construction.select_code(p[32:], 20, criterion="symmetric")
+        assert np.array_equal(cfg.A_dec, 32 + upper.A)
 
     def test_rate_bound(self):
         p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         with pytest.raises(ValueError):
-            construction.select_code(p, 9, 1, "cis-constrained")
+            construction.select_code(p, 9, 1, criterion="cis-constrained")
 
     def test_determinism(self):
         p = construction.estimate_symmetric_reliability(64, 0.0, ROLLOFF)
-        a = construction.select_code(p, 16, 1, "cis-constrained")
-        b = construction.select_code(p, 16, 1, "cis-constrained")
+        a = construction.select_code(p, 16, 1, criterion="cis-constrained")
+        b = construction.select_code(p, 16, 1, criterion="cis-constrained")
         assert np.array_equal(a.A, b.A)
 
 
@@ -336,7 +392,7 @@ class TestMcsc:
     def test_reads_through_inverse_map(self):
         p = construction.estimate_symmetric_reliability(16, 0.0, ROLLOFF)
         spec = shaping.CisSpec(16, 1)
-        cfg = construction.select_code(p, 4, 1, "cis-constrained")
+        cfg = construction.select_code(p, 4, 1, criterion="cis-constrained")
         expect = np.min(p[shaping.cis_to_half(spec, cfg.A)])
         assert construction.mcsc(cfg, p) == expect
 
@@ -346,6 +402,6 @@ class TestMcsc:
             p = construction.estimate_symmetric_reliability(128, snr, ROLLOFF)
             for r in (0, 2, 5):
                 for K in (16, 32, 48):
-                    c1 = construction.mcsc(construction.select_code(p, K, r, "cis-constrained"), p)
-                    c2 = construction.mcsc(construction.select_code(p, K, r, "symmetric"), p)
+                    c1 = construction.mcsc(construction.select_code(p, K, r, criterion="cis-constrained"), p)
+                    c2 = construction.mcsc(construction.select_code(p, K, r, criterion="symmetric"), p)
                     assert c1 >= c2

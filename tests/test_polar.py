@@ -73,6 +73,38 @@ class TestBitReversal:
             with pytest.raises(ValueError):
                 polar.bit_reversal(bad)
 
+    def test_built_once_and_read_only(self):
+        rev = polar.bit_reversal(64)
+        assert polar.bit_reversal(64) is rev
+        with pytest.raises(ValueError):
+            rev[0] = 1
+
+
+def byte_transform(u):
+    """Reference: the supersets transform one byte per bit, stage by stage."""
+    v = np.array(u, dtype=np.uint8)
+    N = v.shape[-1]
+    for d in range(N.bit_length() - 1):
+        pairs = v.reshape(v.shape[:-1] + (N >> (d + 1), 2, 1 << d))
+        pairs[..., 0, :] ^= pairs[..., 1, :]
+    return v
+
+
+class TestTransform:
+    @pytest.mark.parametrize("N", [1 << m for m in range(1, 13)])
+    def test_words_match_the_byte_loop(self, N):
+        rng = np.random.default_rng(N)
+        for shape in ((N,), (7, N), (2, 3, N), (0, N)):
+            u = rng.integers(0, 2, shape, dtype=np.uint8)
+            before = u.copy()
+            assert np.array_equal(polar.transform(u), byte_transform(u))
+            assert np.array_equal(u, before)  # the input is not written
+        # every byte value, not only 0/1, and a non-contiguous input
+        u = rng.integers(0, 256, (2 * N, 5), dtype=np.uint8).T[:, ::2]
+        assert not u.flags.c_contiguous
+        assert np.array_equal(polar.transform(u), byte_transform(u))
+        assert np.array_equal(polar.transform(u.astype(np.int64) & 1), byte_transform(u & 1))
+
 
 class TestEncode:
     def test_zero_word(self):
