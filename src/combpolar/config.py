@@ -299,7 +299,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     data = {}
     if path is not None:
         with open(path) as fh:
-            data = _objects(json.load(fh, object_pairs_hook=_Pairs))
+            try:
+                data = _objects(json.load(fh, object_pairs_hook=_Pairs))
+            except RecursionError:
+                raise ConfigError("config file nests deeper than Python's recursion limit") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     values, pulse = {}, {}

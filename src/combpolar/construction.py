@@ -16,8 +16,6 @@ filtering maps the ratio to a per-dimension symbol noise variance of
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from .shaping import CisSpec, CodeConfig, cis, half_to_cis
@@ -41,59 +39,41 @@ def snr_db_to_noise_var(snr_db: float, rolloff: float) -> float:
 def _phi(x):
     """E[tanh(L/2)]-style reliability functional of a consistent Gaussian.
 
-    Piecewise curve fit; clipped to [0, 1] because the small-argument
-    branch overshoots 1 slightly as x -> 0.  Each element takes the same
-    operations whichever elements share its call: the masks are skipped
-    when every element is in the small branch, and warnings are silenced
-    only when an argument of the large branch is not positive.
+    The piecewise curve fit of Chung, Richardson and Urbanke: the small
+    branch exp(-0.4527 x^0.859 + 0.0218) for 0 <= x < 10, the large branch
+    sqrt(pi / x) exp(-x / 4) (1 - 10 / (7 x)) elsewhere, one masked
+    evaluation each, then clipped to [0, 1] because the small branch
+    overshoots 1 slightly as x -> 0.  _phi falls on each branch and jumps
+    up at x = 10.  The GA evaluates it on means mu >= 0.
     """
     x = np.asarray(x, dtype=np.float64)
     small = (x >= 0) & (x < 10)
-    if small.all():
-        out = np.exp(-0.4527 * x ** 0.859 + 0.0218)
-    else:
-        out = np.empty_like(x)
-        out[small] = np.exp(-0.4527 * x[small] ** 0.859 + 0.0218)
-        large = ~small
-        xl = x[large]
-        positive = (xl > 0).all()
-        with nullcontext() if positive else np.errstate(divide="ignore", invalid="ignore"):
-            out[large] = np.sqrt(np.pi / xl) * np.exp(-xl / 4) * (1 - 10.0 / (7 * xl))
-    # np.clip(out, 0.0, 1.0), without its Python-level argument handling
-    return np.minimum(np.maximum(out, 0.0), 1.0)
+    out = np.empty_like(x)
+    out[small] = np.exp(-0.4527 * x[small] ** 0.859 + 0.0218)
+    xl = x[~small]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[~small] = np.sqrt(np.pi / xl) * np.exp(-xl / 4) * (1 - 10.0 / (7 * xl))
+    return np.clip(out, 0.0, 1.0)
 
 
-_BISECT_STEPS = 80  # the bisection's steps per element
-# steps before which no fixed point can occur: until then the bracket's
-# ends and midpoint are exact dyadics, so the midpoint lies strictly inside
-_BISECT_UNCHECKED = 52
-_REPLAY_STEPS = 50  # the most leading steps _replayed_bracket skips
-# a step is replayed where its midpoint lies more than this times the root
-# estimate r from r; _phi's rounding moves its crossing by about 1e-14 r
-_REPLAY_MARGIN = 1e-12
-# _phi(2^k) for k = 0..29, in ascending order: the grow phase's comparisons
-_GROW_PHI = _phi(np.ldexp(1.0, np.arange(30)))[::-1].copy()
-# _phi(10): the bisection's crossing lies in the large branch (x >= 10)
-# exactly when y is below it.  _phi jumps up at x = 10, so a y just below
-# it crosses once below 10 too, but every such y has the bracket [0, 16],
-# whose third step tests mid = 10 and keeps the bracket above it.
+# _phi(10): y below it crosses _phi in the large branch (x >= 10).  _phi
+# jumps up at x = 10, so a y in [_phi(10^-), _phi(10)) crosses it on both
+# sides of 10; bisection of _phi from [0, 16] tests mid = 10 on its third
+# step and keeps the crossing above, and so does _phi_root_estimate.
 _PHI_AT_10 = float(_phi(10.0))
-# below this y, _phi's crossing nears where _phi underflows and its
-# subnormal values lose bits, so the 1e-14 bound on its rounding fails
-_REPLAY_MIN_Y = 1e-290
-# _phi_inverse(0.0), the bisection's own result: _phi underflows to 0 there
+# _phi_inverse(0.0): bisection's result where _phi underflows to 0
 _PHI_INVERSE_ZERO = float.fromhex("0x1.72d9806e49f26p+11")
 
 
 def _phi_root_estimate(y):
-    """The crossing x of _phi(x) = y that the bisection finds, to about
-    1e-14 relative, for _REPLAY_MIN_Y <= y < 1.
+    """The crossing x of _phi(x) = y, for an array of 0 < y < 1.
 
     From _PHI_AT_10 up the crossing is in the small branch (x < 10), whose
     curve inverts in closed form.  Below it the crossing is in the large
     branch: a fixed-point pass of x = 2 ln(pi / x) - 4 ln y from x = -4 ln y,
     then three Newton steps on ln _phi(x) - ln y, which reach float
-    resolution from there.
+    resolution from there.  Over the GA's inputs, y >= 2^-52, it agrees
+    with bisection of _phi to about 1e-14 relative.
     """
     x = np.empty_like(y)
     small = y >= _PHI_AT_10
@@ -109,90 +89,21 @@ def _phi_root_estimate(y):
     return x
 
 
-def _replayed_bracket(y, hi):
-    """(lo, hi, t): the bracket after the bisection's first t steps on
-    [0, hi], each step being one whose midpoint lies more than the margin
-    from the root estimate, for y that _phi_root_estimate covers."""
-    r = np.minimum(_phi_root_estimate(y), np.nextafter(hi, 0.0))
-    margin = _REPLAY_MARGIN * r
-    # the margin interval in units of the width after _REPLAY_STEPS steps:
-    # its multiples of 2^j units, inside (0, hi), are the midpoints of step
-    # _REPLAY_STEPS - 1 - j and earlier
-    unit = np.ldexp(hi, -_REPLAY_STEPS)
-    first = np.ceil((r - margin) / unit)
-    last = np.minimum(np.floor((r + margin) / unit), 2.0 ** _REPLAY_STEPS - 1)
-    # j: the largest with a multiple of 2^j in [first, last] (-1 when empty),
-    # the highest bit in which first - 1 and last differ
-    diff = (first - 1).astype(np.int64) ^ last.astype(np.int64)
-    t = _REPLAY_STEPS - np.frexp(diff.astype(np.float64))[1]
-    width = np.ldexp(hi, -t)
-    lo = np.floor(r / width) * width
-    return lo, lo + width, t
-
-
 def _phi_inverse(y):
-    """Invert the monotone-decreasing _phi elementwise by bisection.
+    """Invert _phi elementwise, with no search.
 
-    Each element follows the same rule: y >= 1 gives 0; otherwise the
-    upper end starts at 1 and doubles while _phi stays above y (an end
-    past 1e9 is returned as is), then at most 80 bisection steps on
-    [0, end].  Every result keeps the bits of that rule; the work skips
-    what is already decided:
-
-    - The doubling is a lookup in _GROW_PHI, the same comparisons in the
-      same order, and y == 0 gives _PHI_INVERSE_ZERO.
-    - Replayed steps.  For _REPLAY_MIN_Y <= y < 1, each step s on the
-      bisection's path has _phi(mid_s) > y exactly when mid_s lies below
-      the crossing that _phi_root_estimate computes (see _PHI_AT_10 for
-      the y that cross twice).  _phi's rounding moves that crossing by
-      about 1e-14 relative (d ln _phi / d ln x >= 0.0187 wherever _phi <
-      1), and the estimate r is as close, so a step whose midpoint lies
-      more than _REPLAY_MARGIN * r from r goes the way mid_s < r says.
-      Through step 50 the ends and midpoints are exact dyadics, so after t
-      such steps on [0, 2^k] the bracket is lo = floor(r / w) * w,
-      hi = lo + w with w = 2^k / 2^t (_replayed_bracket).  Bisection
-      proper starts at the first step that is not so decided.
-    - NaN and 0 < y < _REPLAY_MIN_Y start at step 0.
-    - Each element runs its own remaining steps and leaves the loop at its
-      last step or at a fixed point, a step that leaves (lo, hi) as they
-      were: steps are deterministic, so a fixed point never moves again.
+    y >= 1 gives 0, y == 0 gives _PHI_INVERSE_ZERO and 0 < y < 1 gives
+    _phi_root_estimate(y); anything else (y < 0, NaN) gives NaN.  The GA
+    passes y = 1 - (1 - p)^2 for p = _phi(mu) in [0, 1], which is 0 or at
+    least 2^-52, so y in {0} and [2^-52, 1], where each result lies within
+    about 1e-14 relative of the bisection of _phi that it replaces.
     """
     y = np.asarray(y, dtype=np.float64)
-    shape, y = y.shape, y.ravel()
-    # the grow phase: the count of _phi(2^k) above y, which is the first k
-    # with _phi(2^k) <= y, or 30 (the end 2^30, past 1e9, is returned as
-    # is).  NaN sorts above every entry, so its bracket stays [0, 1].
-    k = _GROW_PHI.size - np.searchsorted(_GROW_PHI, y, side="right")
-    hi = np.ldexp(1.0, k)
-    x = np.where(y >= 1.0, 0.0, hi)
+    x = np.where(y >= 1.0, 0.0, np.nan)
     x[y == 0.0] = _PHI_INVERSE_ZERO
-    at = np.flatnonzero(~(y >= 1.0) & (y != 0.0) & (k < _GROW_PHI.size))
-    y, hi = y[at], hi[at]
-    lo = np.zeros_like(y)
-    start = np.zeros(y.size, dtype=np.int64)
-    replay = np.flatnonzero(y >= _REPLAY_MIN_Y)
-    if replay.size:
-        lo[replay], hi[replay], start[replay] = _replayed_bracket(y[replay], hi[replay])
-    steps = _BISECT_STEPS - start
-    # no element is at step _BISECT_UNCHECKED before this many steps, and
-    # none runs out of steps before it, so until then no element leaves
-    unchecked = _BISECT_UNCHECKED - start.max(initial=0)
-    for i in range(steps.max(initial=0)):
-        mid = 0.5 * (lo + hi)
-        above = _phi(mid) > y
-        if i >= unchecked:
-            keep = mid != np.where(above, lo, hi)
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if i >= unchecked:
-            keep &= steps > i + 1
-            if not keep.all():
-                done = ~keep
-                x[at[done]] = 0.5 * (lo[done] + hi[done])
-                at, lo, hi, y, steps = at[keep], lo[keep], hi[keep], y[keep], steps[keep]
-                if not at.size:
-                    break
-    return x.reshape(shape)
+    inside = (y > 0.0) & (y < 1.0)
+    x[inside] = _phi_root_estimate(y[inside])
+    return x
 
 
 _HERM_X, _HERM_W = np.polynomial.hermite_e.hermegauss(96)

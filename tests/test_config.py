@@ -70,6 +70,14 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
                  "config error: duplicate config key 'code'\n", id="construct-repeated-object"),
     pytest.param("construct", '{"code": {"K": 64, "K": 96}}',
                  "config error: duplicate config key 'code'.'K'\n", id="construct-repeated-key"),
+    # nesting past the recursion limit, in json's reader (the first two)
+    # or, 700 deep, in the repeated-key check, whose frames are deeper
+    pytest.param("construct", "[" * 100000 + "]" * 100000,
+                 "config error: config file nests deeper", id="construct-deep-array"),
+    pytest.param("construct", '{"code": ' * 50000 + "1" + "}" * 50000,
+                 "config error: config file nests deeper", id="construct-deep-object"),
+    pytest.param("construct", "[" * 700 + "]" * 700,
+                 "config error: config file nests deeper", id="construct-deep-key-check"),
 ])
 def test_bad_value_exits_one_with_one_line(tmp_path, capsys, command, cfg, message):
     path = tmp_path / "bad.json"

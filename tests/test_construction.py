@@ -49,6 +49,10 @@ def _scalar_phi_inverse(y):
     return 0.5 * (lo + hi)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 def _scalar_ga_levels(N, noise_var):
     """Reference: per-node density evolution; the means of every tree level
     down to length N (level k holds the means of the length-2^k code)."""
@@ -87,157 +91,32 @@ class TestGaussianApproximationMatchesScalar:
         assert x == _scalar_phi_inverse(0.0)
         assert 2048 < x <= 4096 and construction._phi(4096.0) == 0.0
 
+    def test_zero_is_the_bisections_result(self):
+        for zero in (0.0, -0.0):
+            assert _bits(construction._PHI_INVERSE_ZERO) == _bits(_scalar_phi_inverse(zero))
+
     def test_phi_inverse_elementwise_matches_scalar(self):
-        y = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 2.0], np.linspace(0.0, 1.0, 41)])
-        got = construction._phi_inverse(y)
+        # _phi jumps up at x = 10: y in the band between _phi(10^-) and
+        # _phi(10) crosses it on both sides, and bisection keeps the crossing
+        # above 10.  k * 2^-52 are the smallest positive y the GA forms.
+        below, at10 = construction._phi(np.nextafter(10.0, 0.0)), construction._phi(10.0)
+        band = np.concatenate([np.linspace(below, at10, 6),
+                               np.nextafter([below, below, at10, at10], [0.0, 1.0, 0.0, 1.0])])
+        k = np.arange(1.0, 9.0)
+        y = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 2.0], np.linspace(0.0, 1.0, 41), band,
+                            np.ldexp(k, -52), 1.0 - np.ldexp(k, -53)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = construction._phi_inverse(y)
         want = np.array([_scalar_phi_inverse(v) for v in y])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert construction._phi_inverse(y.reshape(2, -1)).shape == (2, len(y) // 2)
+        assert np.isnan(construction._phi_inverse([-1.0, np.nan])).all()
 
     def test_phi_of_phi_inverse_is_identity(self):
         y = np.linspace(0.0, 1.0, 201)[1:-1]
         np.testing.assert_allclose(construction._phi(construction._phi_inverse(y)), y,
                                    rtol=1e-9, atol=1e-12)
-
-
-def _vectorized_phi(x):
-    """Reference: _phi before its fast paths, verbatim."""
-    x = np.asarray(x, dtype=np.float64)
-    small = (x >= 0) & (x < 10)
-    out = np.empty_like(x)
-    out[small] = np.exp(-0.4527 * x[small] ** 0.859 + 0.0218)
-    xl = x[~small]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~small] = np.sqrt(np.pi / xl) * np.exp(-xl / 4) * (1 - 10.0 / (7 * xl))
-    return np.clip(out, 0.0, 1.0)
-
-
-def _vectorized_phi_inverse(y):
-    """Reference: the whole-array bisection, 80 steps for every element,
-    verbatim but for the _phi it calls."""
-    _phi = _vectorized_phi
-    y = np.asarray(y, dtype=np.float64)
-    shape, y = y.shape, y.ravel()
-    hi = np.ones_like(y)
-    grow = np.flatnonzero((y < 1.0) & (_phi(hi) > y))
-    while grow.size:
-        hi[grow] *= 2
-        grow = grow[hi[grow] <= 1e9]
-        grow = grow[_phi(hi[grow]) > y[grow]]
-    escaped = hi > 1e9
-    lo = np.zeros_like(y)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = _phi(mid) > y
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    x = np.where(escaped, hi, 0.5 * (lo + hi))
-    return np.where(y >= 1.0, 0.0, x).reshape(shape)
-
-
-def _vectorized_ga_means(N, noise_var):
-    mu = np.array([2.0 / noise_var])
-    while len(mu) < N:
-        nxt = np.empty(2 * len(mu))
-        nxt[0::2] = _vectorized_phi_inverse(1.0 - (1.0 - _vectorized_phi(mu)) ** 2)
-        nxt[1::2] = 2.0 * mu
-        mu = nxt
-    return mu
-
-
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.int64)
-
-
-class TestGaussianApproximationBitForBit:
-    """The bisection stops at fixed points and skips the elements whose
-    result is unused; _phi skips its masks and warning guards where no
-    element needs them.  Every value keeps its bits."""
-
-    SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 2.0, 9.999999, 10.0,
-               4096.0, -1.0, -10.0, np.inf, -np.inf, np.nan]
-
-    @pytest.mark.parametrize("N", [2, 8, 64, 256, 1024, 4096])
-    def test_means(self, N):
-        for snr_db in np.linspace(-20.0, 20.0, 9):
-            for rolloff in (0.0, 0.25, 1.0):
-                noise_var = construction.snr_db_to_noise_var(snr_db, rolloff)
-                got = construction.gaussian_approximation_means(N, noise_var)
-                want = _vectorized_ga_means(N, noise_var)
-                assert np.array_equal(_bits(got), _bits(want)), (N, snr_db, rolloff)
-
-    def test_phi_and_inverse(self):
-        rng = np.random.default_rng(5)
-        x = np.concatenate([self.SPECIAL, np.linspace(-20.0, 5000.0, 20001)])
-        y = np.concatenate([self.SPECIAL, np.linspace(0.0, 1.0, 1001), rng.random(2000) ** 8])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(_bits(construction._phi(x)), _bits(_vectorized_phi(x)))
-            assert np.array_equal(_bits(construction._phi_inverse(y)),
-                                  _bits(_vectorized_phi_inverse(y)))
-            for v in self.SPECIAL:
-                assert _bits(construction._phi(v)) == _bits(_vectorized_phi(v)), v
-                assert _bits(construction._phi_inverse(v)) == \
-                    _bits(_vectorized_phi_inverse(v)), v
-            # one call with every element in the small branch
-            small = np.linspace(0.0, 9.99, 101)
-            assert np.array_equal(_bits(construction._phi(small)),
-                                  _bits(_vectorized_phi(small)))
-
-
-def _replay_grid():
-    """y values for the replayed bisection: roots within 8 ulps of powers of
-    two, the band where _phi jumps up at x = 10, the edge cases, random and
-    log-spaced values, and values just below 1."""
-    rng = np.random.default_rng(24)
-    pw = np.ldexp(1.0, np.arange(-6, 13))
-    near_pw = construction._phi((pw[:, None] * (1 + np.arange(-8, 9) * 2.0 ** -52)).ravel())
-    below, at10 = construction._phi(np.nextafter(10.0, 0.0)), construction._phi(10.0)
-    band = np.linspace(below * (1 - 1e-6), at10 * (1 + 1e-6), 1001)
-    edges = [0.0, -0.0, 5e-324, np.nextafter(1e-290, 0.0), 1e-290, np.nextafter(1e-290, 1.0),
-             np.nextafter(1.0, 0.0), 1.0, np.nan, np.inf, -np.inf, -1.0, -1e-300, -5e-324]
-    return np.concatenate([edges, near_pw, band, rng.random(5000) ** 8, rng.random(2000),
-                           np.geomspace(1e-300, 1.0, 5000), 1.0 - np.geomspace(1e-16, 0.5, 500)])
-
-
-class TestPhiInverseReplay:
-    """_phi_inverse replays the bisection steps its root estimate decides."""
-
-    def test_grid_matches_whole_array_bisection(self):
-        y = _replay_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = construction._phi_inverse(y)
-            assert np.array_equal(_bits(got), _bits(_vectorized_phi_inverse(y)))
-            for v in y[:14]:
-                assert _bits(construction._phi_inverse(v)) == \
-                    _bits(_vectorized_phi_inverse(v)), v
-
-    def test_zero_is_the_bisections_result(self):
-        for zero in (0.0, -0.0):
-            assert _bits(construction._PHI_INVERSE_ZERO) == _bits(_vectorized_phi_inverse(zero))
-
-    def test_grow_lookup_is_monotone(self):
-        # the lookup counts the _phi(2^k) above y, which is the first k with
-        # _phi(2^k) <= y only while _phi(2^k) does not increase with k
-        assert np.all(np.diff(construction._GROW_PHI) >= 0)
-        assert np.array_equal(construction._GROW_PHI[::-1],
-                              _vectorized_phi(np.ldexp(1.0, np.arange(30))))
-
-    def test_root_estimate_leaves_the_margin_slack(self):
-        y = _replay_grid()
-        y = y[(y >= construction._REPLAY_MIN_Y) & (y < 1.0)]
-        x = _vectorized_phi_inverse(y)
-        r = construction._phi_root_estimate(y)
-        assert np.all(np.abs(r - x) <= construction._REPLAY_MARGIN * r / 10)
-        # the replayed bracket holds the bisection's result, and most
-        # elements skip most of the steps
-        ends = np.ldexp(1.0, np.arange(30))
-        hi = ends[np.argmax(_vectorized_phi(ends) <= y[:, None], axis=1)]
-        lo, hi, t = construction._replayed_bracket(y, hi)
-        assert np.all((lo <= x) & (x <= hi))
-        assert np.all((t >= 0) & (t <= construction._REPLAY_STEPS))
-        assert np.median(t) >= 35
 
 
 class TestPinnedConstructions:
