@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import get_window
 
 from .channel import frame_samples, noise_tone_mask
 from .construction import CRITERIA, select_code
@@ -41,8 +40,7 @@ _FIELDS = {
     "snr_sweep_db": ("snr_sweep_db", list),
     "stop": {"min_frame_errors": ("min_frame_errors", int), "max_frames": ("max_frames", int)},
     "master_seed": ("master_seed", int),
-    "welch": {"segment": ("welch_segment", int), "overlap": ("welch_overlap", float),
-              "window": ("welch_window", str), "frames": ("psd_frames", int)},
+    "welch": {"segment": ("welch_segment", int), "frames": ("psd_frames", int)},
     "threads": ("threads", int),
 }
 
@@ -104,8 +102,6 @@ class ExperimentConfig:
     max_frames: int = 100_000
     master_seed: int = 1
     welch_segment: int = 16384
-    welch_overlap: float = 0.5
-    welch_window: str = "hann"
     psd_frames: int = 200
     threads: int = 1
 
@@ -156,10 +152,11 @@ class ExperimentConfig:
                             ("construction.trials", self.construction_trials),
                             ("stop.min_frame_errors", self.min_frame_errors),
                             ("stop.max_frames", self.max_frames),
-                            ("welch.segment", self.welch_segment),
                             ("welch.frames", self.psd_frames)):
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.welch_segment < 2:  # a 1-point periodic Hann window is 0
+            raise ConfigError(f"welch.segment must be >= 2, got {self.welch_segment}")
         if self.list_size * self.N > MAX_LIST_SYMBOLS:
             raise ConfigError(f"decoder.list_size {self.list_size} x code.N {self.N} exceeds "
                               f"{MAX_LIST_SYMBOLS} path symbols")
@@ -208,12 +205,6 @@ class ExperimentConfig:
             if tones * samples > MAX_TONE_PHASORS:
                 raise ConfigError(f"the sinusoid tone model's {tones} tones x {samples} frame "
                                   f"samples exceed {MAX_TONE_PHASORS} phasors")
-        if not 0 <= self.welch_overlap < 1:
-            raise ConfigError(f"welch.overlap must lie in [0, 1), got {self.welch_overlap}")
-        try:
-            get_window(self.welch_window, 16)  # checks the name only
-        except (TypeError, ValueError):
-            raise ConfigError(f"unknown welch.window {self.welch_window!r}") from None
         psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
         if self.welch_segment > psd_samples:
             raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "

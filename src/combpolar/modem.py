@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 
 @dataclass(frozen=True)
@@ -71,17 +70,19 @@ def srrc_taps(spec: PulseSpec) -> np.ndarray:
 
 
 def modulate_symbols(symbols, spec: PulseSpec) -> np.ndarray:
-    """Pulse-shape symbol sequences along the last axis.
+    """Pulse-shape real symbol sequences along the last axis.
 
-    (..., n) symbols, real or complex, give (..., n*sps + span*sps) samples:
-    each sequence upsampled by sps and convolved (full) with the SRRC taps.
+    (..., n) symbols give (..., n*sps + span*sps) samples: each sequence
+    upsampled by sps and convolved (full) with the SRRC taps, by one
+    real FFT product at the next power of two.
     """
-    symbols = np.asarray(symbols)
-    up = np.zeros(symbols.shape[:-1] + (symbols.shape[-1] * spec.sps,),
-                  dtype=np.result_type(symbols.dtype, np.float64))
+    symbols = np.asarray(symbols, dtype=np.float64)
+    up = np.zeros(symbols.shape[:-1] + (symbols.shape[-1] * spec.sps,))
     up[..., :: spec.sps] = symbols
     taps = srrc_taps(spec)
-    return fftconvolve(up, taps.reshape((1,) * (up.ndim - 1) + (-1,)), mode="full", axes=-1)
+    n_out = up.shape[-1] + len(taps) - 1
+    n_fft = 1 << (n_out - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(up, n_fft) * np.fft.rfft(taps, n_fft), n_fft)[..., :n_out]
 
 
 def pulse_spectrum(spec: PulseSpec, n_symbols: int) -> np.ndarray:

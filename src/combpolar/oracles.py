@@ -10,7 +10,6 @@ implementations and are only usable at tiny block lengths.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .polar import generator_matrix
 from .shaping import CisSpec, cis
@@ -98,8 +97,11 @@ def subchannel_probability(
     loglik = -np.sum((y[None, :] - s) ** 2, axis=1) / (2 * noise_var)
     loglik -= 0.5 * N * np.log(2 * np.pi * noise_var)
     # joint density of (y, prefix) given u_i: every free bit except u_i
-    # itself carries a uniform 1/2, whether conditioned on or marginalized
-    return float(np.exp(logsumexp(loglik) - (Kf - 1) * np.log(2.0)))
+    # itself carries a uniform 1/2, whether conditioned on or marginalized.
+    # The log-sum-exp is shifted by its largest term, so the sum is >= 1.
+    peak = np.max(loglik)
+    log_sum = peak + np.log(np.sum(np.exp(loglik - peak)))
+    return float(np.exp(log_sum - (Kf - 1) * np.log(2.0)))
 
 
 # trials per draw of constrained_capacity_curve

@@ -322,8 +322,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
                      for _ in range(cfg.psd_frames)])
     syms = modem.bpsk_map(encode(assemble_source(info, code.A, cfg.N)))
     samples = modem.modulate_symbols(syms.ravel(), cfg.pulse)
-    est = welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment,
-                    overlap=cfg.welch_overlap, window=cfg.welch_window)
+    est = welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment)
     depths = null_depth(est, targets, (-flat_edge, flat_edge))
     with open(os.path.join(out_dir, "psd.csv"), "w") as fh:
         fh.write("# combpolar psd v1\n")

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 
 def tone_centers(fundamental_hz: float, offset_hz: float, f_max: float) -> np.ndarray:
@@ -65,38 +64,26 @@ class PsdEstimate:
     psd: np.ndarray
 
 
-def welch_psd(
-    samples: np.ndarray,
-    sample_rate: float,
-    *,
-    segment: int,
-    overlap: float = 0.5,
-    window: str = "hann",
-) -> PsdEstimate:
-    """Windowed averaged periodogram, two-sided, density-normalized.
+def welch_psd(samples: np.ndarray, sample_rate: float, *, segment: int) -> PsdEstimate:
+    """Windowed averaged periodogram, two-sided, density-normalized: a
+    periodic Hann window on segments that start every segment - segment // 2
+    samples (half overlap, rounded down for an odd segment).
 
     Density normalization means sum(psd) * df recovers the mean per-sample
     power (Parseval within estimator bias).
     """
     samples = np.asarray(samples)
-    if segment > len(samples):
-        raise ValueError(
-            f"segment {segment} longer than signal ({len(samples)} samples)"
-        )
-    if not (0.0 <= overlap < 1.0):
-        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-    freqs, psd = sp_signal.welch(
-        samples,
-        fs=sample_rate,
-        window=window,
-        nperseg=segment,
-        noverlap=int(segment * overlap),
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    order = np.argsort(freqs)
-    return PsdEstimate(freqs[order], psd[order])
+    if not 2 <= segment <= len(samples):  # a 1-point periodic Hann window is 0
+        raise ValueError(f"segment {segment} must lie in [2, {len(samples)}], "
+                         "the signal's length")
+    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(segment) / segment)
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment)[::segment - segment // 2]
+    # complex before the transform, which would otherwise hold a complex copy of its input
+    spectra = np.fft.fft(np.multiply(segments, window, dtype=np.complex128))
+    power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
+    psd = power / (sample_rate * np.sum(window**2))
+    return PsdEstimate(np.fft.fftshift(np.fft.fftfreq(segment, 1 / sample_rate)),
+                       np.fft.fftshift(psd))
 
 
 def null_depth(psd: PsdEstimate, freqs, ref_band) -> np.ndarray:

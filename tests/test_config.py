@@ -37,7 +37,8 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
     ("fer", {"snr_sweep_db": 5}, "snr_sweep_db must be a list"),
     ("fer", {"snr_sweep_db": []}, "at least one SNR"),
     ("fer", {"master_seed": -1}, "master_seed"),
-    ("psd", {"welch": {"overlap": 1.0}}, "welch.overlap"),
+    # the Welch window and overlap are constants: a config that sets one fails loudly
+    ("psd", {"welch": {"overlap": 0.5}}, "config error: unknown config key 'welch'.'overlap'"),
     ("psd", {"welch": {"frames": 1}}, "longer than the 2176-sample PSD signal"),
     ("mcsc", PLAIN, "capacity table needs a shaped code"),
     ("mcsc", {"code": {"N": 2, "K": 1, "r": 0}, "welch": {"segment": 16},
@@ -62,6 +63,11 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
     ("fer", {"channel": {"tone_offset_hz": 12.5}}, "these parameters need r = 2"),
     ("fer", {"code": {"r": 2}, "channel": {"tone_offset_hz": 0.0}},
      "no shaping order covers it"),
+    ("psd", {"welch": {"window": "hann"}}, "config error: unknown config key 'welch'.'window'"),
+    # a lone tone at DC passes the grid check at any segment
+    ("psd", {**PLAIN, "criterion": "symmetric", "welch": {"segment": 1},
+             "channel": {"fundamental_hz": 1000.0, "tone_offset_hz": 0.0}},
+     "welch.segment must be >= 2"),
     # a repeated key is an error rather than its last copy winning; the
     # text is the file itself, as a dict cannot repeat a key
     pytest.param("fer", '{"decoder": {"list_size": 4}, "decoder": {"mode": "ccd"}}',
@@ -152,8 +158,6 @@ FIELDS = {
     "stop.max_frames": [0, -1, 1.5, "1"],
     "master_seed": [0, 7, 2**64 - 1, 2**64, -1, 10**400],
     "welch.segment": [16, 1024, 0, 10**9],
-    "welch.overlap": [0.0, 0.9, 1.0, -0.1],
-    "welch.window": ["hann", "boxcar", "kaiser", "bogus", 5],
     "welch.frames": [1, 20, 0],
     "threads": [1, 2, 0, -3, MAX_THREADS + 1, 10000],
 }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from combpolar import decoder, oracles, polar, shaping, simulate
 from combpolar.config import load_config
@@ -156,6 +157,25 @@ def subchannel_probability_bsc(x_obs, u_prefix, i, u_i, p, free_indices=None):
     flips = np.sum(s != x_obs[None, :], axis=1)
     lik = (p**flips) * ((1 - p) ** (N - flips))
     return float(np.sum(lik) / 2.0 ** (Kf - 1))
+
+
+@pytest.mark.parametrize("noise_var", [0.8, 0.05])
+@pytest.mark.parametrize("free_indices", [None, np.array([1, 3, 5, 6, 7])])
+def test_subchannel_probability_matches_scipy_logsumexp(noise_var, free_indices):
+    rng = np.random.default_rng(6)
+    N = 8
+    free = np.arange(N) if free_indices is None else free_indices
+    y = rng.standard_normal(N) * 1.3
+    for pos, i in enumerate(free):
+        prefix = rng.integers(0, 2, pos)
+        for u_i in (0, 1):
+            s, Kf = oracles._target_words(N, prefix, int(i), u_i, free_indices)
+            loglik = (-np.sum((y - s) ** 2, axis=1) / (2 * noise_var)
+                      - 0.5 * N * np.log(2 * np.pi * noise_var))
+            ref = np.exp(logsumexp(loglik) - (Kf - 1) * np.log(2.0))
+            got = oracles.subchannel_probability(y, prefix, int(i), u_i, noise_var,
+                                                 free_indices)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def random_code(rng, N, K):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 import link_reference
 from combpolar import modem, polar, shaping
@@ -70,6 +71,18 @@ class TestModulate:
         assert batch.shape == (5, 256 * 8 + 8 * 8)
         for row, b in zip(batch, bits):
             assert np.max(np.abs(row - modulate_bits(b, spec))) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(1,), (255,), (3, 256), (2, 6400)])
+    def test_matches_scipy_fftconvolve(self, shape):
+        spec = modem.PulseSpec(0.25, 16, 8)
+        symbols = modem.bpsk_map(np.random.default_rng(shape[-1]).integers(0, 2, shape))
+        up = np.zeros(shape[:-1] + (shape[-1] * spec.sps,))
+        up[..., :: spec.sps] = symbols
+        taps = modem.srrc_taps(spec).reshape((1,) * (up.ndim - 1) + (-1,))
+        ref = fftconvolve(up, taps, mode="full", axes=-1)
+        got = modem.modulate_symbols(symbols, spec)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_superposition_of_shifted_pulses(self):
         spec = modem.PulseSpec(0.25, 8, 8)

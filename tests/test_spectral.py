@@ -1,9 +1,24 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal
 
-from combpolar import polar, selftest, spectral
+from combpolar import polar, selftest, simulate, spectral
+from combpolar.config import load_config
+
+REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+
+
+def scipy_welch(samples, sample_rate, segment):
+    """scipy's Welch estimate with the settings welch_psd fixes, on an
+    ascending frequency grid."""
+    freqs, psd = signal.welch(samples, fs=sample_rate, window="hann", nperseg=segment,
+                              noverlap=int(0.5 * segment), detrend=False,
+                              return_onesided=False, scaling="density")
+    order = np.argsort(freqs)
+    return freqs[order], psd[order]
 
 
 class TestNullSet:
@@ -98,8 +113,38 @@ class TestWelchPsd:
         assert np.all(est.psd >= 0)
 
     def test_segment_validation(self):
-        with pytest.raises(ValueError):
-            spectral.welch_psd(np.zeros(100), 100.0, segment=200)
+        # a 1-point periodic Hann window is [0], which would give a NaN PSD
+        for segment in (200, 1, 0):
+            with pytest.raises(ValueError, match="segment"):
+                spectral.welch_psd(np.zeros(100), 100.0, segment=segment)
+
+    @pytest.mark.parametrize("segment, length", [
+        (3, 5000), (4, 5000), (17, 5000), (1024, 5000), (16384, 65536),
+        (5000, 5000), (1001, 1001),  # one segment spanning the signal
+    ])
+    def test_matches_scipy_on_white_noise(self, segment, length):
+        x = np.random.default_rng(segment).standard_normal(length)
+        est = spectral.welch_psd(x, 100.0, segment=segment)
+        freqs, psd = scipy_welch(x, 100.0, segment)
+        assert np.array_equal(est.freqs, freqs)
+        np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
+
+    def test_matches_scipy_on_the_reference_psd_signal(self, tmp_path, monkeypatch):
+        # the signal `psd` estimates on configs/reference.json; relative to
+        # the peak, since the deep nulls differ more per bin (about 1e-10)
+        seen = []
+
+        def spy(samples, sample_rate, *, segment):
+            seen.append((samples, sample_rate, segment))
+            return spectral.welch_psd(samples, sample_rate, segment=segment)
+
+        monkeypatch.setattr(simulate, "welch_psd", spy)
+        simulate.run_psd(load_config(REFERENCE_CONFIG), str(tmp_path))
+        (samples, sample_rate, segment), = seen
+        est = spectral.welch_psd(samples, sample_rate, segment=segment)
+        freqs, psd = scipy_welch(samples, sample_rate, segment)
+        assert np.array_equal(est.freqs, freqs)
+        assert np.max(np.abs(est.psd - psd)) <= 1e-12 * np.max(psd)
 
 
 class TestNullDepth:
