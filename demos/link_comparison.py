@@ -13,11 +13,11 @@ plus AWGN; the receiver comb-filters the interference away.  The shaped
 arms lose almost nothing to the comb filter, the conventional arm is
 badly distorted by it.
 
-`simulate.run_fer_arms` runs the three arms as one sweep: each round holds
-the next super-batch of every (arm, SNR point) still open, each arm keeps
-its own stop rule and rows, and each log line names its arm.  Each
-demo_out/fer_<arm>.csv is byte for byte what `combpolar fer` writes for
-that arm's config alone.
+`simulate.run_fer_arms` runs the three arms of `config.ARM_PRESETS` as
+one sweep: each round holds the next super-batch of every (arm, SNR point)
+still open, each arm keeps its own stop rule and rows, and each log line
+names its arm.  Each demo_out/fer_<arm>.csv is byte for byte what
+`combpolar fer` writes for that arm's config alone.
 
 Run:  python demos/link_comparison.py        (a few minutes)
 Fast: python demos/link_comparison.py quick
@@ -25,7 +25,7 @@ Fast: python demos/link_comparison.py quick
 
 import sys
 
-from combpolar.config import ExperimentConfig
+from combpolar.config import ARM_PRESETS, ExperimentConfig
 from combpolar import simulate
 
 quick = len(sys.argv) > 1 and sys.argv[1] == "quick"
@@ -43,8 +43,8 @@ print(f"N={cfg.N}, K={cfg.K} (rate {cfg.K/cfg.N}), shaping order {cfg.r}, "
       f"SIR {cfg.sir_db} dB, comb filter on, list size {cfg.list_size}")
 results = simulate.run_fer_arms(cfg, out_dir="demo_out", log=print)
 
-print(f"\n{'snr_db':>7} {'cp':>10} {'csp-nonc':>10} {'csp-c':>10}")
+print(f"\n{'snr_db':>7}" + "".join(f" {arm:>10}" for arm in ARM_PRESETS))
 for k, snr in enumerate(cfg.snr_sweep_db):
-    row = [results[a][k].fer for a in ("cp", "csp-nonc", "csp-c")]
-    print(f"{snr:>7.1f} {row[0]:>10.3e} {row[1]:>10.3e} {row[2]:>10.3e}")
-print("\nper-arm CSVs are in demo_out/ (fer_cp.csv, fer_csp-nonc.csv, fer_csp-c.csv)")
+    print(f"{snr:>7.1f}" + "".join(f" {results[arm][k].fer:>10.3e}" for arm in ARM_PRESETS))
+print("\nper-arm CSVs are in demo_out/ ("
+      + ", ".join(f"fer_{arm}.csv" for arm in ARM_PRESETS) + ")")

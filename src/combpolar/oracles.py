@@ -32,8 +32,8 @@ def ml_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
     """Exhaustive maximum-likelihood decoding over all 2^K codewords.
 
     Ranks codewords by correlation with the LLR vector (equivalently by
-    likelihood), ties to the smaller source word.  Returns (source bits
-    (B, N), selected codeword index (B,)).
+    likelihood), ties to the smaller source word.  Returns the source
+    bits, (B, N).
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     N = llrs.shape[1]
@@ -44,7 +44,7 @@ def ml_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
     pick = np.argmax(llrs @ _codebook_symbols(N, A).T, axis=1)
     u = np.zeros((len(llrs), N), dtype=np.uint8)
     u[:, A] = (pick[:, None] >> np.arange(K - 1, -1, -1)) & 1
-    return u, pick
+    return u
 
 
 def _target_words(N: int, u_prefix, i: int, u_i: int, free_indices) -> tuple:

@@ -169,7 +169,7 @@ def check_scl_vs_ml(frames: int = 2000, seed=4) -> tuple:
     y = (1.0 - 2.0 * x) + rng.standard_normal((frames, N))
     llr = channel_llr(y, 1.0)
     u_scl, _ = scl_decode_batch(llr, frozen, 16)
-    u_ml, _ = oracles.ml_decode_batch(llr, frozen)
+    u_ml = oracles.ml_decode_batch(llr, frozen)
     same = int(np.sum(np.all(u_scl == u_ml, axis=1)))
     return same == frames, f"{same}/{frames} frames decision-identical"
 

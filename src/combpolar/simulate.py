@@ -13,10 +13,10 @@ batch split or `--threads`.  The channel draws do not depend on which arm
 (code/decoder flavor) is being simulated, so FER comparisons between arms
 are paired.  The link's output, the matched-filter samples, is real.
 
-`run_fer` (one arm) and `run_fer_arms` (several, paired) share one sweep
-loop, which runs in rounds over every (arm, SNR point) still open (see
-`_sweep`); with threads > 1 each call starts one worker pool and joins it
-before returning, so no worker outlives the call.
+`run_fer` (one arm) and `run_fer_arms` (the arms of ARM_PRESETS, paired)
+share one sweep loop, which runs in rounds over every (arm, SNR point)
+still open (see `_sweep`); with threads > 1 each call starts one worker
+pool and joins it before returning, so no worker outlives the call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import modem
 from .channel import LinkChannel, calibrate_channel, draw_channel, receive
-from .config import ConfigError, ExperimentConfig
+from .config import ARM_PRESETS, ConfigError, ExperimentConfig
 from .construction import (
     CRITERIA,
     estimate_symmetric_reliability,
@@ -94,7 +94,7 @@ def construct_report(cfg: ExperimentConfig, out_path: str) -> dict:
         fh.write("index,capacity,selected\n")
         for i in range(cfg.N):
             fh.write(f"{i},{capacity[i]:.8f},{int(selected[i])}\n")
-    return {"A": code.A, "A_dec": code.A_dec, "mcsc": m}
+    return {"A": code.A, "mcsc": m}
 
 
 # --------------------------------------------------------------------------
@@ -191,10 +191,6 @@ class FERRecord:
     frames: int
     frame_errors: int
     fer: float
-    wilson_lo: float
-    wilson_hi: float
-    seed_lo: int
-    seed_hi: int
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple:
@@ -220,13 +216,13 @@ def run_fer(cfg: ExperimentConfig, out_path: str | None = None, log=None) -> lis
     return _sweep(cfg, {None: (cfg, out_path)}, log)[None]
 
 
-def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
-                 out_dir: str | None = None, log=None) -> dict:
-    """Run several arms under identical per-frame channel realizations in
-    one sweep (`_sweep`): rounds over every open (arm, point), one worker
-    pool per call at threads > 1.  Returns {arm: records} and, with
-    `out_dir`, writes each arm's `fer_<arm>.csv`, byte for byte the file
-    `run_fer` writes for that arm alone.
+def run_fer_arms(cfg: ExperimentConfig, out_dir: str | None = None, log=None) -> dict:
+    """Run the arms of ARM_PRESETS, in its order, under identical
+    per-frame channel realizations in one sweep (`_sweep`): rounds over
+    every open (arm, point), one worker pool per call at threads > 1.
+    Returns {arm: records} and, with `out_dir`, writes each arm's
+    `fer_<arm>.csv`, byte for byte the file `run_fer` writes for that arm
+    alone.
 
     The arms differ only in the code's shaping order, criterion and
     decoder, not in N, the design SNR or the roll-off, so they share one
@@ -234,7 +230,7 @@ def run_fer_arms(cfg: ExperimentConfig, arms=("cp", "csp-nonc", "csp-c"),
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     paths = {arm: None if out_dir is None else os.path.join(out_dir, f"fer_{arm}.csv")
-             for arm in arms}
+             for arm in ARM_PRESETS}
     return _sweep(cfg, {arm: (cfg.for_arm(arm), path) for arm, path in paths.items()}, log)
 
 
@@ -293,9 +289,9 @@ def _sweep(cfg: ExperimentConfig, arms: dict, log) -> dict:
                 while keys and not running(keys[0]):
                     key = keys.pop(0)
                     snr, n, k = cfg.snr_sweep_db[key[1]], frames[key], errors[key]
-                    w_lo, w_hi = wilson_interval(k, n)
-                    records[name].append(FERRecord(snr, n, k, k / n, w_lo, w_hi, 0, n - 1))
+                    records[name].append(FERRecord(snr, n, k, k / n))
                     if name in files:
+                        w_lo, w_hi = wilson_interval(k, n)
                         files[name].write(f"{snr},{n},{k},{k / n:.8g},{w_lo:.8g},{w_hi:.8g},"
                                           f"0,{n - 1}\n")
                         files[name].flush()

@@ -12,9 +12,11 @@ The runs, on configs/reference.json:
     one `run_fer_arms` call at two workers and through a single-arm
     `run_fer` at one.
 
-The manifest records the numpy and scipy versions it was made with; under
-other versions the test fails and names both.  A change that moves output
-bytes rewrites the manifest and lists each moved digest:
+The manifest records the numpy version it was made with, the one
+dependency the output bytes rest on (scipy is only a test reference);
+under another numpy the test fails and names both versions.  A change
+that moves output bytes rewrites the manifest and lists each moved
+digest:
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 """
@@ -29,21 +31,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy
 
 from combpolar import simulate
-from combpolar.config import load_config
+from combpolar.config import ARM_PRESETS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden.json")
 SEEDS = (1, 7)
-ARMS = ("cp", "csp-nonc", "csp-c")
+ARMS = tuple(ARM_PRESETS)
 LIST_SIZES = (1, 8, 32)
 TONE_MODELS = {"noise": -20.0, "sinusoid": 0.0}  # tone model: SIR (dB)
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def _sha256(path: Path) -> str:
@@ -74,7 +75,7 @@ def run_cases(out: Path) -> tuple:
                         snr_sweep_db=(-3.0, 0.0), min_frame_errors=20, max_frames=192,
                     )
                     case = f"seed{seed}/fer-{model}-L{L}"
-                    simulate.run_fer_arms(fer_cfg, ARMS, out_dir=str(out / case))
+                    simulate.run_fer_arms(fer_cfg, out_dir=str(out / case))
                     (out / "alone" / case).mkdir(parents=True)
                     for arm in ARMS:
                         path = out / "alone" / case / f"fer_{arm}.csv"
@@ -97,6 +98,23 @@ def test_golden_digests(tmp_path):
     assert not moved, f"output bytes moved: {moved}"
     split = sorted(k for k, v in alone.items() if v != digests[k])
     assert not split, f"single-arm run_fer differs from run_fer_arms: {split}"
+
+
+def test_version_gate_reads_numpy_only(tmp_path):
+    # the gate of test_golden_digests, with the runs replaced by the
+    # manifest's own digests: another scipy passes, another numpy fails
+    # and names both versions
+    scipy = pytest.importorskip("scipy")
+    manifest = json.loads(MANIFEST.read_text())
+    runs = mock.patch.object(sys.modules[__name__], "run_cases",
+                             return_value=(manifest["digests"], {}))
+    with runs, mock.patch.object(scipy, "__version__", "0.0.1"):
+        test_golden_digests(tmp_path)
+    with runs, mock.patch.object(np, "__version__", "0.0.1"):
+        with pytest.raises(pytest.fail.Exception) as failed:
+            test_golden_digests(tmp_path)
+    assert manifest["versions"]["numpy"] in str(failed.value)
+    assert "0.0.1" in str(failed.value)
 
 
 def rewrite():

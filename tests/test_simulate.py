@@ -11,12 +11,12 @@ import pytest
 import link_reference
 from combpolar import channel, modem, polar, selftest, shaping, simulate
 from combpolar.cli import main as cli_main
-from combpolar.config import ConfigError, ExperimentConfig, load_config
+from combpolar.config import ARM_PRESETS, ConfigError, ExperimentConfig, load_config
 from combpolar.decoder import ccd_decode_batch
 from combpolar.spectral import tone_centers
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
-ARMS = ("cp", "csp-nonc", "csp-c")
+ARMS = tuple(ARM_PRESETS)
 
 
 def tiny_cfg(**kw):
@@ -275,9 +275,9 @@ class TestLinkDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_arms_share_one_profile(self, tmp_path, monkeypatch):
-        # run_fer_arms builds the capacity profile once for all arms, and
-        # each arm's CSV is the one it writes when run on its own, at one
-        # worker or two
+        # run_fer_arms runs the arms of ARM_PRESETS in its order, builds the
+        # capacity profile once for all of them, and each arm's CSV is the
+        # one it writes when run on its own, at one worker or two
         cfg = tiny_cfg(snr_sweep_db=(-1.0,), max_frames=128)
         alone = tmp_path / "alone"
         alone.mkdir()
@@ -293,7 +293,9 @@ class TestLinkDeterminism:
         monkeypatch.setattr(simulate, "build_profile", counted)
         for threads in (1, 2):
             out = tmp_path / f"arms_t{threads}"
-            simulate.run_fer_arms(dataclasses.replace(cfg, threads=threads), out_dir=str(out))
+            res = simulate.run_fer_arms(dataclasses.replace(cfg, threads=threads),
+                                        out_dir=str(out))
+            assert list(res) == list(ARM_PRESETS)
             assert len(calls) == threads
             for arm in ARMS:
                 name = f"fer_{arm}.csv"
@@ -589,8 +591,7 @@ def point_by_point(cfg):
                 simulate.run_link_frames(link, range(frames, frames + b))))
             frames += b
         lo, hi = simulate.wilson_interval(errors, frames)
-        records.append(simulate.FERRecord(snr, frames, errors, errors / frames, lo, hi,
-                                          0, frames - 1))
+        records.append(simulate.FERRecord(snr, frames, errors, errors / frames))
         text += (f"{snr},{frames},{errors},{errors / frames:.8g},{lo:.8g},{hi:.8g},"
                  f"0,{frames - 1}\n")
     return records, text
@@ -789,6 +790,7 @@ class TestConstructReport:
         cfg = tiny_cfg()
         path = tmp_path / "construct.csv"
         out = simulate.construct_report(cfg, str(path))
+        assert set(out) == {"A", "mcsc"}
         text = path.read_text()
         assert "# A=" in text and "# mcsc=" in text
         assert "index,capacity,selected" in text
