@@ -4,7 +4,9 @@ Two estimators are provided.  The Gaussian-approximation density evolution
 is fast and used for code construction in the link simulator.  The
 genie-aided Monte-Carlo estimator measures per-index symmetric capacity
 directly from decision LLRs and serves as the reference for the capacity
-tables and the constrained-capacity identities.
+tables and the constrained-capacity identities.  It sends the all-zero
+codeword only: on a binary-input symmetric channel every source word
+gives its true-bit decision LLRs the same distribution.
 
 Design SNR here means in-band SNR with the signal band taken as the
 symbol-rate width [-Rs/2, Rs/2]: a unit-energy square-root pulse of
@@ -20,6 +22,7 @@ import numpy as np
 
 from .shaping import CisSpec, CodeConfig, cis, half_to_cis
 from .decoder import _softplus, genie_decision_llrs
+# encode is not called here; perfbench/tracing.py wraps it under this name
 from .polar import _check_power_of_two, encode
 
 
@@ -138,11 +141,10 @@ def gaussian_approximation_means(N: int, noise_var: float) -> np.ndarray:
 # genie-aided Monte-Carlo estimator
 # --------------------------------------------------------------------------
 
-# LLRs per slice of a Monte-Carlo batch: the genie's level buffers of a
-# 2^16-LLR slice (512 KB each) stay within a 2 MB L2 cache, and 2^16
-# measured faster than 2^15 and 2^17 at N = 256
+# LLRs per Monte-Carlo slice: the genie's level buffers of a 2^16-LLR
+# slice (512 KB each) stay within a 2 MB L2 cache, and 2^16 measured
+# faster than 2^15 and 2^17 at N = 256
 MC_CHUNK_LLRS = 1 << 16
-MC_BATCH = 4096  # frames whose source bits one Monte-Carlo draw makes
 
 
 def _mc_capacity_terms(llr_true_bit):
@@ -153,15 +155,17 @@ def _mc_capacity_terms(llr_true_bit):
 def monte_carlo_symmetric_capacity(N: int, noise_var: float, trials: int, rng):
     """Genie-aided SC capacity estimate of every sub-channel.
 
-    Draws i.i.d. uniform source words, transmits them over the
-    antipodal-AWGN symbol channel, and averages 1 - log2(1 + exp(-L_i))
-    of the true-bit decision LLRs.  Each batch of MC_BATCH frames (the
-    last one partial) draws its (b, N) source bits; then, on slices of
-    max(1, MC_CHUNK_LLRS // N) frames (the last one partial), each slice
-    draws its own standard normals before encoding, the genie and the
-    sums.  numpy's Generator keeps no normal in reserve between calls,
-    so the slices' normals are one (b, N) draw's, value for value, and
-    the draws do not depend on the slice size.
+    Sends the all-zero codeword over the antipodal-AWGN symbol channel and
+    averages 1 - log2(1 + exp(-L_i)) of the genie's decision LLRs.  The
+    channel is binary-input and symmetric, so the true-bit LLR
+    (1 - 2u_i) L_i has the same distribution whatever the source word
+    (Arikan, IEEE Trans. IT 2009), and the all-zero word gives the
+    estimate of uniform source words without drawing or encoding any.
+    Slices of max(1, MC_CHUNK_LLRS // N) frames (the last one partial)
+    each draw their standard normals z and decode y = 1 + sigma z.
+    numpy's Generator keeps no normal in reserve between calls, so the
+    slices' normals are one (trials, N) draw's, value for value, and the
+    estimate does not depend on the slice size.
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
@@ -171,18 +175,11 @@ def monte_carlo_symmetric_capacity(N: int, noise_var: float, trials: int, rng):
     sigma = np.sqrt(noise_var)
     sum1 = np.zeros(N)
     sum2 = np.zeros(N)
-    done = 0
-    while done < trials:
-        b = min(MC_BATCH, trials - done)
-        u_batch = rng.integers(0, 2, size=(b, N), dtype=np.uint8)
-        for s in range(0, b, chunk):
-            u = u_batch[s : s + chunk]
-            y = (1.0 - 2.0 * encode(u)) + rng.standard_normal(u.shape) * sigma
-            dec = genie_decision_llrs(2.0 * y / noise_var, u)
-            terms = _mc_capacity_terms((1.0 - 2.0 * u) * dec)
-            sum1 += terms.sum(axis=0)
-            sum2 += (terms**2).sum(axis=0)
-        done += b
+    for s in range(0, trials, chunk):
+        y = 1.0 + sigma * rng.standard_normal((min(chunk, trials - s), N))
+        terms = _mc_capacity_terms(genie_decision_llrs(2.0 * y / noise_var))
+        sum1 += terms.sum(axis=0)
+        sum2 += (terms**2).sum(axis=0)
     mean = sum1 / trials
     var = np.maximum(sum2 / trials - mean**2, 0.0)
     return mean, np.sqrt(var / trials)

@@ -4,7 +4,9 @@ with the top-half information set.
 
 One successive-cancellation tree walk serves two leaf rules: SC (hard
 decision) and SCL (fork and prune the list).  The genie (record the
-decision LLR, feed back the true bit) knows every decision up front, so
+decision LLR, feed back the true bit) runs on the all-zero word: on a
+binary-input symmetric channel every source word's true-bit LLRs have
+the same distribution.  It knows every decision up front (all 0), so
 `genie_decision_llrs` sweeps the tree one level at a time instead, with
 the walk's operations on the walk's operands.  An SCL prune copies no
 buffer: it composes per-level row maps, which the walk applies only to
@@ -325,43 +327,33 @@ def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
     return _Walk(llrs, frozen, plan=node_plan(frozen, 1)).run()
 
 
-def genie_decision_llrs(llrs: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    """Per-index SC decision LLRs given the true preceding source bits.
+def genie_decision_llrs(llrs: np.ndarray) -> np.ndarray:
+    """Per-index SC decision LLRs of the all-zero source word.
 
-    llrs is (B, N) in codeword order; u_true is the (B, N) source batch,
-    one word per frame (any other shape raises ValueError).  Output
-    column i is the LLR the decoder would see for source bit i if all
-    previous decisions were correct.
+    llrs is (B, N) in codeword order.  Output column i is the LLR the
+    decoder would see for source bit i if all previous decisions were
+    correct and the word sent was all-zero.  On a binary-input symmetric
+    channel the true-bit LLR (1 - 2u_i) L_i has the same distribution for
+    every source word (Arikan, IEEE Trans. IT 2009), so this is all the
+    genie-aided estimator needs.
 
     With every decision known, the walk's order no longer matters, so the
     tree is swept one level at a time.  Buffers are laid out (width,
     nodes, B): a level's nodes sit side by side, the left children of
     one level first, then the right ones, so node position p at level d
     is node bitrev_d(p), and the leaves come out in bit-reversed order.
-    First every left child's codeword comes bottom up from the true bits
-    (a node's codeword is [left ^ right, right]); then each level top
-    down makes one soft_xor call for all left children and one update
-    b + (1 - 2 cw_left) a for all right ones, the walk's operations on
-    the walk's operands, so the result is the walk's bit for bit.
+    Each level makes one soft_xor call for all left children and one
+    update b + a for all right ones: the walk's operations on the walk's
+    operands with every partial sum 0, so the result is the walk's bit
+    for bit.
     """
     llrs, _ = _decoder_inputs(llrs)
-    u_true = np.atleast_2d(np.asarray(u_true, dtype=np.uint8))
-    if u_true.shape != llrs.shape:
-        raise ValueError(f"true source bits have shape {u_true.shape}, "
-                         f"the LLRs {llrs.shape}")
     rev = bit_reversal(llrs.shape[1])
-    cw = u_true.T[rev][None]  # level n: leaf codewords, (1, N, B)
-    cw_left = []  # level d's left children's codewords, (N >> (d + 1), 2^d, B), d = n-1 .. 0
-    while cw.shape[1] > 1:
-        half = cw.shape[1] // 2
-        left, right = cw[:, :half], cw[:, half:]
-        cw_left.append(left)
-        cw = np.concatenate([left ^ right, right], axis=0)
     lam = llrs.T[rev][:, None]  # level 0: (N, 1, B)
-    for left in reversed(cw_left):
+    while len(lam) > 1:
         h = len(lam) // 2
         a, b = lam[:h], lam[h:]
-        lam = np.concatenate([soft_xor(a, b), b + (1.0 - 2.0 * left) * a], axis=1)
+        lam = np.concatenate([soft_xor(a, b), b + a], axis=1)
     return np.ascontiguousarray(lam[0][rev].T)
 
 

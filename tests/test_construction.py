@@ -8,6 +8,7 @@ import pytest
 from combpolar import construction, decoder, polar, shaping
 from combpolar.config import ExperimentConfig, load_config
 from combpolar.simulate import build_code
+from test_decoder import GenieWalk
 
 ROOT = Path(__file__).resolve().parents[1]
 ROLLOFF = ExperimentConfig.pulse.rolloff  # the default pulse's, 0.25
@@ -167,35 +168,51 @@ class TestMonteCarloEstimator:
         top_mc = set(np.argsort(-mc)[:4].tolist())
         assert top_ga == top_mc
 
-    @pytest.mark.parametrize("N, trials, batch", [
-        pytest.param(2, 1000, 300, id="2"),
-        pytest.param(1024, 1000, 300, id="1024"),
-        pytest.param(256, 5000, 4096, id="256"),
+    @pytest.mark.parametrize("N, trials", [
+        pytest.param(2, 40000, id="2"),
+        pytest.param(256, 1000, id="256"),
+        pytest.param(1024, 1000, id="1024"),
     ])
-    def test_slices_match_a_whole_batch_reference(self, monkeypatch, N, trials, batch):
-        """Batches cut into slices of MC_CHUNK_LLRS // N frames give the
-        mean of a plain whole-batch computation within 1e-13 and leave the
-        generator in the same state.  The last batch is partial; at N = 1024 and 256 it ends
-        inside a slice, and at N = 256 the full 4096-frame batch is 16
-        whole slices.  The estimator draws each slice's normals after the
-        batch's bits, so a numpy Generator that kept a normal in reserve
-        between calls would fail here."""
+    def test_slices_match_a_whole_batch_reference(self, N, trials):
+        """Slices of MC_CHUNK_LLRS // N frames give the mean of one whole
+        (trials, N) draw through the all-zero genie within 1e-13 and leave
+        the generator in the same state.  The last slice is partial.  A
+        numpy Generator that kept a normal in reserve between calls would
+        fail here."""
         noise_var = 0.9
         rng = np.random.default_rng(23)
-        monkeypatch.setattr(construction, "MC_BATCH", batch)
         mean, _ = construction.monte_carlo_symmetric_capacity(N, noise_var, trials, rng)
-        sizes = [batch] * (trials // batch) + [trials % batch]
-        chunk = max(1, construction.MC_CHUNK_LLRS // N)
-        assert sizes[-1] % chunk
+        assert trials % max(1, construction.MC_CHUNK_LLRS // N)
+        assert trials > construction.MC_CHUNK_LLRS // N
         ref_rng = np.random.default_rng(23)
-        terms = []
-        for b in sizes:
-            u = ref_rng.integers(0, 2, size=(b, N), dtype=np.uint8)
-            y = (1.0 - 2.0 * polar.encode(u)) + ref_rng.standard_normal((b, N)) * np.sqrt(noise_var)
-            dec = decoder.genie_decision_llrs(2.0 * y / noise_var, u)
-            terms.append(1.0 - np.logaddexp(0.0, -(1.0 - 2.0 * u) * dec) / np.log(2.0))
-        np.testing.assert_allclose(mean, np.concatenate(terms).mean(axis=0), rtol=0, atol=1e-13)
+        y = 1.0 + ref_rng.standard_normal((trials, N)) * np.sqrt(noise_var)
+        dec = decoder.genie_decision_llrs(2.0 * y / noise_var)
+        terms = 1.0 - np.logaddexp(0.0, -dec) / np.log(2.0)
+        np.testing.assert_allclose(mean, terms.mean(axis=0), rtol=0, atol=1e-13)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_all_zero_word_matches_random_words(self, N):
+        """The all-zero estimate agrees with a random-word genie (uniform
+        source words, encode, and the recursive walk fed back the true
+        bits) at -2 dB, 20k trials each: within 5 combined standard errors
+        where the all-zero estimate's is nonzero, and within 1e-6 where it
+        is 0 (every trial gave 1 - log2(1 + e^-L) = 1 exactly, and the
+        reference's own spread is then float rounding)."""
+        trials = 20_000
+        noise_var = construction.snr_db_to_noise_var(-2.0, ROLLOFF)
+        mean, se = construction.monte_carlo_symmetric_capacity(
+            N, noise_var, trials, np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        u = rng.integers(0, 2, (trials, N), dtype=np.uint8)
+        y = (1.0 - 2.0 * polar.encode(u)) + rng.standard_normal((trials, N)) * np.sqrt(noise_var)
+        dec = GenieWalk(2.0 * y / noise_var, u).run()
+        terms = 1.0 - np.logaddexp(0.0, -(1.0 - 2.0 * u) * dec) / np.log(2.0)
+        ref_mean, ref_se = terms.mean(axis=0), terms.std(axis=0) / np.sqrt(trials)
+        diff = np.abs(mean - ref_mean)
+        spread = se > 0
+        assert np.all(diff[spread] <= 5.0 * np.hypot(se, ref_se)[spread])
+        assert np.all(diff[~spread] <= 1e-6)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_bad_trials_rejected_before_drawing(self, trials):

@@ -207,28 +207,21 @@ class TestScDecode:
         assert np.all(u_hat[0, code.frozen_mask()] == 0)
 
     def test_decision_llrs_match_enumeration(self):
-        """SC's per-step LLRs equal brute-force sub-channel probability
-        ratios given random true prefixes, pinning the walk's index
-        convention and its partial-sum sign flips."""
+        """The walk's per-step LLRs, fed back random true bits, equal
+        brute-force sub-channel probability ratios given those prefixes,
+        pinning the walk's index convention and its partial-sum sign
+        flips."""
         rng = np.random.default_rng(4)
         N, nv = 8, 0.8
         for _ in range(10):
             y = rng.standard_normal(N) * 1.3
             llr = 2.0 * y / nv
             u = rng.integers(0, 2, (1, N), dtype=np.uint8)
-            dec = decoder.genie_decision_llrs(llr[None, :], u)
+            dec = GenieWalk(llr[None, :], u).run()
             for i in range(N):
                 w0 = oracles.subchannel_probability(y, u[0, :i], i, 0, nv)
                 w1 = oracles.subchannel_probability(y, u[0, :i], i, 1, nv)
                 assert abs(dec[0, i] - np.log(w0 / w1)) < 1e-8
-
-    def test_genie_needs_true_bits_of_the_llrs_shape(self):
-        """One source word per LLR frame: a single row is not broadcast to
-        every frame, and a wrong frame count or length is refused up front."""
-        llr = np.random.default_rng(19).standard_normal((3, 8))
-        for shape in ((1, 8), (2, 8), (3, 4)):
-            with pytest.raises(ValueError, match="shape"):
-                decoder.genie_decision_llrs(llr, np.zeros(shape, dtype=np.uint8))
 
     def test_ml_agreement_when_unambiguous(self):
         rng = np.random.default_rng(5)
@@ -247,8 +240,10 @@ class TestScDecode:
 
 class GenieWalk(decoder._Walk):
     """The recursive genie: the depth-first walk, leaf by leaf, recording
-    each leaf's LLR and feeding back the true bit.  The reference the
-    level sweep of `genie_decision_llrs` is checked against."""
+    each leaf's LLR and feeding back the true bit.  With the all-zero
+    word it is the reference the level sweep of `genie_decision_llrs` is
+    checked against; with other words, the reference for the walk's
+    partial-sum sign flips."""
 
     def __init__(self, llrs, u_true):
         super().__init__(llrs, None)
@@ -267,8 +262,9 @@ class GenieWalk(decoder._Walk):
 class TestGenie:
     @pytest.mark.parametrize("N", [2, 4, 8, 32, 256, 1024])
     def test_level_sweep_is_the_walk_bit_for_bit(self, N):
-        """The level sweep gives the recursive walk's decision LLRs, bit for
-        bit, on noisy, all-zero, clamped (+-LLR_MAX) and 1e-300-scaled LLRs."""
+        """The level sweep gives the recursive walk's decision LLRs on the
+        all-zero word, bit for bit, on noisy, all-zero, clamped (+-LLR_MAX)
+        and 1e-300-scaled LLRs."""
         rng = np.random.default_rng(22)
         u = rng.integers(0, 2, (48, N), dtype=np.uint8)
         noisy = 2.0 * ((1.0 - 2.0 * polar.encode(u)) + rng.standard_normal((48, N)))
@@ -278,9 +274,10 @@ class TestGenie:
             "clamped": decoder.LLR_MAX * rng.choice([-1.0, 1.0], (48, N)),
             "tiny": 1e-300 * noisy,
         }
+        zeros = np.zeros((48, N), dtype=np.uint8)
         for name, llr in llrs.items():
-            got = decoder.genie_decision_llrs(llr, u)
-            ref = GenieWalk(llr, u).run()
+            got = decoder.genie_decision_llrs(llr)
+            ref = GenieWalk(llr, zeros).run()
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
 
 
@@ -533,7 +530,7 @@ class TestSclDecode:
             decoders[f"scl{L}"] = lambda L=L: decoder.scl_decode_batch(llr, frozen, L)
         for name, decode in decoders.items():
             u_hat, pm = decode()
-            dec = decoder.genie_decision_llrs(llr, u_hat)
+            dec = GenieWalk(llr, u_hat).run()
             expected = np.sum(np.logaddexp(0.0, -(1.0 - 2.0 * u_hat) * dec), axis=1)
             assert np.allclose(pm, expected, rtol=1e-12, atol=1e-9), name
             assert np.all(u_hat[:, frozen] == 0), name
@@ -787,10 +784,9 @@ class TestCcdDecode:
         u = rng.integers(0, 2, (37, N), dtype=np.uint8)
         y = (1.0 - 2.0 * polar.encode(u)) + 0.9 * rng.standard_normal((37, N))
         llr = decoder.channel_llr(y, 0.81)
-        whole = decoder.genie_decision_llrs(llr, u)
+        whole = decoder.genie_decision_llrs(llr)
         for cuts in ([11], range(1, 37)):
-            split = [decoder.genie_decision_llrs(lp, up)
-                     for lp, up in zip(np.split(llr, cuts), np.split(u, cuts))]
+            split = [decoder.genie_decision_llrs(lp) for lp in np.split(llr, cuts)]
             assert np.array_equal(np.concatenate(split), whole)
 
     def test_config_shape_mismatch(self):

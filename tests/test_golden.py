@@ -4,7 +4,7 @@ set of runs at master seeds 1 and 7, checked against tests/golden.json.
 The runs, on configs/reference.json:
   - `construct` on the reference code and on N = 1024, r = 5, K = 384
   - `psd` at welch.frames 8
-  - `mcsc` at 5000 trials (a partial 4096-trial batch)
+  - `mcsc` at 5000 trials (a partial genie slice)
   - each arm's FER CSV at L in {1, 8, 32}, on the noise tone model (SIR
     -20 dB) and the sinusoid one (SIR 0 dB, where the SNR still matters),
     over -3 and 0 dB with 64-frame super-batches, so the points and arms
