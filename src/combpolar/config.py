@@ -71,10 +71,13 @@ MAX_FRAME_SAMPLES = 1 << 20
 # sizes whose buffers grow with the config: SCL keeps (N, 512, L) path
 # buffers (about 1 GiB at the ceiling), the sinusoid tone model a complex
 # (tones, frame samples) phasor basis that each link folds (128 MiB), and
-# psd the whole Welch signal with its segments (about 85 bytes per sample)
+# psd's Welch estimate one segment's window, running sum and complex
+# spectrum, plus a buffer of one segment and more (about 64 bytes per
+# segment sample; 512 MiB at the ceiling).  psd streams its frames, so
+# welch.frames, like stop.max_frames, is bounded only by run time.
 MAX_LIST_SYMBOLS = 1 << 16
 MAX_TONE_PHASORS = 1 << 23
-MAX_PSD_SAMPLES = 1 << 23
+MAX_PSD_SAMPLES = 1 << 23  # welch.segment
 DB_LIMIT = 300.0  # |SNR| and |SIR| in dB; beyond it 10**(dB/10) leaves the float range
 
 
@@ -205,13 +208,13 @@ class ExperimentConfig:
             if tones * samples > MAX_TONE_PHASORS:
                 raise ConfigError(f"the sinusoid tone model's {tones} tones x {samples} frame "
                                   f"samples exceed {MAX_TONE_PHASORS} phasors")
+        if self.welch_segment > MAX_PSD_SAMPLES:
+            raise ConfigError(f"welch.segment {self.welch_segment} exceeds "
+                              f"{MAX_PSD_SAMPLES} samples")
         psd_samples = (self.psd_frames * self.N + self.pulse.span_symbols) * self.pulse.sps
         if self.welch_segment > psd_samples:
             raise ConfigError(f"welch.segment {self.welch_segment} is longer than the "
                               f"{psd_samples}-sample PSD signal of {self.psd_frames} frames")
-        if psd_samples > MAX_PSD_SAMPLES:
-            raise ConfigError(f"welch.frames {self.psd_frames} make a {psd_samples}-sample "
-                              f"PSD signal, over {MAX_PSD_SAMPLES}")
         # notch depths are read off the Welch grid, spaced as np.fft.fftfreq spaces it
         seg = self.welch_segment
         step = 1.0 / (seg * (1.0 / self.sample_rate))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .shaping import CisSpec, CodeConfig, cis, half_to_cis
-from .decoder import _softplus, genie_decision_llrs
+from .decoder import _softplus, genie_decision_llrs, genie_work
 # encode is not called here; perfbench/tracing.py wraps it under this name
 from .polar import _check_power_of_two, encode
 
@@ -141,15 +141,22 @@ def gaussian_approximation_means(N: int, noise_var: float) -> np.ndarray:
 # genie-aided Monte-Carlo estimator
 # --------------------------------------------------------------------------
 
-# LLRs per Monte-Carlo slice: the genie's level buffers of a 2^16-LLR
-# slice (512 KB each) stay within a 2 MB L2 cache, and 2^16 measured
-# faster than 2^15 and 2^17 at N = 256
+# LLRs per Monte-Carlo slice.  A call makes its slice buffers once: the
+# LLRs, the capacity terms and the genie's two level buffers (512 KB each
+# at 2^16), and three of half that for soft_xor, 2.75 MB in all.  In
+# those buffers 50k trials at N = 256 took 1.10-1.46 s at every size from
+# 2^14 to 2^17 (fastest runs 1.10 s at 2^15, 1.15 s at 2^16), within the
+# run-to-run spread of a shared 2-core Xeon VM, so 2^16 stays
 MC_CHUNK_LLRS = 1 << 16
 
 
-def _mc_capacity_terms(llr_true_bit):
-    """Per-trial capacity contribution 1 - log2(1 + exp(-L)) of the true bit."""
-    return 1.0 - _softplus(-llr_true_bit) / np.log(2.0)
+def _mc_capacity_terms(llr_true_bit, out):
+    """Per-trial capacity contribution 1 - log2(1 + exp(-L)) of the true
+    bit, into `out`; overwrites llr_true_bit."""
+    z = np.negative(llr_true_bit, out=llr_true_bit)
+    t = _softplus(z, out=out, scratch=z)
+    t /= np.log(2.0)
+    return np.subtract(1.0, t, out=t)
 
 
 def monte_carlo_symmetric_capacity(N: int, noise_var: float, trials: int, rng):
@@ -166,20 +173,31 @@ def monte_carlo_symmetric_capacity(N: int, noise_var: float, trials: int, rng):
     numpy's Generator keeps no normal in reserve between calls, so the
     slices' normals are one (trials, N) draw's, value for value, and the
     estimate does not depend on the slice size.
+    Every slice runs in buffers made once per call: the normals are
+    drawn into one, turned into LLRs and decoded in place, and the
+    capacity terms go to another, so no slice allocates, or page-faults
+    on, anything of the slice's size.
     Returns (mean (N,), standard error (N,)).
     """
     _check_power_of_two(N)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    chunk = max(1, MC_CHUNK_LLRS // N)
+    chunk = min(trials, max(1, MC_CHUNK_LLRS // N))
     sigma = np.sqrt(noise_var)
+    llrs, terms, work = np.empty((chunk, N)), np.empty((chunk, N)), genie_work(N, chunk)
     sum1 = np.zeros(N)
     sum2 = np.zeros(N)
     for s in range(0, trials, chunk):
-        y = 1.0 + sigma * rng.standard_normal((min(chunk, trials - s), N))
-        terms = _mc_capacity_terms(genie_decision_llrs(2.0 * y / noise_var))
-        sum1 += terms.sum(axis=0)
-        sum2 += (terms**2).sum(axis=0)
+        z = llrs[: min(chunk, trials - s)]
+        rng.standard_normal(out=z)
+        # 2 y / noise_var for y = 1 + sigma z, in the order of those operations
+        z *= sigma
+        z += 1.0
+        z *= 2.0
+        z /= noise_var
+        t = _mc_capacity_terms(genie_decision_llrs(z, out=z, work=work), terms[: len(z)])
+        sum1 += t.sum(axis=0)
+        sum2 += np.square(t, out=t).sum(axis=0)
     mean = sum1 / trials
     var = np.maximum(sum2 / trials - mean**2, 0.0)
     return mean, np.sqrt(var / trials)

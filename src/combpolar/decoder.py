@@ -70,12 +70,13 @@ _BIG = 1e300  # metric sentinel for not-yet-active list slots
 RATE0, REP, RATE1 = 1, 2, 3  # node kinds of a plan; 0 walks on
 
 
-def _softplus(z):
+def _softplus(z, out=None, scratch=None):
     """ln(1 + e^z) as max(z, 0) + ln(1 + e^-|z|), on numpy's vector exp and
-    log1p; exact at +-inf, and e^-|z| only underflows to 0."""
-    t = np.abs(z)
+    log1p; exact at +-inf, and e^-|z| only underflows to 0.  `out`
+    receives the result and `scratch` max(z, 0); scratch may be z itself."""
+    t = np.abs(z, out=out)
     np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
-    t += np.maximum(z, 0.0)
+    t += np.maximum(z, 0.0, out=scratch)
     return t
 
 
@@ -100,14 +101,16 @@ def _softplus_pair(z):
 SOFT_XOR_SLICE = 1 << 15
 
 
-def soft_xor(a, b):
+def soft_xor(a, b, out=None, scratch=None):
     """Exact check-node LLR combine: 2 atanh(tanh(a/2) tanh(b/2)).
 
     Stable form: sign(a)sign(b)min(|a|,|b|) plus correction terms in
     ln((1+e^{a+b})/(e^a+e^b)); the exponents |a+b| and |a-b| are
     nonnegative, so nothing overflows.  The operations run in the order
-    of that formula, into the output and two scratch buffers of the
-    call's own.  The sign comes from the product a b, whose sign bit is
+    of that formula, into the output and two scratch buffers: the
+    call's own, or `out` (of the broadcast shape) and `scratch`, two
+    flat float64 arrays of at least out.size elements.
+    The sign comes from the product a b, whose sign bit is
     that of sign(a)sign(b) also where it underflows to 0 or overflows to
     inf; where min(|a|,|b|) is 0 the signed zero this may leave is
     cleared by the first correction term.  A call of more than
@@ -116,14 +119,19 @@ def soft_xor(a, b):
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     shape = np.broadcast(a, b).shape
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
     if out.size <= SOFT_XOR_SLICE:
-        _soft_xor_into(a, b, out, np.empty(shape), np.empty(shape))
+        t, mn = ((np.empty(shape), np.empty(shape)) if scratch is None
+                 else (w[: out.size].reshape(shape) for w in scratch))
+        _soft_xor_into(a, b, out, t, mn)
         return out
     if a.shape != shape or b.shape != shape:
         a, b = np.broadcast_arrays(a, b)
     step = max(1, SOFT_XOR_SLICE * shape[0] // out.size)  # rows per slice
-    t, mn = np.empty((step,) + shape[1:]), np.empty((step,) + shape[1:])
+    rows = (step,) + shape[1:]
+    t, mn = ((np.empty(rows), np.empty(rows)) if scratch is None
+             else (w[: out.size // shape[0] * step].reshape(rows) for w in scratch))
     for s in range(0, shape[0], step):
         o = out[s : s + step]
         _soft_xor_into(a[s : s + step], b[s : s + step], o, t[: len(o)], mn[: len(o)])
@@ -327,7 +335,14 @@ def sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray):
     return _Walk(llrs, frozen, plan=node_plan(frozen, 1)).run()
 
 
-def genie_decision_llrs(llrs: np.ndarray) -> np.ndarray:
+def genie_work(N: int, B: int) -> tuple:
+    """Scratch for `genie_decision_llrs` on up to B frames of length N: two
+    level buffers of B*N LLRs, and three of half that for soft_xor's
+    output and its two scratch buffers."""
+    return (np.empty(B * N), np.empty(B * N)) + tuple(np.empty(B * N // 2) for _ in range(3))
+
+
+def genie_decision_llrs(llrs: np.ndarray, out=None, work=None) -> np.ndarray:
     """Per-index SC decision LLRs of the all-zero source word.
 
     llrs is (B, N) in codeword order.  Output column i is the LLR the
@@ -343,18 +358,43 @@ def genie_decision_llrs(llrs: np.ndarray) -> np.ndarray:
     one level first, then the right ones, so node position p at level d
     is node bitrev_d(p), and the leaves come out in bit-reversed order.
     Each level makes one soft_xor call for all left children and one
-    update b + a for all right ones: the walk's operations on the walk's
-    operands with every partial sum 0, so the result is the walk's bit
-    for bit.
+    update b + a for all right ones, written into the next level's
+    buffer: the walk's operations on the walk's operands with every
+    partial sum 0, so the result is the walk's bit for bit.
+
+    The levels alternate between the two level buffers of `work`
+    (`genie_work` of at least B frames, made per call when None), and
+    the result goes to `out`, a C-contiguous (B, N) float64 array (made
+    when None), which may be llrs itself.  So a caller that passes both
+    allocates nothing of size B*N.
     """
     llrs, _ = _decoder_inputs(llrs)
-    rev = bit_reversal(llrs.shape[1])
-    lam = llrs.T[rev][:, None]  # level 0: (N, 1, B)
-    while len(lam) > 1:
-        h = len(lam) // 2
-        a, b = lam[:h], lam[h:]
-        lam = np.concatenate([soft_xor(a, b), b + a], axis=1)
-    return np.ascontiguousarray(lam[0][rev].T)
+    B, N = llrs.shape
+    lam, nxt, left, t, mn = genie_work(N, B) if work is None else work
+    lam, nxt = lam[: B * N], nxt[: B * N]
+    rev = bit_reversal(N)
+    lam.reshape(N, B)[rev] = llrs.T  # level 0: (N, 1, B); rev is its own inverse
+    width, nodes = N, 1
+    while width > 1:
+        h = width // 2
+        cur = lam.reshape(width, nodes, B)
+        a, b = cur[:h], cur[h:]
+        level = nxt.reshape(h, 2 * nodes, B)
+        # soft_xor writes its output four times: into a contiguous buffer
+        # and then one copy, a 256 x 256 sweep ran 4-13% faster than
+        # into the strided half of the level (2-core Xeon VM)
+        level[:, :nodes] = soft_xor(a, b, out=left[: h * nodes * B].reshape(h, nodes, B),
+                                    scratch=(t, mn))
+        np.add(b, a, out=level[:, nodes:])
+        lam, nxt = nxt, lam
+        width, nodes = h, 2 * nodes
+    # take writes into out= directly only in mode "clip"; "raise" goes
+    # through a temporary of the output's size
+    np.take(lam.reshape(N, B), rev, axis=0, out=nxt.reshape(N, B), mode="clip")
+    if out is None:
+        out = np.empty((B, N))
+    np.copyto(out, nxt.reshape(N, B).T)
+    return out
 
 
 class _SclEngine(_Walk):

@@ -2,7 +2,8 @@
 
 Transmit: map bits to +/-1, upsample by the per-symbol sample count and
 convolve (full) with unit-energy SRRC taps (`modulate_symbols`, which
-`psd` uses).  A frame of n symbols is then L = (n + span) * sps samples.
+`psd` uses a chunk of frames at a time).  A frame of n symbols is then
+L = (n + span) * sps samples.
 
 The FER link never forms that waveform.  Pulse shaping, the channel and
 the matched filter are all linear, and sampling the matched filter's
@@ -73,16 +74,25 @@ def modulate_symbols(symbols, spec: PulseSpec) -> np.ndarray:
     """Pulse-shape real symbol sequences along the last axis.
 
     (..., n) symbols give (..., n*sps + span*sps) samples: each sequence
-    upsampled by sps and convolved (full) with the SRRC taps, by one
-    real FFT product at the next power of two.
+    upsampled by sps and convolved (full) with the SRRC taps.  The sum
+    runs in polyphase form (Crochiere and Rabiner, Multirate Digital
+    Signal Processing, 1983): output sample n*sps + q is the direct sum
+    of s[n - i] * taps[i*sps + q] over i = 0, ..., span, in that order.
+    So a sequence extended by the span symbols before it gives, past
+    those, the very samples of the whole stream, which lets `psd` shape
+    its frames a chunk at a time.
     """
     symbols = np.asarray(symbols, dtype=np.float64)
-    up = np.zeros(symbols.shape[:-1] + (symbols.shape[-1] * spec.sps,))
-    up[..., :: spec.sps] = symbols
-    taps = srrc_taps(spec)
-    n_out = up.shape[-1] + len(taps) - 1
-    n_fft = 1 << (n_out - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(up, n_fft) * np.fft.rfft(taps, n_fft), n_fft)[..., :n_out]
+    n, sps, span = symbols.shape[-1], spec.sps, spec.span_symbols
+    # phase q of row i is tap i*sps + q; the last row holds the last tap and zeros
+    poly = np.zeros((span + 1) * sps)
+    poly[: span * sps + 1] = srrc_taps(spec)
+    poly = poly.reshape(span + 1, sps)
+    out = np.zeros(symbols.shape[:-1] + (n + span, sps))
+    term = np.empty(symbols.shape + (sps,))
+    for i in range(span + 1):
+        out[..., i : i + n, :] += np.multiply(symbols[..., None], poly[i], out=term)
+    return out.reshape(symbols.shape[:-1] + ((n + span) * sps,))
 
 
 def pulse_spectrum(spec: PulseSpec, n_symbols: int) -> np.ndarray:

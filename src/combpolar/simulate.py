@@ -52,6 +52,9 @@ _FRAME_STREAM, _CONSTRUCTION_STREAM, _PSD_STREAM = 1, 2, 3
 _SUPER_BATCH = 512
 _BLOCK = 64  # FER frames per generator
 NOTCH_DEPTH_THRESHOLD_DB = 25.0  # Welch notch depth that nulldepth.csv counts as a pass
+# frame samples that psd draws, encodes and shapes at a time, in whole
+# frames and at least one (32 frames of the reference config)
+PSD_CHUNK_SAMPLES = 1 << 16
 
 
 def _rng(master_seed: int, stream: int, index: int = 0):
@@ -254,6 +257,9 @@ def _sweep(cfg: ExperimentConfig, arms: dict, log) -> dict:
     with ExitStack() as stack:
         run = map
         if cfg.threads > 1:
+            # numpy imports numpy.random on first use; imported here, every
+            # forked worker inherits it instead of importing it for its first task
+            import numpy.random  # noqa: F401
             run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.threads)).map
         files = {}
         for name, (c, path) in arms.items():
@@ -305,27 +311,53 @@ def _sweep(cfg: ExperimentConfig, arms: dict, log) -> dict:
 # PSD runs
 # --------------------------------------------------------------------------
 
+def _psd_signal(cfg: ExperimentConfig, code: CodeConfig):
+    """The PSD signal of cfg.psd_frames random frames, as consecutive
+    sample chunks of the frames that fit in PSD_CHUNK_SAMPLES (at least
+    one), so a chunk's buffers do not grow with N either.
+
+    Frames draw their information bits one frame at a time, in frame
+    order.  Each chunk is shaped extended by the span symbols before it
+    and yields only the samples past those, which `modulate_symbols`
+    makes equal to the whole signal's; the last chunk adds the pulse's
+    tail.  So the stream is the one-shot signal whatever the chunk size.
+    """
+    rng = _rng(cfg.master_seed, _PSD_STREAM)
+    span, sps = cfg.pulse.span_symbols, cfg.pulse.sps
+    chunk = min(max(1, PSD_CHUNK_SAMPLES // (cfg.N * sps)), cfg.psd_frames)
+    symbols = np.empty(span + chunk * cfg.N)
+    history = 0  # symbols before the chunk held at the front of `symbols`
+    for start in range(0, cfg.psd_frames, chunk):
+        frames = min(chunk, cfg.psd_frames - start)
+        info = np.stack([rng.integers(0, 2, cfg.K, dtype=np.uint8) for _ in range(frames)])
+        n = history + frames * cfg.N
+        symbols[history:n] = modem.bpsk_map(encode(assemble_source(info, code.A, cfg.N))).ravel()
+        samples = modem.modulate_symbols(symbols[:n], cfg.pulse)
+        last = start + frames == cfg.psd_frames
+        yield samples[history * sps : None if last else n * sps]
+        history = min(span, n)
+        symbols[:history] = symbols[n - history : n]
+
+
 def run_psd(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Average the PSD of random frames and report notch depths at the
-    interference target frequencies.  Writes psd.csv and nulldepth.csv."""
+    interference target frequencies.  Writes psd.csv and nulldepth.csv.
+
+    The frames stream through `welch_psd` a chunk at a time
+    (`_psd_signal`), so memory does not grow with welch.frames."""
     os.makedirs(out_dir, exist_ok=True)
-    rng = _rng(cfg.master_seed, _PSD_STREAM)
     code = build_code(cfg)
     flat_edge = (1.0 - cfg.pulse.rolloff) * cfg.symbol_rate / 2.0
     targets = tone_centers(cfg.fundamental_hz, cfg.tone_offset_hz, cfg.band[1])
-    # one draw per frame, in frame order, then one (frames, N) encode
-    info = np.stack([rng.integers(0, 2, cfg.K, dtype=np.uint8)
-                     for _ in range(cfg.psd_frames)])
-    syms = modem.bpsk_map(encode(assemble_source(info, code.A, cfg.N)))
-    samples = modem.modulate_symbols(syms.ravel(), cfg.pulse)
-    est = welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment)
+    est = welch_psd(_psd_signal(cfg, code), cfg.sample_rate, segment=cfg.welch_segment)
     depths = null_depth(est, targets, (-flat_edge, flat_edge))
     with open(os.path.join(out_dir, "psd.csv"), "w") as fh:
         fh.write("# combpolar psd v1\n")
         fh.write("freq_hz,psd_db\n")
-        tiny = np.finfo(float).tiny
-        for f, p in zip(est.freqs, est.psd):
-            fh.write(f"{f:.6f},{10*np.log10(max(p, tiny)):.4f}\n")
+        db = 10 * np.log10(np.maximum(est.psd, np.finfo(float).tiny))
+        for i in range(0, len(db), 4096):  # rows as Python floats, a block at a time
+            fh.writelines(f"{f:.6f},{d:.4f}\n" for f, d in
+                          zip(est.freqs[i : i + 4096].tolist(), db[i : i + 4096].tolist()))
     with open(os.path.join(out_dir, "nulldepth.csv"), "w") as fh:
         fh.write("# combpolar nulldepth v1\n")
         fh.write(f"# threshold_db={NOTCH_DEPTH_THRESHOLD_DB}\n")

@@ -14,6 +14,7 @@ self test's exact-null check asserts.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +65,72 @@ class PsdEstimate:
     psd: np.ndarray
 
 
-def welch_psd(samples: np.ndarray, sample_rate: float, *, segment: int) -> PsdEstimate:
+# segment samples per FFT call of welch_psd: its complex input and
+# spectra take 1 MB each
+WELCH_BATCH_SAMPLES = 1 << 16
+
+
+def _add_periodograms(total, samples, window, step: int) -> int:
+    """Add the periodogram of each whole segment of `samples` (one every
+    `step` samples from the first) to `total`, in segment order; returns
+    how many there were."""
+    segment = len(window)
+    if len(samples) < segment:
+        return 0
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment)[::step]
+    # complex before the transform, which would otherwise hold a complex copy of its input
+    spectra = np.fft.fft(np.multiply(segments, window, dtype=np.complex128))
+    power = np.square(spectra.real)
+    power += np.square(spectra.imag)
+    for p in power:
+        total += p
+    return len(power)
+
+
+def welch_psd(samples, sample_rate: float, *, segment: int) -> PsdEstimate:
     """Windowed averaged periodogram, two-sided, density-normalized: a
     periodic Hann window on segments that start every segment - segment // 2
     samples (half overlap, rounded down for an odd segment).
 
+    `samples` is one array or an iterator over consecutive chunks of one
+    signal, of one dtype and any lengths.  The chunks are copied through
+    a buffer that holds WELCH_BATCH_SAMPLES // segment segments (at least
+    one), and each time it fills, the periodograms of its segments are
+    added to a running sum in segment order (Welch, IEEE Trans. Audio
+    Electroacoust. 1967).  A mean over all the segments at once adds them
+    in that same order, and so the estimate does not depend on the
+    chunks, while memory does not grow with the signal.
+
     Density normalization means sum(psd) * df recovers the mean per-sample
     power (Parseval within estimator bias).
     """
-    samples = np.asarray(samples)
-    if not 2 <= segment <= len(samples):  # a 1-point periodic Hann window is 0
-        raise ValueError(f"segment {segment} must lie in [2, {len(samples)}], "
-                         "the signal's length")
+    if segment < 2:  # a 1-point periodic Hann window is 0
+        raise ValueError(f"segment {segment} must be at least 2")
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(segment) / segment)
-    segments = np.lib.stride_tricks.sliding_window_view(samples, segment)[::segment - segment // 2]
-    # complex before the transform, which would otherwise hold a complex copy of its input
-    spectra = np.fft.fft(np.multiply(segments, window, dtype=np.complex128))
-    power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
-    psd = power / (sample_rate * np.sum(window**2))
+    step = segment - segment // 2
+    rows = max(1, WELCH_BATCH_SAMPLES // segment)
+    size = segment + (rows - 1) * step  # the samples of `rows` segments
+    total = np.zeros(segment)
+    buf, fill, count, length = None, 0, 0, 0
+    for chunk in samples if isinstance(samples, Iterator) else (samples,):
+        chunk = np.asarray(chunk)
+        if buf is None:
+            buf = np.empty(size, np.result_type(chunk, np.float64))
+        length += len(chunk)
+        while len(chunk):
+            k = min(size - fill, len(chunk))
+            buf[fill : fill + k] = chunk[:k]
+            chunk, fill = chunk[k:], fill + k
+            if fill == size:  # `rows` whole segments; keep the overlap with the next
+                count += _add_periodograms(total, buf, window, step)
+                fill = size - rows * step
+                buf[:fill] = buf[rows * step :]
+    if buf is not None:
+        count += _add_periodograms(total, buf[:fill], window, step)
+    if count == 0:
+        raise ValueError(f"segment {segment} must lie in [2, {length}], "
+                         "the signal's length")
+    psd = total / count / (sample_rate * np.sum(window**2))
     return PsdEstimate(np.fft.fftshift(np.fft.fftfreq(segment, 1 / sample_rate)),
                        np.fft.fftshift(psd))
 

@@ -53,7 +53,8 @@ PLAIN = {"code": {"r": None}, "decoder": {"mode": "plain"}}
                          "tone_bandwidth_hz": 0.5, "tone_offset_hz": 0.0},
              "comb_filter": {"notch_bandwidth_hz": 0.5}},
      "sinusoid tone model's 8321 tones x 8320 frame samples exceed"),
-    ("psd", {"welch": {"frames": 100000}}, "welch.frames 100000 make a"),
+    ("psd", {"welch": {"frames": 4097, "segment": MAX_PSD_SAMPLES + 1}},
+     f"welch.segment {MAX_PSD_SAMPLES + 1} exceeds"),
     # a pulse whose band reaches Nyquist, and a Welch grid short of the tones
     ("psd", {"modem": {"sps": 1}}, "modem.sps 1 puts the Nyquist frequency at 400 Hz"),
     ("psd", {"modem": {"sps": 2, "rolloff": 0.99}, "welch": {"segment": 16}},
@@ -115,11 +116,12 @@ def test_size_ceilings_are_inclusive():
     assert cfg.list_size * cfg.N == MAX_LIST_SYMBOLS
     with pytest.raises(ConfigError, match="decoder.list_size"):
         load_config(None, {"decoder": {"list_size": MAX_LIST_SYMBOLS // 256 + 1}})
-    # (frames * 256 + 16) * 8 samples: 4095 frames fit under 2^23, 4096 do not
-    assert load_config(None, {"welch": {"frames": 4095}}).psd_frames == 4095
-    assert (4096 * 256 + 16) * 8 > MAX_PSD_SAMPLES >= (4095 * 256 + 16) * 8
-    with pytest.raises(ConfigError, match="welch.frames"):
-        load_config(None, {"welch": {"frames": 4096}})
+    # psd streams its frames, so welch.frames has no ceiling; the segment has
+    assert load_config(None, {"welch": {"frames": 4096}}).psd_frames == 4096
+    assert load_config(None, {"welch": {"frames": 4097, "segment": MAX_PSD_SAMPLES}}
+                       ).welch_segment == MAX_PSD_SAMPLES
+    with pytest.raises(ConfigError, match="welch.segment"):
+        load_config(None, {"welch": {"frames": 4097, "segment": MAX_PSD_SAMPLES + 1}})
 
 
 # Coherent small configs that load (N <= 64), and per-key replacement values,

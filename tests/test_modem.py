@@ -84,6 +84,20 @@ class TestModulate:
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("span", [1, 8])
+    def test_chunks_after_their_history_are_the_whole_stream(self, span):
+        # a chunk shaped after the span symbols before it gives, past those,
+        # the whole stream's samples bit for bit, which lets psd stream
+        spec = modem.PulseSpec(0.25, span, 8)
+        symbols = modem.bpsk_map(np.random.default_rng(span).integers(0, 2, 300))
+        cuts = [0, 1, 5, 6, 64, 200, 300]
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            h = min(span, lo)
+            s = modem.modulate_symbols(symbols[lo - h : hi], spec)
+            parts.append(s[h * 8 : None if hi == 300 else (hi - lo + h) * 8])
+        assert np.array_equal(np.concatenate(parts), modem.modulate_symbols(symbols, spec))
+
     def test_superposition_of_shifted_pulses(self):
         spec = modem.PulseSpec(0.25, 8, 8)
         samples = modulate_bits(np.zeros(4, dtype=np.uint8), spec)

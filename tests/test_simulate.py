@@ -3,13 +3,14 @@ import json
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import link_reference
-from combpolar import channel, modem, polar, selftest, shaping, simulate
+from combpolar import channel, modem, polar, selftest, shaping, simulate, spectral
 from combpolar.cli import main as cli_main
 from combpolar.config import ARM_PRESETS, ConfigError, ExperimentConfig, load_config
 from combpolar.decoder import ccd_decode_batch
@@ -744,24 +745,77 @@ class TestPsdRuns:
         flat = np.abs(out2["targets"]) <= 0.75 * conv.symbol_rate / 2
         assert max(out2["depths"][flat]) < 6.0
 
-    def test_frames_are_the_per_frame_draws(self, tmp_path, monkeypatch):
-        # the (frames, N) encode carries the bits of one draw and one encode per frame
-        cfg = tiny_cfg(psd_frames=5, welch_segment=1024)
-        seen = []
-        modulate = modem.modulate_symbols
-
-        def spy(symbols, pulse):
-            seen.append(np.array(symbols))
-            return modulate(symbols, pulse)
-
-        monkeypatch.setattr(modem, "modulate_symbols", spy)
-        simulate.run_psd(cfg, str(tmp_path))
+    @staticmethod
+    def per_frame_symbols(cfg, frames):
+        """The reference PSD frames: one draw and one encode per frame, in
+        frame order, as one symbol stream."""
         rng = simulate._rng(cfg.master_seed, simulate._PSD_STREAM)
         code = simulate.build_code(cfg)
-        expect = [modem.bpsk_map(polar.encode(polar.assemble_source(
+        return np.concatenate([modem.bpsk_map(polar.encode(polar.assemble_source(
             rng.integers(0, 2, cfg.K, dtype=np.uint8), code.A, cfg.N)))
-            for _ in range(cfg.psd_frames)]
-        assert len(seen) == 1 and np.array_equal(seen[0], np.concatenate(expect))
+            for _ in range(frames)])
+
+    def test_frames_are_the_per_frame_draws(self, tmp_path, monkeypatch):
+        # each chunk is shaped after the span symbols before it (its history);
+        # without that prefix the chunks concatenate to the per-frame draws
+        cfg = tiny_cfg(psd_frames=5, welch_segment=1024)
+        expect = self.per_frame_symbols(cfg, cfg.psd_frames)
+        span = cfg.pulse.span_symbols
+        modulate = modem.modulate_symbols
+        for chunk in (1, 2, 5):
+            seen = []
+
+            def spy(symbols, pulse):
+                seen.append(np.array(symbols))
+                return modulate(symbols, pulse)
+
+            monkeypatch.setattr(modem, "modulate_symbols", spy)
+            monkeypatch.setattr(simulate, "PSD_CHUNK_SAMPLES", chunk * cfg.N * cfg.pulse.sps)
+            simulate.run_psd(cfg, str(tmp_path))
+            assert len(seen) == -(-cfg.psd_frames // chunk)
+            got, done = [], 0
+            for symbols in seen:
+                history = min(span, done)
+                assert np.array_equal(symbols[:history], expect[done - history : done])
+                got.append(symbols[history:])
+                done += len(symbols) - history
+            assert np.array_equal(np.concatenate(got), expect), chunk
+
+    @pytest.mark.parametrize("frames, chunk", [
+        (9, 1), (9, 7), (9, 9), (200, 1), (200, 7), (200, 200),
+    ])
+    def test_streamed_estimate_is_the_one_shot_estimate(self, tmp_path, monkeypatch,
+                                                        frames, chunk):
+        """The chunked stream through welch_psd gives, bit for bit, one
+        modulate_symbols call over the whole symbol stream and one
+        welch_psd call on its samples, also where chunks and segments
+        do not align."""
+        cfg = dataclasses.replace(load_config(REFERENCE_CONFIG), psd_frames=frames)
+        seen = []
+
+        def spy(samples, sample_rate, *, segment):
+            seen.append(spectral.welch_psd(samples, sample_rate, segment=segment))
+            return seen[-1]
+
+        monkeypatch.setattr(simulate, "welch_psd", spy)
+        monkeypatch.setattr(simulate, "PSD_CHUNK_SAMPLES", chunk * cfg.N * cfg.pulse.sps)
+        simulate.run_psd(cfg, str(tmp_path))
+        samples = modem.modulate_symbols(self.per_frame_symbols(cfg, frames), cfg.pulse)
+        ref = spectral.welch_psd(samples, cfg.sample_rate, segment=cfg.welch_segment)
+        (est,) = seen
+        assert np.array_equal(est.psd, ref.psd) and np.array_equal(est.freqs, ref.freqs)
+
+    def test_memory_does_not_grow_with_frames(self, tmp_path):
+        # psd streams its frames: the traced peak at 400 frames is within
+        # 10% of the peak at 50 (the whole signal would take 8x the memory)
+        cfg = load_config(REFERENCE_CONFIG)
+        peaks = {}
+        for frames in (50, 400):
+            tracemalloc.start()
+            simulate.run_psd(dataclasses.replace(cfg, psd_frames=frames), str(tmp_path))
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[400] <= 1.1 * peaks[50], peaks
 
 
 class TestMcscRun:

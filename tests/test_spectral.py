@@ -130,21 +130,53 @@ class TestWelchPsd:
         np.testing.assert_allclose(est.psd, psd, rtol=1e-12, atol=0)
 
     def test_matches_scipy_on_the_reference_psd_signal(self, tmp_path, monkeypatch):
-        # the signal `psd` estimates on configs/reference.json; relative to
-        # the peak, since the deep nulls differ more per bin (about 1e-10)
+        # the signal `psd` estimates on configs/reference.json, streamed in
+        # chunks; relative to the peak, since the deep nulls differ more per
+        # bin (about 1e-10)
         seen = []
 
         def spy(samples, sample_rate, *, segment):
-            seen.append((samples, sample_rate, segment))
-            return spectral.welch_psd(samples, sample_rate, segment=segment)
+            chunks = [np.array(c) for c in samples]
+            seen.append((spectral.welch_psd(iter(chunks), sample_rate, segment=segment),
+                         np.concatenate(chunks), sample_rate, segment))
+            return seen[-1][0]
 
         monkeypatch.setattr(simulate, "welch_psd", spy)
         simulate.run_psd(load_config(REFERENCE_CONFIG), str(tmp_path))
-        (samples, sample_rate, segment), = seen
-        est = spectral.welch_psd(samples, sample_rate, segment=segment)
+        (est, samples, sample_rate, segment), = seen
         freqs, psd = scipy_welch(samples, sample_rate, segment)
         assert np.array_equal(est.freqs, freqs)
         assert np.max(np.abs(est.psd - psd)) <= 1e-12 * np.max(psd)
+
+    @pytest.mark.parametrize("segment", [3, 17, 1024])
+    def test_chunked_stream_equals_one_array(self, segment):
+        """Any split of a signal into consecutive chunks, empty ones and
+        chunks shorter than a segment included, gives the one-array
+        estimate bit for bit."""
+        rng = np.random.default_rng(segment)
+        x = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+        whole = spectral.welch_psd(x, 100.0, segment=segment)
+        for cuts in ([0, 0, 1, 2], range(7, 5000, 7), rng.integers(0, 5000, 9)):
+            est = spectral.welch_psd(iter(np.split(x, np.sort(cuts))), 100.0, segment=segment)
+            assert np.array_equal(est.psd, whole.psd)
+            assert np.array_equal(est.freqs, whole.freqs)
+
+    def test_running_sum_is_the_mean_over_all_segments(self):
+        """Bit for bit the mean of every segment's periodogram at once, the
+        estimate of the whole signal in one array, over a signal whose 389
+        segments fill several of welch_psd's FFT batches."""
+        x = np.random.default_rng(5).standard_normal(200_000)
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(1024) / 1024)
+        segments = np.lib.stride_tricks.sliding_window_view(x, 1024)[::512]
+        spectra = np.fft.fft(np.multiply(segments, window, dtype=np.complex128))
+        power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
+        psd = np.fft.fftshift(power / (100.0 * np.sum(window**2)))
+        assert len(segments) * 1024 > 2 * spectral.WELCH_BATCH_SAMPLES
+        assert np.array_equal(spectral.welch_psd(x, 100.0, segment=1024).psd, psd)
+
+    def test_stream_shorter_than_a_segment(self):
+        with pytest.raises(ValueError, match=r"segment 200 must lie in \[2, 150\]"):
+            spectral.welch_psd(iter([np.zeros(100), np.zeros(50)]), 100.0, segment=200)
 
 
 class TestNullDepth:
